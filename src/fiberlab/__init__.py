@@ -7,11 +7,10 @@ from .ideals import (
     MonomialIdeal,
     component_ideal,
     maxideal_power,
-    minimalize,
     star_derivative,
     tensor_embed,
 )
-from .hilbert import HilbertSlice, finite_length_reg, hilbert_function, hilbert_slice
+from .hilbert import finite_length_reg, hilbert_function
 from .betti import BettiTable, LcmLattice, betti_table, lcm_lattice, upper_koszul
 from .koszul import GradedTor, tor_dimensions, tor_map, tor_vanishing
 from .invariants import (
@@ -42,4 +41,17 @@ from .reports import Report
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BettiTable", "CapError", "Caps", "DEFAULT_CAPS", "DEFAULT_PRIME", "DomainError",
+    "FiberSetup", "FiberlabError", "Filtration", "GradedTor", "GrammarError", "Graph",
+    "Invariants", "LcmLattice", "Monomial", "MonomialIdeal", "Report", "Ring",
+    "RingMismatchError", "RstabReport", "betti_table", "check_componentwise",
+    "check_depth_formula", "check_reg_formula", "check_reg_formula_equigenerated",
+    "check_reg_increasing", "component_ideal", "detect_bipartite_join", "edge_ideal",
+    "fiber_product", "filtration", "finite_length_reg", "has_linear_resolution",
+    "hilbert_function", "invariants_of", "is_componentwise_linear", "join_fiber_setup",
+    "lcm_lattice", "maxideal_power", "parse_monomial", "parse_ring",
+    "reg_bound_linear_forms", "reg_of", "rstab_search", "star_derivative",
+    "tensor_embed", "tensor_ring", "tor_dimensions", "tor_map", "tor_vanishing",
+    "upper_koszul", "verify_betti_splitting", "verify_tor_vanishing_lemma",
+]

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps, default_threads
-from .core import Exponents, Monomial
+from .core import Exponents, Monomial, resolve_characteristic
 from .errors import CapError, DomainError
 from .ideals import MonomialIdeal
-from .linalg import rank_mod_p, rank_exact
+from .linalg import rank_input, rank_mod_p, rank_exact
 
 _INT = np.int32
 _PARALLEL_MIN_POINTS = 60_000
@@ -159,29 +159,18 @@ def _boundary_rank(faces_prev: np.ndarray, faces_cur: np.ndarray, char: int) -> 
     if len(faces_prev) == 0 or len(faces_cur) == 0:
         return 0
     index = {int(f): i for i, f in enumerate(faces_prev)}
-    if char == 0:
-        rows: list[dict[int, int]] = [dict() for _ in range(len(faces_prev))]
-        for col, face in enumerate(faces_cur):
-            face = int(face)
-            sign = 1
-            mask = face
-            while mask:
-                bit = mask & -mask
-                rows[index[face ^ bit]][col] = sign
-                sign = -sign
-                mask ^= bit
-        return rank_exact(rows)
-    mat = np.zeros((len(faces_prev), len(faces_cur)), dtype=np.int64)
+    triplets = []
     for col, face in enumerate(faces_cur):
         face = int(face)
         sign = 1
         mask = face
         while mask:
             bit = mask & -mask
-            mat[index[face ^ bit], col] = sign
+            triplets.append((index[face ^ bit], col, sign))
             sign = -sign
             mask ^= bit
-    return rank_mod_p(mat, char)
+    matrix = rank_input(triplets, (len(faces_prev), len(faces_cur)), char)
+    return rank_exact(matrix) if char == 0 else rank_mod_p(matrix, char)
 
 
 def _homology_from_masks(masks: np.ndarray, m: int, char: int) -> dict[int, int]:
@@ -266,12 +255,14 @@ _WORKER_CTX: dict = {}
 def _worker_init(gens_bytes: bytes, shape: tuple[int, int], char: int):
     _WORKER_CTX["gens"] = np.frombuffer(gens_bytes, dtype=_INT).reshape(shape).copy()
     _WORKER_CTX["char"] = char
+    # one homology cache per worker, shared by the slices it walks
+    _WORKER_CTX["cache"] = {}
 
 
 def _worker_run(payload: tuple[bytes, tuple[int, int]]):
     data, shape = payload
     pts = np.frombuffer(data, dtype=_INT).reshape(shape).copy()
-    return _points_betti(pts, _WORKER_CTX["gens"], _WORKER_CTX["char"], {})
+    return _points_betti(pts, _WORKER_CTX["gens"], _WORKER_CTX["char"], _WORKER_CTX["cache"])
 
 
 def _multigraded(
@@ -422,7 +413,7 @@ def betti_table(
     """Multigraded Betti numbers of a nonzero monomial ideal."""
     if ideal.is_zero():
         raise DomainError("Betti table of the zero ideal")
-    char = ideal.ring.characteristic if characteristic is None else characteristic
+    char = resolve_characteristic(ideal.ring, characteristic)
     threads = default_threads() if threads is None else max(1, threads)
     entries = _multigraded(ideal.array(), char, caps, threads)
     packed = tuple(sorted((i, b, d) for (i, b), d in entries.items()))

@@ -12,6 +12,10 @@ Verbs:
 Exit codes: 0 success (all checks passed), 1 a verification failed,
 2 parse or usage error, 3 a resource cap was exceeded.
 
+Caps come from the FIBERLAB_CAPS environment variable (``name=value``
+pairs, comma-separated), read once per run; an unknown name or a value
+that is not a positive integer is a usage error.
+
 Output is deterministic for fixed inputs and flags; timings are omitted
 from JSON when --stable-json is given (or FIBERLAB_STABLE_JSON=1), so
 reruns are byte-identical regardless of --threads.
@@ -23,8 +27,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
-from .config import DEFAULT_CAPS, caps_from_env
+from .config import Caps
 from .errors import CapError, DomainError, FiberlabError, GrammarError, RingMismatchError
 from .betti import betti_table
 from .fiber import (
@@ -49,13 +54,43 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text.strip()!r}")
+    return value
+
+
+def _read_caps() -> Caps:
+    """Caps with the overrides of FIBERLAB_CAPS applied."""
+    known = [f.name for f in fields(Caps)]
+    updates: dict[str, int] = {}
+    for item in os.environ.get("FIBERLAB_CAPS", "").split(","):
+        if not item.strip():
+            continue
+        name, _, value = (part.strip() for part in item.partition("="))
+        if name not in known:
+            raise GrammarError(
+                f"FIBERLAB_CAPS: unknown cap {name!r}; known caps: {', '.join(known)}"
+            )
+        try:
+            updates[name] = _positive_int(value)
+        except argparse.ArgumentTypeError as exc:
+            raise GrammarError(f"FIBERLAB_CAPS: cap {name!r}: {exc}") from None
+    return Caps(**updates)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a subparser from clobbering flags given before the verb
     common.add_argument("--char", type=int, default=argparse.SUPPRESS, metavar="P",
-                        help="coefficient field characteristic (0 or a prime; default 0, "
+                        help="coefficient field characteristic (0 or a prime p with "
+                             "(p-1)^2 < 2^63; default 0, "
                              "except scenarios with a documented fast-prime default)")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS, metavar="N",
+    common.add_argument("--threads", type=_positive_int, default=argparse.SUPPRESS, metavar="N",
                         help="worker cap for the Betti engine (default: all cores)")
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit JSON instead of text")
@@ -146,8 +181,7 @@ def _emit_reports(args, reports: list[Report]) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
-def _run(args) -> int:
-    caps = caps_from_env(DEFAULT_CAPS)
+def _run(args, caps: Caps) -> int:
     char = 0 if args.char is None else args.char
     threads = args.threads
 
@@ -263,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, name):
             setattr(args, name, default)
     try:
-        return _run(args)
+        return _run(args, _read_caps())
     except CapError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -1,15 +1,17 @@
 """Resource caps and global defaults.
 
 Caps are hard limits: exceeding one raises CapError instead of degrading
-the answer.  Defaults can be overridden per call, or globally through the
+the answer.  Library calls take them as a ``caps=`` argument and default
+to ``DEFAULT_CAPS``.  The command line reads overrides from the
 FIBERLAB_CAPS environment variable (comma-separated ``name=value`` pairs,
-e.g. ``FIBERLAB_CAPS=lattice=4000000,koszul_basis=500000``).
+e.g. ``FIBERLAB_CAPS=lattice=4000000,koszul_basis=500000``) once per run
+and passes them down; importing this package reads no environment.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 DEFAULT_PRIME = 32003
 
@@ -20,40 +22,9 @@ class Caps:
     koszul_basis: int = 200_000     # Koszul strand basis size per (i, j)
     component_degree: int = 64      # component_ideal degree
     hilbert_degree: int = 512       # hilbert_function degree
-    scenario_power: int = 4         # default power bound inside scenarios
-
-    def override(self, **kwargs: int) -> "Caps":
-        return replace(self, **kwargs)
 
 
-_ENV_KEYS = {
-    "lattice": "lattice",
-    "koszul_basis": "koszul_basis",
-    "component_degree": "component_degree",
-    "hilbert_degree": "hilbert_degree",
-    "scenario_power": "scenario_power",
-}
-
-
-def caps_from_env(base: Caps | None = None) -> Caps:
-    """Apply FIBERLAB_CAPS overrides on top of ``base`` (or the defaults)."""
-    caps = base or Caps()
-    raw = os.environ.get("FIBERLAB_CAPS", "").strip()
-    if not raw:
-        return caps
-    updates: dict[str, int] = {}
-    for item in raw.split(","):
-        if not item.strip():
-            continue
-        name, _, value = item.partition("=")
-        key = _ENV_KEYS.get(name.strip())
-        if key is None:
-            raise ValueError(f"unknown cap name {name.strip()!r} in FIBERLAB_CAPS")
-        updates[key] = int(value)
-    return caps.override(**updates)
-
-
-DEFAULT_CAPS = caps_from_env()
+DEFAULT_CAPS = Caps()
 
 
 def default_threads() -> int:

@@ -1,9 +1,11 @@
-"""Polynomial ring descriptors, exponent vectors, and the monomial grammar.
+"""Polynomial ring descriptors, exponent vectors, and the shared grammar.
 
 Everything downstream works with a ``Ring`` (named variables partitioned
 into contiguous blocks, plus a coefficient characteristic) and plain
 integer exponent vectors.  A ``Monomial`` is an exponent vector bound to
-its ring; coefficients are never tracked.
+its ring; coefficients are never tracked.  One tokenizer and one set of
+rules parse monomials and ring declarations, both here and inside
+definition files (``lang``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,26 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def check_characteristic(p: int) -> int:
+    """Return ``p`` if it is 0 or a prime whose GF(p) arithmetic fits in int64.
+
+    ``linalg.rank_mod_p`` multiplies two residues in int64, so a prime with
+    (p - 1)^2 >= 2^63 would overflow and give wrong ranks.
+    """
+    if p != 0 and ((p - 1) ** 2 >= 2**63 or not _is_prime(p)):
+        raise DomainError(
+            f"characteristic must be 0 or a prime p with (p-1)^2 < 2^63, got {p}"
+        )
+    return p
+
+
+def resolve_characteristic(ring: Ring, characteristic: int | None) -> int:
+    """The field of a computation: the checked override, else the ring's own."""
+    if characteristic is None:
+        return ring.characteristic
+    return check_characteristic(characteristic)
 
 
 @dataclass(frozen=True)
@@ -80,8 +102,7 @@ class Ring:
             pos = b.stop
         if pos != len(self.variables):
             raise DomainError("blocks must cover all variables")
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
-            raise DomainError(f"characteristic must be 0 or prime, got {self.characteristic}")
+        check_characteristic(self.characteristic)
 
     @property
     def nvars(self) -> int:
@@ -200,78 +221,121 @@ class Monomial:
         return "*".join(parts)
 
 
-def monomial_divides(u: Monomial, v: Monomial) -> bool:
-    return u.divides(v)
+# -- the grammar shared by monomials, rings and definition files --------------
 
-
-def monomial_lcm(u: Monomial, v: Monomial) -> Monomial:
-    return u.lcm(v)
-
-
-_RING_RE = re.compile(
-    r"^\s*ring\s+(?P<name>[A-Za-z_]\w*)\s*=\s*\[(?P<vars>[^\]]*)\]\s*;?\s*$"
+_TOKEN = re.compile(
+    r"\s*(?:(?P<name>[A-Za-z_]\w*)|(?P<int>\d+)|(?P<tensorop>\(\*\))|"
+    r"(?P<sym>[=\[\],;()+*^:&])|(?P<bad>\S))"
 )
-_NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # "name", "int", "tensorop" or "sym"
+    text: str
+    pos: int  # offset into the tokenized text
+
+
+def tokenize(text: str) -> list[Token]:
+    tokens = []
+    pos = 0
+    while (m := _TOKEN.match(text, pos)) is not None:
+        if m.lastgroup == "bad":
+            raise GrammarError(f"unexpected character {m.group('bad')!r}", position=m.start("bad"))
+        tokens.append(Token(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        pos = m.end()
+    return tokens
+
+
+class TokenStream:
+    """A cursor over tokens, with the rules for ring headers and monomials."""
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self) -> Token | None:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self) -> Token:
+        tok = self.peek()
+        if tok is None:
+            raise GrammarError("unexpected end of input")
+        self.i += 1
+        return tok
+
+    def expect(self, text: str) -> Token:
+        tok = self.next()
+        if tok.text != text:
+            raise GrammarError(f"expected {text!r}, found {tok.text!r}", position=tok.pos)
+        return tok
+
+    def at(self, text: str) -> bool:
+        tok = self.peek()
+        return tok is not None and tok.text == text
+
+    def end(self) -> None:
+        tok = self.peek()
+        if tok is not None:
+            raise GrammarError(f"trailing input {tok.text!r}", position=tok.pos)
+
+    def ring_header(self) -> tuple[Token, tuple[str, ...]]:
+        """``ring Name = [v1, v2, ...]``: the name token and the variable names."""
+        self.expect("ring")
+        name = self.next()
+        if name.kind != "name":
+            raise GrammarError("expected a ring name", position=name.pos)
+        self.expect("=")
+        self.expect("[")
+        variables = []
+        while True:
+            v = self.next()
+            if v.kind != "name":
+                raise GrammarError("expected a variable name", position=v.pos)
+            variables.append(v.text)
+            if self.at("]"):
+                self.next()
+                return name, tuple(variables)
+            self.expect(",")
+
+    def monomial(self, ring: Ring) -> Monomial:
+        """Factors joined by ``*``; a factor is ``1``, ``v`` or ``v^k``."""
+        exps = [0] * ring.nvars
+        while True:
+            tok = self.next()
+            if tok.kind == "name":
+                if tok.text not in ring.variables:
+                    raise GrammarError(
+                        f"unknown variable {tok.text!r} in ring {ring.name!r}", position=tok.pos
+                    )
+                power = 1
+                if self.at("^"):
+                    self.next()
+                    e = self.next()
+                    if e.kind != "int":
+                        raise GrammarError("expected an integer exponent", position=e.pos)
+                    power = int(e.text)
+                exps[ring.variables.index(tok.text)] += power
+            elif tok.text != "1":
+                raise GrammarError(f"bad monomial factor {tok.text!r}", position=tok.pos)
+            if not self.at("*"):
+                return Monomial(ring, tuple(exps))
+            self.next()
 
 
 def parse_ring(text: str, characteristic: int = 0) -> Ring:
-    """Parse a single ``ring Name = [v1, v2, ...];`` declaration."""
-    m = _RING_RE.match(text)
-    if m is None:
-        raise GrammarError(f"malformed ring declaration: {text.strip()!r}")
-    names = [v.strip() for v in m.group("vars").split(",") if v.strip()]
-    if not names:
-        raise GrammarError("ring declaration lists no variables")
-    for v in names:
-        if not _NAME_RE.match(v):
-            raise GrammarError(f"bad variable name {v!r}")
-    return Ring(m.group("name"), tuple(names), characteristic=characteristic)
-
-
-_MONO_TOKEN = re.compile(r"\s*([A-Za-z_]\w*|\^|\*|\d+)\s*")
+    """Parse a single ``ring Name = [v1, v2, ...];`` declaration (``;`` optional)."""
+    stream = TokenStream(tokenize(text))
+    name, variables = stream.ring_header()
+    if stream.at(";"):
+        stream.next()
+    stream.end()
+    return Ring(name.text, variables, characteristic=characteristic)
 
 
 def parse_monomial(ring: Ring, text: str) -> Monomial:
     """Parse ``a^2*b`` style monomial text; ``1`` denotes the unit monomial."""
-    exps = [0] * ring.nvars
-    pos = 0
-    expect_factor = True
-    saw_factor = False
-    while pos < len(text):
-        m = _MONO_TOKEN.match(text, pos)
-        if m is None:
-            raise GrammarError(f"bad monomial syntax in {text!r}", position=pos)
-        tok = m.group(1)
-        pos = m.end()
-        if tok == "*":
-            if expect_factor:
-                raise GrammarError(f"misplaced '*' in {text!r}", position=pos)
-            expect_factor = True
-            continue
-        if tok == "^":
-            raise GrammarError(f"misplaced '^' in {text!r}", position=pos)
-        if not expect_factor:
-            raise GrammarError(f"missing '*' before {tok!r} in {text!r}", position=pos)
-        if tok.isdigit():
-            if tok != "1":
-                raise GrammarError(f"numeric factor {tok!r} is not a monomial", position=pos)
-            # the unit factor contributes nothing
-        else:
-            idx = ring.variable_index(tok)
-            power = 1
-            m2 = _MONO_TOKEN.match(text, pos)
-            if m2 is not None and m2.group(1) == "^":
-                pos = m2.end()
-                m3 = _MONO_TOKEN.match(text, pos)
-                if m3 is None or not m3.group(1).isdigit():
-                    raise GrammarError(f"expected integer exponent in {text!r}", position=pos)
-                power = int(m3.group(1))
-                if power < 0:
-                    raise GrammarError("negative exponent", position=pos)
-                pos = m3.end()
-            exps[idx] += power
-        expect_factor = False
-        saw_factor = True
-    if expect_factor or not saw_factor:
-        raise GrammarError(f"empty or dangling monomial in {text!r}")
-    return Monomial(ring, tuple(exps))
+    stream = TokenStream(tokenize(text))
+    mono = stream.monomial(ring)
+    stream.end()
+    return mono

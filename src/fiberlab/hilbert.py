@@ -1,15 +1,14 @@
 """Graded dimension counting and finite-length quotient regularity.
 
-``hilbert_function`` counts degree-d monomials inside an ideal three ways:
-a variable-splitting recursion (the production path, robust when there are
-many generators), inclusion-exclusion over generator subsets, and direct
-enumeration.  The latter two exist as independent cross-checks and the
-test suite holds all three to agreement.
+``hilbert_function`` counts degree-d monomials inside an ideal by a
+variable-splitting recursion (the production path, robust when there are
+many generators) that finishes small cases by inclusion-exclusion over
+generator subsets.  ``hilbert_inclusion_exclusion`` runs inclusion-exclusion
+alone; the test suite holds both to agreement with brute-force enumeration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .config import DEFAULT_CAPS, Caps
@@ -18,24 +17,6 @@ from .errors import CapError, DomainError
 from .ideals import MonomialIdeal
 
 _IE_BASE = 10  # below this many generators, finish with inclusion-exclusion
-
-
-@dataclass(frozen=True)
-class HilbertSlice:
-    """Count of the degree-``degree`` monomials lying in an ideal."""
-
-    ideal: MonomialIdeal
-    degree: int
-    dimension: int
-
-    def __post_init__(self):
-        total = comb(self.degree + self.ideal.ring.nvars - 1, self.ideal.ring.nvars - 1)
-        if not 0 <= self.dimension <= total:
-            raise DomainError("slice dimension exceeds the ambient monomial count")
-
-
-def hilbert_slice(ideal: MonomialIdeal, d: int, caps: Caps = DEFAULT_CAPS) -> HilbertSlice:
-    return HilbertSlice(ideal, d, hilbert_function(ideal, d, caps))
 
 
 def _quotient_count_ie(gens: tuple[Exponents, ...], nvars: int, d: int) -> int:
@@ -142,13 +123,6 @@ def hilbert_inclusion_exclusion(ideal: MonomialIdeal, d: int) -> int:
         raise DomainError("negative degree")
     n = ideal.ring.nvars
     return comb(d + n - 1, n - 1) - _quotient_count_ie(tuple(sorted(ideal.gens)), n, d)
-
-
-def hilbert_enumerate(ideal: MonomialIdeal, d: int) -> int:
-    """Direct enumeration path (cross-check; only for small rings/degrees)."""
-    from .ideals import monomials_of_degree
-
-    return sum(1 for m in monomials_of_degree(ideal.ring, d) if ideal.member(m))
 
 
 def finite_length_reg(

@@ -3,7 +3,7 @@
 A ``MonomialIdeal`` stores its unique minimal monomial generating set as a
 canonically sorted tuple of exponent vectors, so ideal equality is plain
 tuple equality.  The zero ideal is the empty tuple; the unit ideal is the
-single all-zero vector.  All operations minimalize before returning.
+single all-zero vector.  Every operation returns a minimal generating set.
 """
 
 from __future__ import annotations
@@ -238,10 +238,6 @@ class MonomialIdeal:
 # -- free-standing operations matching the ideal algebra -----------------
 
 
-def minimalize(ring: Ring, vectors) -> MonomialIdeal:
-    return MonomialIdeal.from_exponents(ring, vectors)
-
-
 def monomials_of_degree(ring: Ring, d: int, indices: tuple[int, ...] | None = None):
     """Yield exponent vectors of all degree-``d`` monomials in the given variables."""
     if indices is None:
@@ -254,15 +250,6 @@ def monomials_of_degree(ring: Ring, d: int, indices: tuple[int, ...] | None = No
         for i in combo:
             exps[i] += 1
         yield tuple(exps)
-
-
-def count_monomials(nvars: int, d: int) -> int:
-    """Number of degree-d monomials in ``nvars`` variables."""
-    import math
-
-    if d < 0:
-        return 0
-    return math.comb(d + nvars - 1, nvars - 1)
 
 
 def maxideal_power(ring: Ring, block: str | None = None, s: int = 1) -> MonomialIdeal:

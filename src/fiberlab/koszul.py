@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .core import Exponents, canonical_order
+from .core import Exponents, canonical_order, resolve_characteristic
 from .errors import CapError, DomainError
 from .ideals import MonomialIdeal, monomials_of_degree
 from .linalg import (
@@ -28,6 +28,7 @@ from .linalg import (
     field_for,
     nullspace,
     rank_exact,
+    rank_input,
     rank_mod_p,
     rref,
 )
@@ -116,16 +117,8 @@ class _StrandComplex:
         trips = self.boundary_triplets(i)
         if not trips:
             return 0
-        nrows = self.dim(i - 1)
-        if characteristic == 0:
-            rows: list[dict[int, int]] = [dict() for _ in range(nrows)]
-            for r, c, s in trips:
-                rows[r][c] = s
-            return rank_exact(rows)
-        mat = np.zeros((nrows, self.dim(i)), dtype=np.int64)
-        for r, c, s in trips:
-            mat[r, c] = s
-        return rank_mod_p(mat, characteristic)
+        matrix = rank_input(trips, (self.dim(i - 1), self.dim(i)), characteristic)
+        return rank_exact(matrix) if characteristic == 0 else rank_mod_p(matrix, characteristic)
 
     def boundary_dense(self, i: int, field) -> list[list]:
         nrows, ncols = self.dim(i - 1), self.dim(i)
@@ -162,7 +155,7 @@ def tor_dimensions(
     """Graded Tor_i(k, ideal)_j for all i and all j up to the degree cap."""
     if ideal.is_zero():
         raise DomainError("Tor of the zero ideal")
-    char = ideal.ring.characteristic if characteristic is None else characteristic
+    char = resolve_characteristic(ideal.ring, characteristic)
     top = max_lattice_degree(ideal)
     cap = top if degree_cap is None else degree_cap
     if cap < top:
@@ -227,7 +220,7 @@ def tor_map(
         raise DomainError("Tor map from the zero ideal")
     if not big.contains(small):
         raise DomainError("tor_map requires an inclusion of ideals")
-    char = small.ring.characteristic if characteristic is None else characteristic
+    char = resolve_characteristic(small.ring, characteristic)
     field = field_for(char)
     top = max(max_lattice_degree(small), max_lattice_degree(big))
     cap = top if degree_cap is None else degree_cap
@@ -286,7 +279,7 @@ def tor_vanishing(
     Returns (vanishing, witness); the witness is the least (i, j) carrying
     a nonzero induced map, when one exists.
     """
-    char = small.ring.characteristic if characteristic is None else characteristic
+    char = resolve_characteristic(small.ring, characteristic)
     field = field_for(char)
     maps = tor_map(small, big, char, degree_cap, caps)
     for (i, j) in sorted(maps):

@@ -19,48 +19,20 @@ blocks, when there is exactly one such ring.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
-from .core import Monomial, Ring, parse_monomial, tensor_ring
+from .core import Monomial, Ring, Token, TokenStream, parse_monomial, tensor_ring, tokenize
 from .errors import GrammarError, RingMismatchError
 from .fiber import fiber_product
 from .ideals import MonomialIdeal, component_ideal, maxideal_power, star_derivative, tensor_embed
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_]\w*)|(?P<int>\d+)|(?P<tensorop>\(\*\))|"
-    r"(?P<sym>[=\[\],;()+*^:&])|(?P<bad>\S))"
-)
-
-
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    # strip comments line by line, preserving offsets via padding
+def _tokenize(text: str) -> list[Token]:
+    # blank out comments, keeping every offset into the file
     cleaned = []
     for line in text.split("\n"):
         cut = line.find("#")
         cleaned.append(line if cut < 0 else line[:cut] + " " * (len(line) - cut))
-    src = "\n".join(cleaned)
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None:
-            break
-        if m.group("bad"):
-            raise GrammarError(f"unexpected character {m.group('bad')!r}", position=m.start("bad"))
-        for kind in ("name", "int", "tensorop", "sym"):
-            if m.group(kind):
-                tokens.append(_Token(kind, m.group(kind), m.start(kind)))
-                break
-        pos = m.end()
-    return tokens
+    return tokenize("\n".join(cleaned))
 
 
 @dataclass
@@ -82,33 +54,10 @@ class Environment:
         return self.ideals[name]
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], env: Environment):
-        self.tokens = tokens
+class _Parser(TokenStream):
+    def __init__(self, tokens: list[Token], env: Environment):
+        super().__init__(tokens)
         self.env = env
-        self.i = 0
-
-    # -- token plumbing -----------------------------------------------
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise GrammarError("unexpected end of input")
-        self.i += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            raise GrammarError(f"expected {text!r}, found {tok.text!r}", position=tok.pos)
-        return tok
-
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
 
     # -- statements ----------------------------------------------------
 
@@ -128,27 +77,12 @@ class _Parser:
             self.assignment()
 
     def ring_statement(self) -> None:
-        self.expect("ring")
-        name = self.next()
-        if name.kind != "name":
-            raise GrammarError("expected a ring name", position=name.pos)
-        self.expect("=")
-        self.expect("[")
-        variables = []
-        while True:
-            v = self.next()
-            if v.kind != "name":
-                raise GrammarError("expected a variable name", position=v.pos)
-            variables.append(v.text)
-            if self.at("]"):
-                self.next()
-                break
-            self.expect(",")
+        name, variables = self.ring_header()
         self.expect(";")
         if name.text in self.env.rings or name.text in self.env.ideals:
             raise GrammarError(f"name {name.text!r} is already bound", position=name.pos)
         self.env.rings[name.text] = Ring(
-            name.text, tuple(variables), characteristic=self.env.characteristic
+            name.text, variables, characteristic=self.env.characteristic
         )
 
     def tensor_statement(self) -> None:
@@ -284,35 +218,12 @@ class _Parser:
             self.next()
             return MonomialIdeal.zero(ring)
         while True:
-            gens.append(self.monomial_literal(ring))
+            gens.append(self.monomial(ring))
             if self.at(")"):
                 self.next()
                 break
             self.expect(",")
         return MonomialIdeal.from_monomials(gens)
-
-    def monomial_literal(self, ring: Ring) -> Monomial:
-        parts = []
-        while True:
-            tok = self.next()
-            if tok.kind == "int" and tok.text == "1" and not parts:
-                parts.append("1")
-            elif tok.kind == "name":
-                parts.append(tok.text)
-            else:
-                raise GrammarError(f"bad monomial term {tok.text!r}", position=tok.pos)
-            if self.at("^"):
-                self.next()
-                e = self.next()
-                if e.kind != "int":
-                    raise GrammarError("expected an integer exponent", position=e.pos)
-                parts.append(f"^{e.text}")
-            if self.at("*"):
-                self.next()
-                parts.append("*")
-                continue
-            break
-        return parse_monomial(ring, "".join(parts))
 
     def maxideal_call(self) -> MonomialIdeal:
         self.expect("(")
@@ -395,7 +306,5 @@ def load_file(path: str, characteristic: int = 0) -> Environment:
 def eval_expression(env: Environment, text: str) -> MonomialIdeal:
     parser = _Parser(_tokenize(text), env)
     value = parser.expression()
-    if parser.peek() is not None:
-        tok = parser.peek()
-        raise GrammarError(f"trailing input {tok.text!r}", position=tok.pos)
+    parser.end()
     return value

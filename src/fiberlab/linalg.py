@@ -5,7 +5,9 @@ Three layers, each exact:
 * ``rank_mod_p`` -- dense vectorized elimination for prime fields (the fast
   path used on homology boundary matrices).
 * ``rank_exact`` -- sparse fraction-free integer elimination with row-gcd
-  normalization; computes ranks over Q without ever rounding.
+  normalization; computes ranks over Q without ever rounding.  Both rank
+  routines take their matrix from ``rank_input``, which both Betti engines
+  feed with (row, col, sign) triplets.
 * a small dense toolkit generic over a ``Field`` (GF(p) or Fraction), used
   where actual bases and coordinates are needed (induced maps on homology).
 """
@@ -108,15 +110,24 @@ def rank_exact(rows: list[dict[int, int]]) -> int:
     return rank
 
 
-def rank_over(matrix: np.ndarray, characteristic: int) -> int:
-    """Rank of an integer matrix over Q (characteristic 0) or GF(p)."""
+def rank_input(
+    triplets: list[tuple[int, int, int]], shape: tuple[int, int], characteristic: int
+) -> list[dict[int, int]] | np.ndarray:
+    """The matrix with (row, col, value) entries ``triplets``, ready for a rank.
+
+    Over Q (characteristic 0) these are the {column: value} rows that
+    ``rank_exact`` takes; over GF(p) the dense int64 array of ``rank_mod_p``.
+    """
+    nrows, ncols = shape
     if characteristic == 0:
-        rows = []
-        for row in matrix:
-            nz = np.nonzero(row)[0]
-            rows.append({int(c): int(row[c]) for c in nz})
-        return rank_exact(rows)
-    return rank_mod_p(matrix, characteristic)
+        rows: list[dict[int, int]] = [dict() for _ in range(nrows)]
+        for r, c, v in triplets:
+            rows[r][c] = v
+        return rows
+    mat = np.zeros((nrows, ncols), dtype=np.int64)
+    for r, c, v in triplets:
+        mat[r, c] = v
+    return mat
 
 
 # -- dense field-generic toolkit --------------------------------------------

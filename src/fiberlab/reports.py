@@ -14,9 +14,8 @@ class Report:
     params: dict
     computed: dict
     expected: dict
-    verdict: str  # "pass" | "fail" | "error"
+    verdict: str  # "pass" | "fail"
     elapsed_ms: float = 0.0
-    detail: str = ""
 
     @property
     def passed(self) -> bool:
@@ -30,8 +29,6 @@ class Report:
             "computed": self.computed,
             "expected": self.expected,
         }
-        if self.detail:
-            out["detail"] = self.detail
         if include_timing:
             out["elapsedMs"] = round(self.elapsed_ms, 3)
         return out

@@ -20,9 +20,8 @@ from .fiber import (
     fiber_product,
     verify_betti_splitting,
 )
-from .hilbert import finite_length_reg
 from .ideals import MonomialIdeal, maxideal_power
-from .invariants import has_linear_resolution, reg_of
+from .invariants import has_linear_resolution, reg_maxideal_power_formula, reg_of
 from .reports import Report, Stopwatch, make_report
 
 
@@ -371,7 +370,6 @@ def scenario_lemma_54(characteristic: int | None = None, caps: Caps = DEFAULT_CA
     """Regularity after multiplying by powers of the maximal ideal."""
     char = 0 if characteristic is None else characteristic
     reports = []
-    env = appendix_ideals(char)
     R4 = Ring("Q", ("a", "b", "c", "d"), characteristic=char)
     H = _ideal(R4, "a^2", "b^2", "c^2", "d^2")
     R2 = Ring("P", ("x", "y"), characteristic=char)
@@ -383,10 +381,7 @@ def scenario_lemma_54(characteristic: int | None = None, caps: Caps = DEFAULT_CA
         base = reg_of(M, char, caps, threads)
         for i in (1, 2):
             with Stopwatch() as sw:
-                shifted = maxideal_power(ring, None, i) * M
-                direct = reg_of(shifted, char, caps, threads)
-                top = finite_length_reg(M, shifted, caps)
-                general = base if top is None else max(base, top + 1)
+                direct, general = reg_maxideal_power_formula(M, i, char, caps, threads)
             reports.append(_value_report(
                 "lemma-5.4-general", {"ideal": label, "i": i},
                 {"direct": direct, "formula": general},

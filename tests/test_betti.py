@@ -13,6 +13,7 @@ from fiberlab import (
     betti_table,
     lcm_lattice,
     maxideal_power,
+    tor_dimensions,
     upper_koszul,
 )
 from fiberlab.errors import CapError
@@ -200,6 +201,21 @@ def test_characteristic_dependence_detected():
 def test_zero_ideal_rejected(ring_xy):
     with pytest.raises(DomainError):
         betti_table(MonomialIdeal.zero(ring_xy), 0)
+
+
+def test_characteristic_bound_rejects_overflowing_or_composite_fields(ring_xyz):
+    # GF(p) ranks multiply residues in int64: p = 4294967311 overflows and
+    # gave beta_(1,3) = -1 for (x, y, z), as did the non-prime override 4
+    mm = maxideal_power(ring_xyz, None, 1)
+    for p in (4294967311, 4):
+        with pytest.raises(DomainError):
+            Ring("R", ("x", "y", "z"), characteristic=p)
+        with pytest.raises(DomainError):
+            betti_table(mm, p, threads=1)
+        with pytest.raises(DomainError):
+            tor_dimensions(mm, p)
+    table = betti_table(mm, 32003, threads=1)
+    assert table.coarse() == {(0, 1): 3, (1, 2): 3, (2, 3): 1}
 
 
 def test_unit_ideal_table(ring_xy):

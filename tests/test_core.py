@@ -1,4 +1,6 @@
-"""Rings, monomials, parsing, and the canonical order."""
+"""Rings, monomials, parsing, the canonical order, and the package surface."""
+
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +14,7 @@ from fiberlab import (
     parse_ring,
     tensor_ring,
 )
-from fiberlab.core import canonical_order, monomial_divides, monomial_lcm, sort_key
+from fiberlab.core import canonical_order, sort_key
 
 
 def test_parse_ring_eight_variables():
@@ -26,6 +28,28 @@ def test_parse_ring_eight_variables():
 def test_parse_ring_single_variable():
     ring = parse_ring("ring S = [u];")
     assert ring.variables == ("u",)
+
+
+def test_parse_ring_spacing_and_optional_semicolon():
+    assert parse_ring("ring R = [x, y];").variables == ("x", "y")
+    assert parse_ring(" ring R = [ x , y ] ").variables == ("x", "y")
+
+
+def test_parse_ring_rejects_empty_variable_entries():
+    # the ring rule of definition files: every entry between commas is a name
+    for bad in ("ring R = [x,];", "ring R = [,x];", "ring R = [x,,y];", "ring R = [];",
+                "ring R = [x y];", "ring R = [x];;", "ring R = [x]; # note", ""):
+        with pytest.raises(GrammarError):
+            parse_ring(bad)
+
+
+def test_monomial_error_positions_are_offsets_into_the_text(ring_xy):
+    with pytest.raises(GrammarError) as info:
+        parse_monomial(ring_xy, "x^2 * q")
+    assert info.value.position == 6
+    with pytest.raises(GrammarError) as info:
+        parse_monomial(ring_xy, "x y")
+    assert info.value.position == 2
 
 
 def test_parse_ring_duplicate_name_rejected():
@@ -42,6 +66,8 @@ def test_ring_characteristic_must_be_prime():
 def test_parse_monomial_basic(ring_xy):
     assert parse_monomial(ring_xy, "x^2*y").exponents == (2, 1)
     assert parse_monomial(ring_xy, "1").exponents == (0, 0)
+    assert parse_monomial(ring_xy, "1*x").exponents == (1, 0)
+    assert parse_monomial(ring_xy, "x*1").exponents == (1, 0)
 
 
 def test_parse_monomial_appendix_generator(appendix_ring):
@@ -56,7 +82,7 @@ def test_parse_monomial_unknown_variable(ring_xy):
 
 
 def test_parse_monomial_malformed(ring_xy):
-    for bad in ("x^", "x**y", "^2", "x^y", ""):
+    for bad in ("x^", "x**y", "^2", "x^y", "", "x y", "x^2^3", "x*", "1^2", "2*x"):
         with pytest.raises(GrammarError):
             parse_monomial(ring_xy, bad)
 
@@ -66,12 +92,12 @@ def test_divides_and_lcm(ring_xy):
     v = Monomial(ring_xy, (2, 1))
     w = Monomial(ring_xy, (2, 0))
     z = Monomial(ring_xy, (1, 3))
-    assert monomial_divides(u, v)
-    assert not monomial_divides(w, z)
-    assert monomial_divides(u, u)
-    assert monomial_lcm(Monomial(ring_xy, (2, 0)), Monomial(ring_xy, (1, 1))).exponents == (2, 1)
+    assert u.divides(v)
+    assert not w.divides(z)
+    assert u.divides(u)
+    assert Monomial(ring_xy, (2, 0)).lcm(Monomial(ring_xy, (1, 1))).exponents == (2, 1)
     one = Monomial(ring_xy, (0, 0))
-    assert monomial_lcm(v, one) == v
+    assert v.lcm(one) == v
 
 
 def test_canonical_order_is_degree_then_lex(ring_xy):
@@ -95,6 +121,21 @@ def test_tensor_ring_blocks():
     assert T.block("S").start == 2
     with pytest.raises(GrammarError):
         tensor_ring("U", R, parse_ring("ring Q = [b];"))  # variable clash
+
+
+def test_all_lists_exactly_the_public_names():
+    # every listed name resolves, so no deleted name can stay listed, and
+    # nothing public is left out; submodules are not part of the surface
+    import fiberlab
+
+    public = {
+        name for name, value in vars(fiberlab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(fiberlab.__all__) == len(set(fiberlab.__all__))
+    for name in fiberlab.__all__:
+        assert not isinstance(getattr(fiberlab, name), types.ModuleType), name
+    assert set(fiberlab.__all__) == public
 
 
 small_exps = st.tuples(*[st.integers(0, 4)] * 3)

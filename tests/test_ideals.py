@@ -20,17 +20,17 @@ from fiberlab.errors import CapError, RingMismatchError
 from conftest import ideal_of, random_ideal
 
 
-def test_minimalize_drops_multiples(ring_xy):
+def test_from_exponents_drops_multiples(ring_xy):
     ideal = MonomialIdeal.from_exponents(ring_xy, [(2, 0), (2, 1), (1, 1)])
     assert ideal.gens == ((2, 0), (1, 1))
     assert str(ideal) == "x^2, x*y"
 
 
-def test_minimalize_empty_is_zero(ring_xy):
+def test_from_exponents_empty_is_zero(ring_xy):
     assert MonomialIdeal.from_exponents(ring_xy, []).is_zero()
 
 
-def test_minimalize_product_count_by_bruteforce():
+def test_from_exponents_product_count_by_bruteforce():
     # generators of (a,b)^4 (x1,x2)^2, with duplicates thrown in;
     # brute-force oracle: all a^i b^(4-i) x1^j x2^(2-j)
     ring = Ring("R", ("a", "b", "x1", "x2"))

@@ -67,6 +67,24 @@ def test_grammar_errors_carry_positions():
         eval_expression(env, "x^")
 
 
+def test_monomial_errors_report_their_offset_in_the_file():
+    text = "ring R = [x,y];\nJ = ideal(R; x^2);\nI = ideal(R; 1^2*x);\n"
+    with pytest.raises(GrammarError) as info:
+        load_definitions(text)
+    assert info.value.position == text.index("1^2") + 1
+    text = "ring R = [x,y];\n# x*q\nI = ideal(R; x*q);\n"
+    with pytest.raises(GrammarError) as info:
+        load_definitions(text)
+    assert info.value.position == text.rindex("q")
+
+
+def test_unit_factor_anywhere_in_definition_files():
+    # one monomial rule for files and parse_monomial: 1 is a factor anywhere
+    env = load_definitions("ring R = [x,y];\nI = ideal(R; x*1, 1*y*1);\nU = ideal(R; 1*1);\n")
+    assert str(env.ideal("I")) == "x, y"
+    assert env.ideal("U").is_unit()
+
+
 def test_rebinding_rejected():
     with pytest.raises(GrammarError):
         load_definitions("ring R = [x];\nR = ideal(R; x);")
@@ -172,6 +190,19 @@ def test_cli_cap_error_exit_code(pair_file):
     out = run_cli("betti", pair_file, "I", FIBERLAB_CAPS="lattice=1")
     assert out.returncode == 3
     assert "cap" in out.stderr.lower()
+
+
+@pytest.mark.parametrize("argv, env, named", [
+    (("betti",), {"FIBERLAB_CAPS": "bogus=1"}, "bogus"),
+    (("betti",), {"FIBERLAB_CAPS": "lattice=abc"}, "lattice"),
+    (("betti",), {"FIBERLAB_CAPS": "lattice=-5"}, "lattice"),
+    (("--threads", "0", "betti"), {}, "--threads"),
+], ids=["caps-unknown-name", "caps-non-integer", "caps-not-positive", "threads-zero"])
+def test_cli_malformed_setting_is_usage_error(pair_file, argv, env, named):
+    out = run_cli(*argv, pair_file, "I", **env)
+    assert out.returncode == 2
+    assert named in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_cli_scenario_runs(pair_file):

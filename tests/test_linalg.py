@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
+
+from fiberlab import DomainError, Ring
 
 from fiberlab.linalg import (
     QQ,
@@ -12,8 +15,8 @@ from fiberlab.linalg import (
     field_for,
     nullspace,
     rank_exact,
+    rank_input,
     rank_mod_p,
-    rank_over,
     rref,
 )
 
@@ -39,6 +42,10 @@ def rank_fraction_oracle(matrix) -> int:
     return rank
 
 
+def triplets_of(matrix) -> list[tuple[int, int, int]]:
+    return [(r, c, int(v)) for (r, c), v in np.ndenumerate(matrix) if v]
+
+
 def test_ranks_match_oracle_random():
     rng = random.Random(2026)
     for _ in range(60):
@@ -49,7 +56,8 @@ def test_ranks_match_oracle_random():
             dtype=np.int64,
         )
         want = rank_fraction_oracle(mat)
-        assert rank_over(mat, 0) == want
+        assert rank_exact(rank_input(triplets_of(mat), mat.shape, 0)) == want
+        assert np.array_equal(rank_input(triplets_of(mat), mat.shape, 32003), mat)
         sparse = [
             {j: int(v) for j, v in enumerate(row) if v}
             for row in mat
@@ -59,10 +67,23 @@ def test_ranks_match_oracle_random():
         assert rank_mod_p(mat, 32003) == want
 
 
+def test_largest_allowed_prime_ranks_exactly():
+    # 3037000493 is the largest prime p with (p-1)^2 < 2^63; the next prime
+    # is refused because rank_mod_p's int64 products would overflow
+    p = 3037000493
+    assert Ring("R", ("x",), characteristic=p).characteristic == p
+    with pytest.raises(DomainError):
+        Ring("R", ("x",), characteristic=3037000507)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        mat = rng.integers(-2, 3, (6, 6))
+        assert rank_mod_p(mat, p) == rank_exact(rank_input(triplets_of(mat), mat.shape, 0))
+
+
 def test_rank_mod_small_prime_can_drop():
     mat = np.array([[2]], dtype=np.int64)
     assert rank_mod_p(mat, 2) == 0
-    assert rank_over(mat, 0) == 1
+    assert rank_exact(rank_input(triplets_of(mat), mat.shape, 0)) == 1
 
 
 def test_rref_and_nullspace_q():

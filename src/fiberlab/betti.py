@@ -9,9 +9,22 @@ integer elimination) or GF(p).
 The complex at a point b is a union of full simplices: a squarefree tau
 below b is a face iff x^(b-tau) lies in the ideal, which happens iff tau
 avoids the "tight set" {v : g_v = b_v} of some generator g dividing x^b.
-This makes face enumeration, cone detection, and full-simplex pruning
-cheap bitmask work; boundary ranks are only computed at points that
-survive the prunes.
+Two consequences keep most points away from per-point work:
+
+* Bulk prune.  When some divisor g has g_v < b_v on all of supp(b), its
+  tight set on supp(b) is empty and the complex is the full simplex, which
+  has no homology.  One vectorised divisibility test drops these points
+  right after the closure, before the walk or the process pool sees them;
+  they are most of a large lattice.
+* Antichain key.  A face that avoids a tight set also avoids every subset
+  of it, so each surviving point keeps only its inclusion-minimal tight
+  sets.  They determine the complex up to relabelling of supp(b) by
+  position, and key the homology cache, so each distinct complex is
+  computed once.
+
+Boundary ranks are computed only for complexes that are not cones (a
+vertex in no minimal tight set lies in every facet).  The closure itself
+runs on exponent vectors packed into int64 words, deduplicated by sorting.
 
 When the generating set is, after exact verification, a product of
 generating sets over disjoint variable blocks, the table is assembled as
@@ -35,7 +48,9 @@ from .ideals import MonomialIdeal
 from .linalg import rank_input, rank_mod_p, rank_exact
 
 _INT = np.int32
-_PARALLEL_MIN_POINTS = 60_000
+# surviving points from which the walk uses the process pool: on 2 cores the
+# pool won from about 250 survivors up, and no claim-check walk has 300
+_PARALLEL_MIN_POINTS = 1_000
 
 
 # -- lcm lattice -------------------------------------------------------------
@@ -47,57 +62,105 @@ class LcmLattice:
     points: tuple[Exponents, ...]
 
 
-def _pack_weights(gens: np.ndarray) -> np.ndarray | None:
-    """Per-column place values packing any join of generators into an int64."""
-    maxexp = gens.max(axis=0)
-    bits = np.where(maxexp > 0, np.ceil(np.log2(maxexp + 1)).astype(np.int64), 0)
-    bits = np.maximum(bits, (maxexp > 0).astype(np.int64))
-    if bits.sum() > 62:
-        return None
-    offsets = np.concatenate([[0], np.cumsum(bits[:-1])])
-    return (np.int64(1) << offsets.astype(np.int64)) * (maxexp > 0)
+class _Packing:
+    """Exponent vectors packed into int64 words, one bit field per variable.
+
+    Every field has a spare guard bit above it, so a single subtraction
+    compares all fields of a word at once without borrows crossing fields:
+    in ``(a | guard) - b`` a field keeps its guard bit iff a_v >= b_v.  Joins
+    and divisibility tests then cost a few word operations per pair.
+    """
+
+    def __init__(self, maxexp: np.ndarray):
+        self.ncols = len(maxexp)
+        self.fields = []  # (column, word, shift, width) of every column that is not 0
+        word = used = 0
+        for col, e in enumerate(maxexp):
+            w = int(e).bit_length()
+            if w:
+                if used + w + 1 > 63:
+                    word, used = word + 1, 0
+                self.fields.append((col, word, used, w))
+                used += w + 1
+        self.nwords = word + 1
+        self.guard = np.zeros(self.nwords, dtype=np.int64)
+        by_width: dict[int, np.ndarray] = {}
+        for _, word, shift, w in self.fields:
+            self.guard[word] |= 1 << (shift + w)
+            by_width.setdefault(w, np.zeros(self.nwords, dtype=np.int64))[word] |= 1 << (shift + w)
+        self.by_width = sorted(by_width.items())
+
+    def pack(self, arr: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(arr), self.nwords), dtype=np.int64)
+        for col, word, shift, _ in self.fields:
+            out[:, word] |= arr[:, col].astype(np.int64) << shift
+        return out
+
+    def unpack(self, words: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(words), self.ncols), dtype=_INT)
+        for col, word, shift, w in self.fields:
+            out[:, col] = (words[:, word] >> shift) & ((1 << w) - 1)
+        return out
+
+    def geq(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Guard bits of the fields where a_v >= b_v."""
+        out = (a | self.guard) - b
+        out &= self.guard
+        return out
+
+    def join(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Fieldwise maximum of two broadcastable word arrays."""
+        ge = self.geq(a, b)
+        spread = np.zeros_like(ge)
+        for w, guards in self.by_width:  # guard bit -> the w value bits below it
+            bits = ge & guards
+            bits -= bits >> w
+            spread |= bits
+        out = a & spread
+        np.invert(spread, out=spread)
+        spread &= b
+        out |= spread
+        return out
+
+    def divides(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a_v <= b_v in every field, reduced over the last (word) axis."""
+        return (self.geq(b, a) == self.guard).all(axis=-1)
+
+
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """One sortable key per row of packed words."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[1])))[:, 0]
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys (sorting beats NumPy's hashed ``unique`` here)."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
 
 
 def _closure(gens: np.ndarray, cap: int) -> np.ndarray:
-    """Join-closure of the generator exponent vectors (BFS, deduplicated).
+    """Join-closure of the generator exponent vectors, one generator at a time.
 
-    Joins never exceed the columnwise maximum of the generators, so each
-    point packs into a single int64 key, making deduplication cheap.
+    Adding a generator g to a join-closed set L gives L, g and the joins
+    p v g for p in L.  Joins that give p back (g divides p) are dropped;
+    the rest are deduplicated by sorting their packed keys.  Taking the
+    generators in canonical order (degree descending) keeps the
+    intermediate closures small.
     """
-    nvars = gens.shape[1]
-    weights = _pack_weights(gens)
-
-    def keys_of(arr: np.ndarray):
-        if weights is not None:
-            return (arr.astype(np.int64) @ weights).tolist()
-        w = arr.shape[1] * arr.itemsize
-        buf = np.ascontiguousarray(arr).tobytes()
-        return [buf[i * w : (i + 1) * w] for i in range(len(arr))]
-
-    pts = np.unique(gens, axis=0)
-    seen = set(keys_of(pts))
-    frontier = pts
-    chunks = [pts]
-    while len(frontier):
-        new_rows = []
-        step = max(1, 6_000_000 // (len(gens) * nvars + 1))
-        for lo in range(0, len(frontier), step):
-            part = frontier[lo : lo + step]
-            cand = np.maximum(part[:, None, :], gens[None, :, :]).reshape(-1, nvars)
-            fresh = []
-            for i, key in enumerate(keys_of(cand)):
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(i)
-            if fresh:
-                new_rows.append(cand[fresh])
-            if len(seen) > cap:
-                raise CapError(f"lcm lattice exceeds cap of {cap} points")
-        if not new_rows:
-            break
-        frontier = np.concatenate(new_rows) if len(new_rows) > 1 else new_rows[0]
-        chunks.append(frontier)
-    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    packing = _Packing(gens.max(axis=0))
+    closed = np.zeros((0, packing.nwords), dtype=np.int64)
+    for g in packing.pack(gens):
+        joins = packing.join(closed, g)
+        joins = joins[(joins != closed).any(axis=1)]
+        keys = _sorted_unique(_row_keys(np.concatenate([closed, joins, g[None, :]])))
+        closed = keys.view(np.int64).reshape(len(keys), packing.nwords)
+        if len(closed) > cap:
+            raise CapError(f"lcm lattice exceeds cap of {cap} points")
+    return packing.unpack(closed)
 
 
 def lcm_lattice(ideal: MonomialIdeal, caps: Caps = DEFAULT_CAPS) -> LcmLattice:
@@ -173,6 +236,20 @@ def _boundary_rank(faces_prev: np.ndarray, faces_cur: np.ndarray, char: int) -> 
     return rank_exact(matrix) if char == 0 else rank_mod_p(matrix, char)
 
 
+def _faces(masks: np.ndarray, m: int) -> np.ndarray:
+    """Indicator over all 2^m subsets of the faces tau disjoint from some mask.
+
+    The complements of the masks span the complex; closing them downwards
+    one vertex at a time needs a single 2^m boolean array.
+    """
+    faces = np.zeros(1 << m, dtype=bool)
+    faces[((1 << m) - 1) ^ masks] = True
+    for v in range(m):
+        split = faces.reshape(-1, 2, 1 << v)  # [higher bits, bit v, lower bits]
+        split[:, 0, :] |= split[:, 1, :]
+    return faces
+
+
 def _homology_from_masks(masks: np.ndarray, m: int, char: int) -> dict[int, int]:
     """Reduced homology dimensions of the union of simplices comp(mask).
 
@@ -186,17 +263,10 @@ def _homology_from_masks(masks: np.ndarray, m: int, char: int) -> dict[int, int]
         return {0: 1}  # complex {empty face}: one unit of reduced homology below dim 0
     if (masks == 0).any():
         return {}  # full simplex, contractible
-    idx = np.arange(1 << m, dtype=np.int64)
-    faces = ((idx[:, None] & masks[None, :]) == 0).any(axis=1)
-    # cone detection: an apex vertex kills all reduced homology
-    for v in range(m):
-        bit = 1 << v
-        base = idx[(idx & bit) == 0]
-        if not (faces[base] & ~faces[base | bit]).any():
-            return {}
-    popc = _popcounts(m)
-    face_idx = idx[faces]
-    cards = popc[face_idx]
+    if np.bitwise_or.reduce(masks) != (1 << m) - 1:
+        return {}  # a vertex in no mask lies in every facet: a cone, contractible
+    face_idx = np.flatnonzero(_faces(masks, m))
+    cards = _popcounts(m)[face_idx]
     by_card = [face_idx[cards == k] for k in range(m + 1)]
     counts = [len(f) for f in by_card]
     ranks = [0] * (m + 2)
@@ -213,37 +283,61 @@ def _homology_from_masks(masks: np.ndarray, m: int, char: int) -> dict[int, int]
 # -- whole-table computation ------------------------------------------------
 
 
+def _contractible(points: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Points whose upper Koszul complex is a full simplex, in bulk.
+
+    That happens iff some generator g divides b with g_v < b_v on all of
+    supp(b), i.e. divides b minus the indicator of supp(b).  The point 0 is
+    excluded: its complex is {empty face}, which has reduced homology.
+    """
+    packing = _Packing(np.maximum(points.max(axis=0), gens.max(axis=0)))
+    gw = packing.pack(gens)[None, :, :]
+    lowered = packing.pack(points - (points > 0))
+    out = np.zeros(len(points), dtype=bool)
+    step = max(1, 1_000_000 // gw.shape[1])
+    for lo in range(0, len(points), step):
+        out[lo : lo + step] = packing.divides(gw, lowered[lo : lo + step, None, :]).any(axis=1)
+    return out & points.any(axis=1)
+
+
+def _minimal_masks(masks: np.ndarray) -> np.ndarray:
+    """The inclusion-minimal distinct masks, sorted.
+
+    A face that avoids a mask also avoids every subset of it, so masks
+    containing another mask add no faces; dropping them makes complexes
+    that differ only in such masks share one cache key.
+    """
+    masks = _sorted_unique(masks)
+    contains = (masks[:, None] & masks[None, :]) == masks[None, :]
+    return masks[contains.sum(axis=1) == 1]
+
+
 def _points_betti(
     points: np.ndarray, gens: np.ndarray, char: int, cache: dict
 ) -> dict[tuple[int, Exponents], int]:
     entries: dict[tuple[int, Exponents], int] = {}
-    nvars = points.shape[1]
-    if nvars > 62:
-        raise CapError(f"{nvars} variables exceed the bitmask packing limit")
-    full_weights = np.int64(1) << np.arange(nvars, dtype=np.int64)
-    step = max(1, 4_000_000 // (len(gens) * nvars + 1))
+    step = max(1, 4_000_000 // (gens.size + 1))
     for lo in range(0, len(points), step):
         chunk = points[lo : lo + step]
+        supp = chunk > 0
+        sizes = supp.sum(axis=1)
+        if sizes.max(initial=0) > 24:
+            raise CapError(f"support of size {sizes.max()} exceeds the bitmask limit")
         divides = (gens[None, :, :] <= chunk[:, None, :]).all(axis=2)
-        # tight bits over all variables at once; off-support bits are set for
-        # every divisor and disappear when compressed to the support below
-        tight_full = (gens[None, :, :] == chunk[:, None, :]).astype(np.int64) @ full_weights
+        # tight bits {v : g_v = b_v} on supp(b), renumbered as 0..m-1
+        place = np.int64(1) << (np.cumsum(supp, axis=1) - supp)
+        tight = (gens[None, :, :] == chunk[:, None, :]) & supp[:, None, :]
+        local = (tight * place[:, None, :]).sum(axis=2)
         for row in range(len(chunk)):
-            b = chunk[row]
-            masks_full = np.unique(tight_full[row][divides[row]])
-            supp = np.nonzero(b)[0]
-            m = len(supp)
-            if m > 24:
-                raise CapError(f"support of size {m} exceeds the bitmask limit")
-            local_w = np.int64(1) << np.arange(m, dtype=np.int64)
-            masks = np.unique(((masks_full[:, None] >> supp[None, :]) & 1) @ local_w)
+            m = int(sizes[row])
+            masks = _minimal_masks(local[row][divides[row]])
             key = (m, masks.tobytes())
             dims = cache.get(key)
             if dims is None:
                 dims = _homology_from_masks(masks, m, char)
                 cache[key] = dims
             if dims:
-                bt = tuple(int(e) for e in b)
+                bt = tuple(int(e) for e in chunk[row])
                 for i, d in dims.items():
                     entries[(i, bt)] = d
     return entries
@@ -277,6 +371,7 @@ def _multigraded(
             tables.append((cols, sub.shape[1], local))
         return _convolve(tables, gens.shape[1])
     points = _closure(gens, caps.lattice)
+    points = points[~_contractible(points, gens)]
     if threads > 1 and len(points) >= _PARALLEL_MIN_POINTS:
         slices = np.array_split(points, threads * 4)
         payloads = [(s.tobytes(), s.shape) for s in slices if len(s)]

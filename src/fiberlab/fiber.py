@@ -25,6 +25,12 @@ from .reports import Report, Stopwatch, make_report
 INFINITE_DEPTH = None  # depth of the zero module: dropped from minima
 
 
+def _at_least(name: str, value: int, least: int) -> None:
+    """A claim's parameter below its range is a usage error, never a vacuous verdict."""
+    if value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class FiberSetup:
     """Tensor ring with both factors' data and the fiber product ideal."""
@@ -178,6 +184,7 @@ def verify_tor_vanishing_lemma(
         raise DomainError("lemma requires a nonzero ideal inside the maximal ideal squared")
     if mode not in ("certificate", "exact"):
         raise DomainError(f"unknown mode {mode!r}")
+    _at_least("s", s, 1)
     ring = ideal.ring
     results = {}
     with Stopwatch() as sw:
@@ -227,6 +234,7 @@ def reg_power_formula_terms(
     only the pure mixed-power term reg((mn)^s) = 2s.  The equigenerated
     form replaces reg(m^(s-i) I^i) by reg(I^i).
     """
+    _at_least("s", s, 1)
     terms = []
     eq_terms = []
     equigenerated = True
@@ -257,6 +265,7 @@ def check_reg_formula(
     caps: Caps = DEFAULT_CAPS, threads: int | None = None,
 ) -> Report:
     """Direct reg F^s against the general power regularity formula."""
+    _at_least("s", s, 1)
     with Stopwatch() as sw:
         direct = reg_of(setup.F ** s, characteristic, caps, threads)
         rhs = reg_power_formula_terms(setup, s, characteristic, caps, threads)
@@ -280,6 +289,7 @@ def check_reg_formula_equigenerated(
     This equality can genuinely fail when a factor is not equigenerated;
     the verdict reports whether it held.
     """
+    _at_least("s", s, 1)
     with Stopwatch() as sw:
         direct = reg_of(setup.F ** s, characteristic, caps, threads)
         rhs = reg_power_formula_terms(setup, s, characteristic, caps, threads)
@@ -297,6 +307,7 @@ def check_depth_formula(
     caps: Caps = DEFAULT_CAPS, threads: int | None = None,
 ) -> Report:
     """Depth of F^s: the fiber-product formula at s = 1, depth 1 for s >= 2."""
+    _at_least("s", s, 1)
     both_zero = setup.I_left.is_zero() and setup.J_right.is_zero()
     with Stopwatch() as sw:
         fs = setup.F ** s
@@ -337,6 +348,7 @@ def check_componentwise(
     For each i up to s: all of F^1..F^i are componentwise linear iff all of
     I^1..I^i and J^1..J^i are.  Zero factors are skipped (vacuously linear).
     """
+    _at_least("s", s, 1)
     with Stopwatch() as sw:
         flags = {}
         ok = True
@@ -373,6 +385,7 @@ def check_reg_increasing(
     claim: str = "cor-8.1",
 ) -> Report:
     """reg F^s strictly increases for s = 1..s_cap."""
+    _at_least("the power bound s_cap", s_cap, 2)
     with Stopwatch() as sw:
         regs = []
         power = MonomialIdeal.unit(setup.T)

@@ -53,10 +53,13 @@ def make_report(
     compare_keys: tuple[str, ...] | None = None,
     provenance: str | None = None,
 ) -> Report:
-    """Pass iff computed matches expected on every compared key."""
+    """Pass iff computed matches expected on every compared key.
+
+    A compared key missing from either side fails the check.
+    """
     keys = compare_keys if compare_keys is not None else tuple(expected)
     expected_out = dict(expected)
     if provenance is not None:
         expected_out["provenance"] = provenance
-    ok = all(computed.get(k) == expected.get(k) for k in keys)
+    ok = all(k in computed and k in expected and computed[k] == expected[k] for k in keys)
     return Report(claim, params, computed, expected_out, "pass" if ok else "fail", ms)

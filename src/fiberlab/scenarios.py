@@ -474,7 +474,12 @@ def run_scenario(name: str, characteristic: int | None = None,
     base = name
     if "(" in name and name.endswith(")"):
         base, _, arg = name[:-1].partition("(")
-        params = {**params, "n": int(arg)}
+        try:
+            params = {**params, "n": int(arg)}
+        except ValueError:
+            raise DomainError(
+                f"scenario {name!r}: the parameter {arg!r} is not an integer"
+            ) from None
     if base not in SCENARIOS:
         raise DomainError(f"unknown scenario {name!r}; known: {', '.join(scenario_names())}")
     return SCENARIOS[base](characteristic=characteristic, caps=caps, threads=threads, **params)

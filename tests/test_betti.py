@@ -3,7 +3,9 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fiberlab.betti as betti_mod
 from fiberlab import (
@@ -67,9 +69,38 @@ def test_lattice_properties_random():
             assert join in points
 
 
+def test_lattice_packed_into_several_words():
+    # 12 variables with exponents up to 20 need 72 packed bits: two words
+    rng = random.Random(7)
+    ring = Ring("R", tuple(f"v{i}" for i in range(12)))
+    gens = [tuple(rng.choice((0, 0, 1, 20)) for _ in range(12)) for _ in range(6)]
+    # v0^20 and v1^20 join to a point where v0*v1 is strictly below: pruned
+    gens += [(20,) + (0,) * 11, (0, 20) + (0,) * 10, (1, 1) + (0,) * 10]
+    ideal = MonomialIdeal.from_exponents(ring, [g for g in gens if any(g)])
+    assert betti_mod._Packing(ideal.array().max(axis=0)).nwords == 2
+    expected = set(ideal.gens)
+    while True:
+        joins = {tuple(map(max, a, b)) for a in expected for b in ideal.gens}
+        if joins <= expected:
+            break
+        expected |= joins
+    points = betti_mod._closure(ideal.array(), 10_000)
+    assert sorted(map(tuple, points.tolist())) == sorted(expected)
+    flagged = betti_mod._contractible(points, ideal.array())
+    assert 0 < flagged.sum() < len(points)
+    for b, pruned in zip(points.tolist(), flagged):
+        lowered = [e - (e > 0) for e in b]
+        assert pruned == any(all(g <= e for g, e in zip(gen, lowered)) for gen in ideal.gens)
+
+
 def test_lattice_cap(ring_xy):
     with pytest.raises(CapError):
         lcm_lattice(maxideal_power(ring_xy, None, 4), Caps(lattice=3))
+    # the cap bounds the lattice's size exactly
+    size = len(lcm_lattice(maxideal_power(ring_xy, None, 4)).points)
+    lcm_lattice(maxideal_power(ring_xy, None, 4), Caps(lattice=size))
+    with pytest.raises(CapError):
+        lcm_lattice(maxideal_power(ring_xy, None, 4), Caps(lattice=size - 1))
     with pytest.raises(DomainError):
         lcm_lattice(MonomialIdeal.zero(ring_xy))
 
@@ -242,3 +273,84 @@ def test_json_shape(ring_xyz):
     assert payload["char"] == 0
     assert {"i": 0, "j": 1, "dim": 3} in payload["entries"]
     assert {"i": 1, "b": [1, 1, 0], "dim": 1} in payload["multigraded"]
+
+
+def test_contractible_points_are_pruned(ring_xy):
+    # at (2, 2) the divisor x*y has 1 < 2 in both variables: the upper Koszul
+    # complex is the full simplex on {x, y}, with no homology
+    ideal = ideal_of(ring_xy, "x^2", "x*y", "y^2")
+    gens = ideal.array()
+    points = betti_mod._closure(gens, 100)
+    flagged = {tuple(int(e) for e in b)
+               for b in points[betti_mod._contractible(points, gens)]}
+    assert flagged == {(2, 2)}
+    assert len(upper_koszul(ideal, (2, 2)).faces) == 4
+    assert not any(b == (2, 2) for _, b in betti_table(ideal, 0, threads=1).multigraded())
+    # the point 0 of the unit ideal carries beta_0 and is never pruned
+    unit = MonomialIdeal.unit(ring_xy).array()
+    assert not betti_mod._contractible(unit, unit).any()
+
+
+def test_masks_with_one_minimal_antichain_share_a_cache_key():
+    # at (2,1,2) the divisors x^2, x*y give tight masks {x}, {y}; at (2,1,1)
+    # y*z adds {y,z}, which contains {y}: both complexes are the same
+    gens = np.array([(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1)], dtype=np.int32)
+    raw_a = np.array([0b001, 0b010], dtype=np.int64)
+    raw_b = np.array([0b110, 0b010, 0b001, 0b010], dtype=np.int64)
+    assert betti_mod._minimal_masks(raw_a).tobytes() == betti_mod._minimal_masks(raw_b).tobytes()
+    cache: dict = {}
+    points = np.array([(2, 1, 2), (2, 1, 1)], dtype=np.int32)
+    betti_mod._points_betti(points, gens, 0, cache)
+    assert list(cache) == [(3, betti_mod._minimal_masks(raw_a).tobytes())]
+
+
+def test_minimal_masks_keep_the_faces():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        m = int(rng.integers(1, 9))
+        raw = rng.integers(1, 1 << m, size=int(rng.integers(1, 12))).astype(np.int64)
+        minimal = betti_mod._minimal_masks(raw)
+        assert set(minimal.tolist()) <= set(raw.tolist())
+        assert not any(a != b and a & b == a for a in minimal for b in minimal)
+        assert (betti_mod._faces(raw, m) == betti_mod._faces(minimal, m)).all()
+        for char in (0, 32003):
+            assert (betti_mod._homology_from_masks(raw, m, char)
+                    == betti_mod._homology_from_masks(minimal, m, char))
+
+
+def test_face_indicator_equals_broadcast_formula():
+    # the face set once came from a 2^m x |masks| table; the one-array
+    # downward closure must give the same faces
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        m = int(rng.integers(1, 13))
+        raw = rng.integers(0, 1 << m, size=int(rng.integers(1, 10))).astype(np.int64)
+        for masks in (raw, betti_mod._minimal_masks(raw)):
+            idx = np.arange(1 << m, dtype=np.int64)
+            expected = ((idx[:, None] & masks[None, :]) == 0).any(axis=1)
+            assert (betti_mod._faces(masks, m) == expected).all()
+
+
+small_ideals = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(0, 3)] * n).filter(any), min_size=1, max_size=5
+    ).map(lambda gens: MonomialIdeal.from_exponents(
+        Ring("R", tuple("xyzw"[:n])), gens))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ideals)
+def test_walk_matches_koszul_engine(ideal):
+    for char in (0, 32003):
+        assert betti_table(ideal, char, threads=1).coarse() == tor_dimensions(ideal, char).table()
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_ideals)
+def test_parallel_walk_matches_koszul_engine(ideal):
+    with pytest.MonkeyPatch.context() as patch:  # every lattice goes to the pool
+        patch.setattr(betti_mod, "_PARALLEL_MIN_POINTS", 1)
+        for char in (0, 32003):
+            table = betti_table(ideal, char, threads=2)
+            assert table.coarse() == tor_dimensions(ideal, char).table()

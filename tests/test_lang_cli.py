@@ -205,6 +205,25 @@ def test_cli_malformed_setting_is_usage_error(pair_file, argv, env, named):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("claim, flags, named", [
+    ("thm-5.1", ("--s", "0"), "s must be at least 1"),
+    ("cor-5.2", ("--s", "0"), "s must be at least 1"),
+    ("lemma-4.1", ("--s", "0"), "s must be at least 1"),
+    ("cor-8.1", ("--scap", "1"), "s_cap must be at least 2"),
+    ("thm-6.1", ("--s", "0"), "s must be at least 1"),
+    ("cor-7.2", ("--s", "0"), "s must be at least 1"),
+], ids=["thm-5.1", "cor-5.2", "lemma-4.1", "cor-8.1", "thm-6.1", "cor-7.2"])
+def test_cli_claim_parameter_out_of_range_is_usage_error(pair_file, claim, flags, named):
+    # these used to end in a traceback (max of an empty sequence) or pass
+    # vacuously on an empty check
+    factors = ("--I", "I") if claim == "lemma-4.1" else ("--I", "I", "--J", "J")
+    out = run_cli("verify", claim, "--input", pair_file, *factors, *flags)
+    assert out.returncode == 2
+    assert named in out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+
+
 def test_cli_scenario_runs(pair_file):
     out = run_cli("scenario", "remark-5.6", "--stable-json")
     assert out.returncode == 0
@@ -216,3 +235,10 @@ def test_cli_scenario_runs(pair_file):
 def test_cli_unknown_scenario():
     out = run_cli("scenario", "no-such-thing")
     assert out.returncode == 2
+
+
+def test_cli_scenario_parameter_must_be_an_integer():
+    out = run_cli("scenario", "remark-5.9(x)")
+    assert out.returncode == 2
+    assert "remark-5.9(x)" in out.stderr
+    assert "Traceback" not in out.stderr

@@ -1,4 +1,4 @@
-"""Tor dimensions and induced Tor maps via the Koszul complex.
+"""Tor dimensions, induced Tor maps and Tor-vanishing via the Koszul complex.
 
 Tensoring an ideal with the Koszul complex on all ring variables computes
 the same graded Tor spaces as the lattice engine, but through an entirely
@@ -7,8 +7,12 @@ different enumeration: the (i, j) strand has one basis element per pair
 with differential (u, S) -> sum of +-(x_s * u, S minus s).  This engine is
 exponentially heavier in the ring size; it exists as an independent
 cross-check and because a chain-level inclusion of ideals induces maps on
-homology, which the lattice engine cannot provide.  Tor-vanishing of an
-inclusion is decided from those induced maps.
+homology, which the lattice engine cannot provide.
+
+Dimensions and Tor-vanishing verdicts come from strand ranks alone.
+``tor_map`` builds the induced matrices themselves with the dense toolkit
+of ``linalg``; it is the API for those maps and the oracle the verdicts
+are tested against.
 """
 
 from __future__ import annotations
@@ -52,8 +56,6 @@ def _members_by_degree(ideal: MonomialIdeal, d: int, caps: Caps) -> list[Exponen
             f"{comb(d + n - 1, n - 1)} degree-{d} monomials exceed the "
             f"koszul basis cap {caps.koszul_basis}"
         )
-    if ideal.is_zero():
-        return []
     mons = np.array(list(monomials_of_degree(ideal.ring, d)), dtype=np.int32)
     gens = ideal.array()
     member = (gens[None, :, :] <= mons[:, None, :]).all(axis=2).any(axis=1)
@@ -66,17 +68,13 @@ class _StrandComplex:
 
     def __init__(self, ideal: MonomialIdeal, j: int, caps: Caps,
                  members: dict[int, list[Exponents]]):
-        self.ideal = ideal
-        self.j = j
         n = ideal.ring.nvars
         self.nvars = n
         self.basis: dict[int, list[tuple[Exponents, tuple[int, ...]]]] = {}
         self.index: dict[int, dict[tuple[Exponents, tuple[int, ...]], int]] = {}
         top_i = min(n, j - ideal.indeg())  # strands above this are empty
         for i in range(0, top_i + 1):
-            deg_u = j - i
-            if deg_u < 0:
-                continue
+            deg_u = j - i  # >= indeg, as i <= top_i
             if deg_u not in members:
                 members[deg_u] = _members_by_degree(ideal, deg_u, caps)
             us = members[deg_u]
@@ -113,12 +111,24 @@ class _StrandComplex:
                 out.append((target[key], col, -1 if pos % 2 else 1))
         return out
 
-    def boundary_rank(self, i: int, characteristic: int) -> int:
-        trips = self.boundary_triplets(i)
+    def boundary_rank(self, i: int, characteristic: int, rows: list[int] | None = None) -> int:
+        """Rank of the map from strand i to strand i-1, or of its ``rows`` only."""
+        trips, nrows = self.boundary_triplets(i), self.dim(i - 1)
+        if rows is not None:
+            renumber = {r: k for k, r in enumerate(rows)}
+            trips = [(renumber[r], c, s) for r, c, s in trips if r in renumber]
+            nrows = len(rows)
         if not trips:
             return 0
-        matrix = rank_input(trips, (self.dim(i - 1), self.dim(i)), characteristic)
+        matrix = rank_input(trips, (nrows, self.dim(i)), characteristic)
         return rank_exact(matrix) if characteristic == 0 else rank_mod_p(matrix, characteristic)
+
+    def homology(self, characteristic: int):
+        """(i, dim Z_i, dim H_i) for every homological position i."""
+        ranks = [self.boundary_rank(i, characteristic) for i in range(self.nvars + 2)]
+        for i in range(self.nvars + 1):
+            cycles = self.dim(i) - ranks[i]
+            yield i, cycles, cycles - ranks[i + 1]
 
     def boundary_dense(self, i: int, field) -> list[list]:
         nrows, ncols = self.dim(i - 1), self.dim(i)
@@ -146,6 +156,34 @@ class GradedTor:
         }
 
 
+def _strands(what: str, small: MonomialIdeal, big: MonomialIdeal, characteristic: int | None,
+             degree_cap: int | None, caps: Caps):
+    """Check the input of a Tor computation; return its field and its strands.
+
+    ``big`` is ``small`` itself for the Tor of one ideal, else an ideal that
+    must contain ``small``.  The strands come as (j, of small, of big) for
+    each degree j up to the cap.  Tor vanishes above the top lattice degree,
+    so a cap below it is a CapError rather than a truncated answer.
+    """
+    if small.is_zero():
+        raise DomainError(f"{what} the zero ideal")
+    if big is not small and not big.contains(small):
+        raise DomainError("tor_map requires an inclusion of ideals")
+    char = resolve_characteristic(small.ring, characteristic)
+    top = max(max_lattice_degree(small), max_lattice_degree(big))
+    cap = top if degree_cap is None else degree_cap
+    if cap < top:
+        raise CapError(f"degree cap {cap} is below the top lattice degree {top}")
+    members: tuple[dict, dict] = ({}, {})
+
+    def strands():
+        for j in range(min(small.indeg(), big.indeg()), cap + 1):
+            s_small = _StrandComplex(small, j, caps, members[0])
+            yield j, s_small, s_small if big is small else _StrandComplex(big, j, caps, members[1])
+
+    return char, strands()
+
+
 def tor_dimensions(
     ideal: MonomialIdeal,
     characteristic: int | None = None,
@@ -153,54 +191,26 @@ def tor_dimensions(
     caps: Caps = DEFAULT_CAPS,
 ) -> GradedTor:
     """Graded Tor_i(k, ideal)_j for all i and all j up to the degree cap."""
-    if ideal.is_zero():
-        raise DomainError("Tor of the zero ideal")
-    char = resolve_characteristic(ideal.ring, characteristic)
-    top = max_lattice_degree(ideal)
-    cap = top if degree_cap is None else degree_cap
-    if cap < top:
-        raise CapError(f"degree cap {cap} is below the top lattice degree {top}")
-    entries = []
-    members: dict[int, list[Exponents]] = {}
-    for j in range(ideal.indeg(), cap + 1):
-        strand = _StrandComplex(ideal, j, caps, members)
-        ranks = {
-            i: strand.boundary_rank(i, char)
-            for i in range(0, ideal.ring.nvars + 2)
-            if strand.dim(i) or strand.dim(i - 1)
-        }
-        for i in range(0, ideal.ring.nvars + 1):
-            dim = strand.dim(i) - ranks.get(i, 0) - ranks.get(i + 1, 0)
-            if dim:
-                entries.append((i, j, dim))
+    char, strands = _strands("Tor of", ideal, ideal, characteristic, degree_cap, caps)
+    entries = [(i, j, dim) for j, strand, _ in strands
+               for i, _, dim in strand.homology(char) if dim]
     return GradedTor(ideal, char, tuple(sorted(entries)))
 
 
 def _homology_data(strand: _StrandComplex, i: int, field):
-    """Cycle representatives (columns) and boundary columns for strand i."""
-    ncols = strand.dim(i)
-    if ncols == 0:
+    """Cycle representatives (columns) and a boundary basis (columns) for strand i.
+
+    One echelon form of [boundary columns | cycle basis]: its pivots among
+    the boundary columns are a basis of B_i, and those among the cycles
+    extend it to a basis of Z_i, so they represent a basis of H_i.
+    """
+    if strand.dim(i) == 0:
         return [], []
-    d_i = strand.boundary_dense(i, field)
-    cycles = nullspace(d_i, ncols, field) if d_i else [
-        [field.from_int(1) if r == c else field.zero() for r in range(ncols)]
-        for c in range(ncols)
-    ]
-    d_next = strand.boundary_dense(i + 1, field)
-    boundary_cols = []
-    if d_next and strand.dim(i + 1):
-        for c in range(strand.dim(i + 1)):
-            boundary_cols.append([d_next[r][c] for r in range(ncols)])
-        # keep an independent subset, deterministically
-        red, pivots = rref([list(col) for col in zip(*boundary_cols)], field)
-        boundary_cols = [boundary_cols[c] for c in pivots]
-    # representatives: cycles extending a basis of the boundary space
-    if not cycles:
-        return [], boundary_cols
-    stacked = boundary_cols + cycles
-    red, pivots = rref([list(col) for col in zip(*stacked)], field)
-    reps = [stacked[c] for c in pivots if c >= len(boundary_cols)]
-    return reps, boundary_cols
+    cycles = nullspace(strand.boundary_dense(i, field), strand.dim(i), field)
+    stacked = [list(col) for col in zip(*strand.boundary_dense(i + 1, field))] + cycles
+    _, pivots = rref([list(row) for row in zip(*stacked)], field)
+    nb = len(stacked) - len(cycles)
+    return [stacked[c] for c in pivots if c >= nb], [stacked[c] for c in pivots if c < nb]
 
 
 def tor_map(
@@ -216,42 +226,20 @@ def tor_map(
     rows are indexed by the target's representatives, columns by the
     source's.  Entries live in GF(p) (ints) or Q (Fractions).
     """
-    if small.is_zero():
-        raise DomainError("Tor map from the zero ideal")
-    if not big.contains(small):
-        raise DomainError("tor_map requires an inclusion of ideals")
-    char = resolve_characteristic(small.ring, characteristic)
+    char, strands = _strands("Tor map from", small, big, characteristic, degree_cap, caps)
     field = field_for(char)
-    top = max(max_lattice_degree(small), max_lattice_degree(big))
-    cap = top if degree_cap is None else degree_cap
-    if cap < top:
-        raise CapError(f"degree cap {cap} is below the top lattice degree {top}")
     out: dict[tuple[int, int], list[list]] = {}
-    members_small: dict[int, list[Exponents]] = {}
-    members_big: dict[int, list[Exponents]] = {}
-    for j in range(min(small.indeg(), big.indeg()), cap + 1):
-        s_small = _StrandComplex(small, j, caps, members_small)
-        s_big = _StrandComplex(big, j, caps, members_big)
-        small_ranks: dict[int, int] = {}
-        for i in range(0, small.ring.nvars + 2):
-            if s_small.dim(i) or s_small.dim(i - 1):
-                small_ranks[i] = s_small.boundary_rank(i, char)
-        for i in range(0, small.ring.nvars + 1):
-            if not s_small.dim(i):
-                continue
-            # cheap rank shortcut: skip strands with zero source homology
-            if s_small.dim(i) - small_ranks.get(i, 0) - small_ranks.get(i + 1, 0) == 0:
+    for j, s_small, s_big in strands:
+        for i, _, dim in s_small.homology(char):
+            if not dim:
                 continue
             reps, _ = _homology_data(s_small, i, field)
-            if not reps:
-                continue
             reps_big, bnd_big = _homology_data(s_big, i, field)
             span = bnd_big + reps_big
-            ncols_big = s_big.dim(i)
             index_big = s_big.index[i]
             matrix_cols = []
             for z in reps:
-                img = [field.zero()] * ncols_big
+                img = [field.zero()] * s_big.dim(i)
                 for pos, (u, S) in enumerate(s_small.basis[i]):
                     if not field.is_zero(z[pos]):
                         img[index_big[(u, S)]] = z[pos]
@@ -259,11 +247,7 @@ def tor_map(
                 if coords is None:
                     raise RuntimeError("cycle image escaped the target cycle space")
                 matrix_cols.append(coords[len(bnd_big) :])
-            nrows = len(reps_big)
-            out[(i, j)] = [
-                [matrix_cols[c][r] for c in range(len(matrix_cols))]
-                for r in range(nrows)
-            ]
+            out[(i, j)] = [list(row) for row in zip(*matrix_cols)]
     return out
 
 
@@ -277,13 +261,20 @@ def tor_vanishing(
     """True iff every induced Tor map of the inclusion is zero.
 
     Returns (vanishing, witness); the witness is the least (i, j) carrying
-    a nonzero induced map, when one exists.
+    a nonzero induced map, when one exists.  Ranks decide it, with no basis
+    built: the map on H_i of strand j has rank dim Z_i(small) minus
+    dim(B_i(big) & C_i(small)), the cycles of small that die in big, and
+    that intersection has dimension rank D - rank PD, where D is big's
+    boundary into position i and P deletes the rows of small's basis.
     """
-    char = resolve_characteristic(small.ring, characteristic)
-    field = field_for(char)
-    maps = tor_map(small, big, char, degree_cap, caps)
-    for (i, j) in sorted(maps):
-        mat = maps[(i, j)]
-        if any(not field.is_zero(v) for row in mat for v in row):
-            return False, (i, j)
-    return True, None
+    char, strands = _strands("Tor map from", small, big, characteristic, degree_cap, caps)
+    witness = None
+    for j, s_small, s_big in strands:
+        for i, cycles, dim in s_small.homology(char):
+            if not dim or (witness is not None and i >= witness[0]):
+                continue
+            outside = [r for r, elt in enumerate(s_big.basis[i]) if elt not in s_small.index[i]]
+            killed = s_big.boundary_rank(i + 1, char) - s_big.boundary_rank(i + 1, char, outside)
+            if cycles > killed:
+                witness = (i, j)
+    return witness is None, witness

@@ -8,8 +8,8 @@ Three layers, each exact:
   normalization; computes ranks over Q without ever rounding.  Both rank
   routines take their matrix from ``rank_input``, which both Betti engines
   feed with (row, col, sign) triplets.
-* a small dense toolkit generic over a ``Field`` (GF(p) or Fraction), used
-  where actual bases and coordinates are needed (induced maps on homology).
+* a small dense toolkit generic over a ``Field`` (GF(p) or Fraction) for
+  actual bases and coordinates: the induced matrices of ``koszul.tor_map``.
 """
 
 from __future__ import annotations

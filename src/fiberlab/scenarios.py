@@ -9,6 +9,8 @@ formula each claim id stands for.
 
 from __future__ import annotations
 
+import inspect
+
 from .config import DEFAULT_CAPS, DEFAULT_PRIME, Caps
 from .core import Monomial, Ring, parse_monomial
 from .errors import DomainError
@@ -133,7 +135,7 @@ def _value_report(claim: str, params: dict, computed: dict, expected: dict,
 
 
 def scenario_lemma_a3(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                      threads: int | None = None, **_) -> list[Report]:
+                      threads: int | None = None) -> list[Report]:
     char = 0 if characteristic is None else characteristic
     env = appendix_ideals(char)
     R, I, qq, H, K, L = env["ring"], env["I"], env["q"], env["H"], env["K"], env["L"]
@@ -162,8 +164,7 @@ def scenario_lemma_a3(characteristic: int | None = None, caps: Caps = DEFAULT_CA
 
 
 def scenario_lemma_a4(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                      threads: int | None = None, s_range: tuple[int, ...] = (0, 1, 2, 3),
-                      **_) -> list[Report]:
+                      threads: int | None = None) -> list[Report]:
     char = 0 if characteristic is None else characteristic
     env = appendix_ideals(char)
     R, I, qq, H, V1, V2 = env["ring"], env["I"], env["q"], env["H"], env["V1"], env["V2"]
@@ -184,7 +185,7 @@ def scenario_lemma_a4(characteristic: int | None = None, caps: Caps = DEFAULT_CA
         lhs = (I3 + y).colon(parse_monomial(R, "x*z"))
         rhs = y + H * V2 + H * abcd * xz
     reports.append(_equality_report("lemma-A4.iii", {}, lhs, rhs, sw.ms, "lemma A.4(iii)"))
-    for s in s_range:
+    for s in (0, 1, 2, 3):
         Hs1 = H ** (s + 1)
         with Stopwatch() as sw:
             lhs = (H ** s * I3 + x).colon(parse_monomial(R, "y*z"))
@@ -215,7 +216,7 @@ def scenario_lemma_a4(characteristic: int | None = None, caps: Caps = DEFAULT_CA
 
 
 def scenario_lemma_a5(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                      threads: int | None = None, **_) -> list[Report]:
+                      threads: int | None = None) -> list[Report]:
     char = 0 if characteristic is None else characteristic
     env = appendix_ideals(char)
     H, qq = env["H"], env["q"]
@@ -234,7 +235,7 @@ def scenario_lemma_a5(characteristic: int | None = None, caps: Caps = DEFAULT_CA
 
 
 def scenario_appendix_a1(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                         threads: int | None = None, **_) -> list[Report]:
+                         threads: int | None = None) -> list[Report]:
     """Desk slice of the special ideal: reg I^3 = 9, reg(m^s I^2) = s + 8.
 
     Runs over GF(32003) by default (the fast exact path) with a rational
@@ -263,7 +264,7 @@ def scenario_appendix_a1(characteristic: int | None = None, caps: Caps = DEFAULT
 
 
 def scenario_remark_55(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                       threads: int | None = None, **_) -> list[Report]:
+                       threads: int | None = None) -> list[Report]:
     char = 0 if characteristic is None else characteristic
     setup = remark_55_setup(char)
     I = setup.I_left
@@ -298,7 +299,7 @@ def scenario_remark_55(characteristic: int | None = None, caps: Caps = DEFAULT_C
 
 
 def scenario_remark_56(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                       threads: int | None = None, **_) -> list[Report]:
+                       threads: int | None = None) -> list[Report]:
     char = 0 if characteristic is None else characteristic
     I = remark_56_ideal(char)
     R = I.ring
@@ -314,7 +315,7 @@ def scenario_remark_56(characteristic: int | None = None, caps: Caps = DEFAULT_C
 
 
 def scenario_remark_59(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                       threads: int | None = None, n: int = 2, **_) -> list[Report]:
+                       threads: int | None = None, n: int = 2) -> list[Report]:
     """Power regularity of the two-block family; full suite for small n,
     the non-monotone witness (reg I > reg I^2) for n >= 8."""
     char = 0 if characteristic is None else characteristic
@@ -366,7 +367,7 @@ def scenario_remark_59(characteristic: int | None = None, caps: Caps = DEFAULT_C
 
 
 def scenario_lemma_54(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                      threads: int | None = None, **_) -> list[Report]:
+                      threads: int | None = None) -> list[Report]:
     """Regularity after multiplying by powers of the maximal ideal."""
     char = 0 if characteristic is None else characteristic
     reports = []
@@ -407,7 +408,7 @@ def scenario_lemma_54(characteristic: int | None = None, caps: Caps = DEFAULT_CA
 
 
 def scenario_thm_36(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                    threads: int | None = None, **_) -> list[Report]:
+                    threads: int | None = None) -> list[Report]:
     """F = H + J is a Betti splitting, with H & J = mJ and reg/lind transfer."""
     char = 0 if characteristic is None else characteristic
     reports = []
@@ -470,16 +471,26 @@ def scenario_names() -> list[str]:
 def run_scenario(name: str, characteristic: int | None = None,
                  caps: Caps = DEFAULT_CAPS, threads: int | None = None,
                  **params) -> list[Report]:
-    """Run a named scenario; 'remark-5.9(8)' style names carry a parameter."""
+    """Run a named scenario; 'remark-5.9(8)' style names carry its parameter n.
+
+    A parameter the scenario does not take, or an n in the name that
+    disagrees with the one in ``params``, is a DomainError.
+    """
     base = name
     if "(" in name and name.endswith(")"):
         base, _, arg = name[:-1].partition("(")
         try:
-            params = {**params, "n": int(arg)}
+            n = int(arg)
         except ValueError:
             raise DomainError(
                 f"scenario {name!r}: the parameter {arg!r} is not an integer"
             ) from None
+        if params.setdefault("n", n) != n:
+            raise DomainError(f"scenario {name!r}: the name's n = {n} disagrees with "
+                              f"n = {params['n']}")
     if base not in SCENARIOS:
         raise DomainError(f"unknown scenario {name!r}; known: {', '.join(scenario_names())}")
+    unknown = sorted(set(params) - set(inspect.signature(SCENARIOS[base]).parameters))
+    if unknown:
+        raise DomainError(f"scenario {name!r} takes no parameter {', '.join(unknown)}")
     return SCENARIOS[base](characteristic=characteristic, caps=caps, threads=threads, **params)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fiberlab import (
     DomainError,
@@ -199,3 +200,28 @@ def test_reg_increasing_random():
         setup = fiber_product(random_equigenerated(rng, "A"), random_equigenerated(rng, "B"))
         report = check_reg_increasing(setup, 3, 0, threads=1)
         assert report.passed, report.computed
+
+
+def _factor_ideals(name: str):
+    """Nonzero monomial ideals of degree 2 to 4 in a ring with one or two variables."""
+    def build(n):
+        ring = Ring(name, tuple(f"{name.lower()}{i}" for i in range(1, n + 1)))
+        monomials = st.lists(st.integers(0, n - 1), min_size=2, max_size=4)  # variable indices
+        return st.lists(monomials, min_size=1, max_size=4).map(
+            lambda gens: MonomialIdeal.from_exponents(
+                ring, [tuple(g.count(v) for v in range(n)) for g in gens]))
+    return st.integers(1, 2).flatmap(build)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_factor_ideals("A"), _factor_ideals("B"))
+def test_fiber_product_splittings_random(left, right):
+    setup = fiber_product(left, right)
+    report = verify_betti_splitting(setup.F, setup.H, setup.J, 0, threads=1)
+    assert report.passed, report.computed
+    filt = filtration(setup, 2)
+    for t in (1, 2):
+        step = verify_betti_splitting(
+            filt.stages[t], filt.stages[t - 1], filt.added[t - 1], 0, threads=1
+        )
+        assert step.passed, (t, step.computed)

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from fiberlab import koszul, linalg
 from fiberlab import (
     DomainError,
+    MonomialIdeal,
     Ring,
     betti_table,
     maxideal_power,
@@ -132,3 +135,36 @@ def test_json_shape(ring_xy):
         "char": 0,
         "entries": [{"i": 0, "j": 1, "dim": 2}, {"i": 1, "j": 2, "dim": 1}],
     }
+
+
+@st.composite
+def inclusions(draw):
+    """(small, big) with small <= small + extra or small <= d*(small) + extra."""
+    n = draw(st.integers(1, 4))
+    ring = Ring("R", tuple("xyzw"[:n]))
+    monomials = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    small = MonomialIdeal.from_exponents(ring, draw(st.lists(monomials, min_size=1, max_size=4)))
+    extra = MonomialIdeal.from_exponents(ring, draw(st.lists(monomials, max_size=2)))
+    base = star_derivative(small) if draw(st.booleans()) else small
+    return small, base + extra
+
+
+def _raise(*_args, **_kwargs):
+    raise AssertionError("the dense toolkit was called")
+
+
+@settings(max_examples=80, deadline=None)
+@given(inclusions(), st.sampled_from([0, 32003]))
+@example((ideal_of(Ring("R", ("x", "y")), "x^2", "y"),) * 2, 0)  # witness (0, 1)
+@example((ideal_of(Ring("R", ("x", "y")), "x*y^3", "x^2*y"),  # witness (1, 5)
+          ideal_of(Ring("R", ("x", "y")), "y^3", "x^2")), 32003)
+def test_tor_vanishing_matches_tor_map(inclusion, char):
+    small, big = inclusion
+    with pytest.MonkeyPatch.context() as patch:  # verdicts come from ranks alone
+        for owner, name in ((koszul, "tor_map"), (koszul, "rref"), (koszul, "nullspace"),
+                            (koszul, "coordinates_in_span"), (linalg, "rref")):
+            patch.setattr(owner, name, _raise)
+        verdict = tor_vanishing(small, big, char)
+    nonzero = [key for key, mat in tor_map(small, big, char).items()
+               if any(v for row in mat for v in row)]
+    assert verdict == (not nonzero, min(nonzero, default=None))

@@ -7,6 +7,7 @@ import pytest
 
 from fiberlab import GrammarError
 from fiberlab.lang import eval_expression, load_definitions
+from fiberlab.scenarios import run_scenario
 
 from conftest import run_fiberlab
 
@@ -242,3 +243,23 @@ def test_cli_scenario_parameter_must_be_an_integer():
     assert out.returncode == 2
     assert "remark-5.9(x)" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("lemma-5.4", "--n", "5"), "takes no parameter n"),
+    (("remark-5.6(4)",), "takes no parameter n"),
+    (("remark-5.9(2)", "--n", "3"), "disagrees with n = 3"),
+], ids=["flag-not-taken", "name-parameter-not-taken", "name-and-flag-disagree"])
+def test_cli_scenario_parameter_not_taken_is_usage_error(argv, named):
+    # each of these used to run with exit 0 and drop a parameter value
+    out = run_cli("scenario", *argv)
+    assert out.returncode == 2
+    assert argv[0] in out.stderr and named in out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+
+
+def test_scenario_parameter_in_the_name_may_repeat_the_argument():
+    named = run_scenario("remark-5.9(2)", n=2)
+    plain = run_scenario("remark-5.9", n=2)
+    assert [r.to_json_dict(False) for r in named] == [r.to_json_dict(False) for r in plain]

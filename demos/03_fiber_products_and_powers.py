@@ -34,6 +34,7 @@ filt = filtration(setup, 2)
 for t, stage in enumerate(filt.stages):
     print(f"G_{t} =", stage)
 print("intersection identities verified:", filt.intersection_ok)
+print("G_s = F^s verified:", filt.sum_ok)
 
 print("\n== every step is a Betti splitting ==")
 report = verify_betti_splitting(setup.F, setup.H, setup.J, 0)

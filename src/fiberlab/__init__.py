@@ -2,7 +2,14 @@
 
 from .config import Caps, DEFAULT_CAPS, DEFAULT_PRIME
 from .core import Monomial, Ring, parse_monomial, parse_ring, tensor_ring
-from .errors import CapError, DomainError, FiberlabError, GrammarError, RingMismatchError
+from .errors import (
+    CapError,
+    DomainError,
+    FiberlabError,
+    GrammarError,
+    InternalError,
+    RingMismatchError,
+)
 from .ideals import (
     MonomialIdeal,
     component_ideal,
@@ -44,7 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BettiTable", "CapError", "Caps", "DEFAULT_CAPS", "DEFAULT_PRIME", "DomainError",
     "FiberSetup", "FiberlabError", "Filtration", "GradedTor", "GrammarError", "Graph",
-    "Invariants", "LcmLattice", "Monomial", "MonomialIdeal", "Report", "Ring",
+    "InternalError", "Invariants", "LcmLattice", "Monomial", "MonomialIdeal", "Report", "Ring",
     "RingMismatchError", "RstabReport", "betti_table", "check_componentwise",
     "check_depth_formula", "check_reg_formula", "check_reg_formula_equigenerated",
     "check_reg_increasing", "component_ideal", "detect_bipartite_join", "edge_ideal",

@@ -22,6 +22,15 @@ Two consequences keep most points away from per-point work:
   position, and key the homology cache, so each distinct complex is
   computed once.
 
+The walk collects each chunk's uncached complexes and computes their
+homology together, grouped by support size m.  One (complexes x 2^m)
+boolean array holds a group's faces.  A complex's boundary from k- to
+(k-1)-faces is the full simplex's, restricted to the complex's own faces:
+every column keeps all its entries, since a complex holds the facets of
+its faces.  Over GF(p), matrices of similar size share one zero-padded
+stack and one ``rank_mod_p`` call; over Q each goes to ``rank_exact``.  A
+fixed cell budget splits the face arrays and the stacks.
+
 Boundary ranks are computed only for complexes that are not cones (a
 vertex in no minimal tight set lies in every facet).  The closure itself
 runs on exponent vectors packed into int64 words, deduplicated by sorting.
@@ -45,7 +54,7 @@ from .config import DEFAULT_CAPS, Caps, default_threads
 from .core import Exponents, Monomial, resolve_characteristic
 from .errors import CapError, DomainError
 from .ideals import MonomialIdeal
-from .linalg import rank_input, rank_mod_p, rank_exact
+from .linalg import rank_mod_p, rank_exact
 
 _INT = np.int32
 # surviving points from which the walk uses the process pool: on 2 cores the
@@ -159,7 +168,7 @@ def _closure(gens: np.ndarray, cap: int) -> np.ndarray:
         keys = _sorted_unique(_row_keys(np.concatenate([closed, joins, g[None, :]])))
         closed = keys.view(np.int64).reshape(len(keys), packing.nwords)
         if len(closed) > cap:
-            raise CapError(f"lcm lattice exceeds cap of {cap} points")
+            raise CapError.over("lattice", f"lcm lattice reached {len(closed)} points", cap)
     return packing.unpack(closed)
 
 
@@ -204,7 +213,11 @@ def upper_koszul(ideal: MonomialIdeal, b: Exponents | Monomial) -> UpperKoszul:
     return UpperKoszul(tuple(ring.variables[i] for i in supp), tuple(faces))
 
 
-# -- homology of one lattice point -------------------------------------------
+# -- homology of upper Koszul complexes, in batches --------------------------
+
+# cells of one face-indicator array (complexes x 2^m) or of one stack of
+# boundary matrices; a larger batch of complexes is cut into several
+_CELL_BUDGET = 1 << 21
 
 _POPCOUNT_CACHE: dict[int, np.ndarray] = {}
 
@@ -217,66 +230,124 @@ def _popcounts(m: int) -> np.ndarray:
     return table
 
 
-def _boundary_rank(faces_prev: np.ndarray, faces_cur: np.ndarray, char: int) -> int:
-    """Rank of the simplicial boundary map from cardinality-k to (k-1) faces."""
-    if len(faces_prev) == 0 or len(faces_cur) == 0:
-        return 0
-    index = {int(f): i for i, f in enumerate(faces_prev)}
-    triplets = []
-    for col, face in enumerate(faces_cur):
-        face = int(face)
-        sign = 1
-        mask = face
-        while mask:
-            bit = mask & -mask
-            triplets.append((index[face ^ bit], col, sign))
-            sign = -sign
-            mask ^= bit
-    matrix = rank_input(triplets, (len(faces_prev), len(faces_cur)), char)
-    return rank_exact(matrix) if char == 0 else rank_mod_p(matrix, char)
+def _faces(batch: list[np.ndarray], m: int) -> np.ndarray:
+    """Indicators, over all 2^m subsets, of each complex's faces.
 
-
-def _faces(masks: np.ndarray, m: int) -> np.ndarray:
-    """Indicator over all 2^m subsets of the faces tau disjoint from some mask.
-
-    The complements of the masks span the complex; closing them downwards
-    one vertex at a time needs a single 2^m boolean array.
+    Complex b has the faces tau disjoint from some mask of ``batch[b]``:
+    the complements of its masks span it.  Closing them downwards one
+    vertex at a time needs one boolean array for the whole batch.
     """
-    faces = np.zeros(1 << m, dtype=bool)
-    faces[((1 << m) - 1) ^ masks] = True
+    faces = np.zeros((len(batch), 1 << m), dtype=bool)
+    owner = np.repeat(np.arange(len(batch)), [len(masks) for masks in batch])
+    faces[owner, ((1 << m) - 1) ^ np.concatenate(batch)] = True
     for v in range(m):
-        split = faces.reshape(-1, 2, 1 << v)  # [higher bits, bit v, lower bits]
-        split[:, 0, :] |= split[:, 1, :]
+        split = faces.reshape(len(batch), -1, 2, 1 << v)  # [higher bits, bit v, lower bits]
+        split[:, :, 0, :] |= split[:, :, 1, :]
     return faces
 
 
-def _homology_from_masks(masks: np.ndarray, m: int, char: int) -> dict[int, int]:
-    """Reduced homology dimensions of the union of simplices comp(mask).
+def _stacks(nrows: list[int], ncols: list[int]) -> list[slice]:
+    """Consecutive runs of matrices whose zero-padded stack fits the cell budget."""
+    runs, start, top_r, top_c = [], 0, 0, 0
+    for i, (r, c) in enumerate(zip(nrows, ncols)):
+        top_r, top_c = max(top_r, r), max(top_c, c)
+        if i > start and (i - start + 1) * top_r * top_c > _CELL_BUDGET:
+            runs.append(slice(start, i))
+            start, top_r, top_c = i, r, c
+    return runs + [slice(start, len(nrows))] if nrows else runs
 
-    ``masks`` are the tight sets of the dividing generators, as bitmasks on
-    the m support variables; the faces are exactly the tau disjoint from
-    some mask.  Returns {i: dim H-tilde_(i-1)} with zero entries omitted.
+
+def _boundary_ranks(owner: np.ndarray, face: np.ndarray, index: np.ndarray,
+                    nrows: np.ndarray, ncols: np.ndarray, first: np.ndarray, k: int,
+                    char: int) -> np.ndarray:
+    """Rank of each complex's boundary from its k-faces to its (k-1)-faces.
+
+    ``owner`` and ``face`` list the batch's k-faces by complex, then by
+    bitmask; complex b has ``ncols[b]`` of them from position ``first[b]``
+    on, and ``nrows[b]`` faces of cardinality k-1, where ``index[b, g]``
+    is the row of face g.  The full simplex's boundary has, in the column
+    of a k-face, the entry (-1)^t at the facet that drops its t-th lowest
+    vertex.  A complex holds the facets of its faces, so its boundary keeps
+    these columns whole, at its own faces.  Over GF(p), matrices of similar
+    size share a zero-padded stack and one ``rank_mod_p`` call; over Q each
+    matrix goes to ``rank_exact`` as its transpose, one {row: sign} dict
+    per column.
     """
-    if len(masks) == 0:
-        return {}
-    if m == 0:
-        return {0: 1}  # complex {empty face}: one unit of reduced homology below dim 0
-    if (masks == 0).any():
-        return {}  # full simplex, contractible
-    if np.bitwise_or.reduce(masks) != (1 << m) - 1:
-        return {}  # a vertex in no mask lies in every facet: a cone, contractible
-    face_idx = np.flatnonzero(_faces(masks, m))
-    cards = _popcounts(m)[face_idx]
-    by_card = [face_idx[cards == k] for k in range(m + 1)]
-    counts = [len(f) for f in by_card]
-    ranks = [0] * (m + 2)
-    for k in range(1, m + 1):
-        ranks[k] = _boundary_rank(by_card[k - 1], by_card[k], char)
-    out = {}
-    for i in range(m + 1):
-        dim = counts[i] - ranks[i] - ranks[i + 1]
-        if dim:
-            out[i] = dim
+    rows = np.empty((len(face), k), dtype=np.int64)
+    rest = face
+    for t in range(k):
+        low = rest & -rest
+        rows[:, t] = index[owner, face ^ low]
+        rest = rest ^ low
+    sign = [-1 if t % 2 else 1 for t in range(k)]
+    ranks = np.zeros(len(ncols), dtype=np.int64)
+    if char == 0:
+        rows = rows.tolist()
+        for b in np.flatnonzero(ncols).tolist():
+            lo = int(first[b])
+            # the transpose, one {row: sign} dict per column: the same rank
+            columns = rows[lo : lo + int(ncols[b])]
+            ranks[b] = rank_exact([dict(zip(facets, sign)) for facets in columns])
+        return ranks
+    col = np.arange(len(face)) - np.repeat(first, ncols)
+    have = np.flatnonzero(ncols)
+    have = have[np.lexsort((nrows[have], ncols[have]))]
+    heights, widths = nrows[have].tolist(), ncols[have].tolist()
+    slot = np.empty(len(ncols), dtype=np.int64)
+    for run in _stacks(heights, widths):
+        part = have[run]
+        slot.fill(-1)
+        slot[part] = np.arange(len(part))
+        mine = slot[owner] >= 0
+        stack = np.zeros((len(part), max(heights[run]), max(widths[run])), dtype=np.int8)
+        stack[slot[owner[mine]][:, None], rows[mine], col[mine][:, None]] = sign
+        ranks[part] = rank_mod_p(stack, char)
+    return ranks
+
+
+def _homology_from_masks(batch: list[np.ndarray], m: int, char: int) -> list[dict[int, int]]:
+    """Reduced homology dimensions of complexes on m vertices, computed together.
+
+    Complex b is the union of the simplices comp(mask) for the masks in
+    ``batch[b]``: the tight sets of the dividing generators, as bitmasks on
+    the m support variables.  Returns, for each, {i: dim H-tilde_(i-1)}
+    with zero entries omitted.
+    """
+    out: list[dict[int, int]] = [{} for _ in batch]
+    todo = []
+    full = (1 << m) - 1
+    for b, masks in enumerate(batch):
+        if len(masks) == 0:
+            continue
+        if (masks == full).all():
+            out[b] = {0: 1}  # complex {empty face}: one unit of reduced homology below dim 0
+        elif (masks != 0).all() and np.bitwise_or.reduce(masks) == full:
+            todo.append(b)
+        # else a full simplex, or a cone on a vertex in no mask: contractible
+    step = max(1, _CELL_BUDGET >> m)
+    for lo in range(0, len(todo), step):
+        part = todo[lo : lo + step]
+        owner, face = np.nonzero(_faces([batch[b] for b in part], m))
+        # the faces by cardinality, then complex, then bitmask; a face's
+        # place among those of its complex and cardinality is its index
+        group = _popcounts(m)[face].astype(np.int64) * len(part) + owner
+        order = np.argsort(group, kind="stable")
+        owner, face = owner[order], face[order]
+        counts = np.bincount(group, minlength=(m + 1) * len(part))
+        starts = np.cumsum(counts) - counts
+        index = np.zeros((len(part), 1 << m), dtype=np.int32)
+        index[owner, face] = np.arange(len(face)) - np.repeat(starts, counts)
+        counts, starts = counts.reshape(m + 1, len(part)), starts.reshape(m + 1, len(part))
+        ranks = np.zeros((m + 2, len(part)), dtype=np.int64)
+        for k in range(1, m + 1):
+            if not counts[k].any():
+                break  # a complex is closed under faces: nothing above k either
+            span = slice(starts[k, 0], starts[k, 0] + counts[k].sum())
+            ranks[k] = _boundary_ranks(owner[span], face[span], index, counts[k - 1],
+                                       counts[k], starts[k] - starts[k, 0], k, char)
+        dims = counts - ranks[:-1] - ranks[1:]
+        for b, column in zip(part, dims.T.tolist()):
+            out[b] = {i: d for i, d in enumerate(column) if d}
     return out
 
 
@@ -322,20 +393,29 @@ def _points_betti(
         supp = chunk > 0
         sizes = supp.sum(axis=1)
         if sizes.max(initial=0) > 24:
-            raise CapError(f"support of size {sizes.max()} exceeds the bitmask limit")
+            raise CapError(
+                f"a lattice point reached a support of {sizes.max()} variables, over the "
+                "walk's fixed limit of 24 (not a FIBERLAB_CAPS cap; it cannot be raised)"
+            )
         divides = (gens[None, :, :] <= chunk[:, None, :]).all(axis=2)
         # tight bits {v : g_v = b_v} on supp(b), renumbered as 0..m-1
         place = np.int64(1) << (np.cumsum(supp, axis=1) - supp)
         tight = (gens[None, :, :] == chunk[:, None, :]) & supp[:, None, :]
         local = (tight * place[:, None, :]).sum(axis=2)
+        keys = []
+        pending: dict[int, dict[bytes, np.ndarray]] = {}  # uncached complexes by size
         for row in range(len(chunk)):
             m = int(sizes[row])
             masks = _minimal_masks(local[row][divides[row]])
             key = (m, masks.tobytes())
-            dims = cache.get(key)
-            if dims is None:
-                dims = _homology_from_masks(masks, m, char)
-                cache[key] = dims
+            keys.append(key)
+            if key not in cache:
+                pending.setdefault(m, {})[key[1]] = masks
+        for m, group in sorted(pending.items()):
+            for blob, dims in zip(group, _homology_from_masks(list(group.values()), m, char)):
+                cache[(m, blob)] = dims
+        for row, key in enumerate(keys):
+            dims = cache[key]
             if dims:
                 bt = tuple(int(e) for e in chunk[row])
                 for i, d in dims.items():

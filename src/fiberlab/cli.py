@@ -10,7 +10,10 @@ Verbs:
     scenario    run a named scenario from the claim registry
 
 Exit codes: 0 success (all checks passed), 1 a verification failed,
-2 parse or usage error, 3 a resource cap was exceeded.
+2 parse or usage error, 3 a resource cap was exceeded, 4 an internal
+invariant of the engine failed (a bug, never a verdict on a claim).  A
+reader that closes standard output early ends the output, not the run:
+the exit code is the one the run earned.
 
 Caps come from the FIBERLAB_CAPS environment variable (``name=value``
 pairs, comma-separated), read once per run; an unknown name or a value
@@ -30,7 +33,7 @@ import sys
 from dataclasses import fields
 
 from .config import Caps
-from .errors import CapError, FiberlabError, GrammarError
+from .errors import CapError, FiberlabError, GrammarError, InternalError
 from .betti import betti_table
 from .fiber import (
     check_componentwise,
@@ -52,6 +55,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _positive_int(text: str) -> int:
@@ -167,7 +171,13 @@ def _emit(args, text: str) -> None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader is gone: send the rest, and the flush at exit, nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _stable(args) -> bool:
@@ -301,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (FiberlabError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -31,3 +31,15 @@ class CapError(FiberlabError):
 
     Caps abort the computation; they never silently truncate a result.
     """
+
+    @classmethod
+    def over(cls, cap: str, reached: str, limit: int) -> "CapError":
+        """The error for cap ``cap`` = ``limit``, passed when the run ``reached`` a size."""
+        return cls(f"{reached}, over cap {cap}={limit} (set FIBERLAB_CAPS={cap}=<value>)")
+
+
+class InternalError(FiberlabError):
+    """An invariant that holds for every input failed: a bug in the engine.
+
+    Distinct from a claim that fails to verify, which is a result.
+    """

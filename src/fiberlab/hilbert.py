@@ -111,7 +111,8 @@ def hilbert_function(
     if d < 0:
         raise DomainError("negative degree")
     if d > caps.hilbert_degree:
-        raise CapError(f"degree {d} exceeds hilbert cap {caps.hilbert_degree}")
+        raise CapError.over("hilbert_degree", f"Hilbert function degree {d} was asked for",
+                            caps.hilbert_degree)
     n = ideal.ring.nvars
     counter = _QuotientCounter(n)
     return comb(d + n - 1, n - 1) - counter.count(tuple(sorted(ideal.gens)), d)
@@ -152,10 +153,8 @@ def finite_length_reg(
             join[i] = max(join[i], e)
     bound = max(big.t0(), small.t0(), sum(join) - n + 1)
     if bound > caps.hilbert_degree:
-        raise CapError(
-            f"finite-length detection bound {bound} exceeds hilbert cap "
-            f"{caps.hilbert_degree}"
-        )
+        raise CapError.over("hilbert_degree", f"the finite-length test reached degree {bound}",
+                            caps.hilbert_degree)
     if hilbert_function(big, bound, caps) != hilbert_function(small, bound, caps):
         raise DomainError("quotient is not of finite length")
     top = None

@@ -286,7 +286,8 @@ def component_ideal(ideal: MonomialIdeal, d: int, caps: Caps = DEFAULT_CAPS) -> 
     if d < 0:
         raise DomainError("negative component degree")
     if d > caps.component_degree:
-        raise CapError(f"component degree {d} exceeds cap {caps.component_degree}")
+        raise CapError.over("component_degree", f"component degree {d} was asked for",
+                            caps.component_degree)
     if ideal.is_zero():
         return ideal
     ring = ideal.ring

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
 from .core import Exponents, canonical_order, resolve_characteristic
-from .errors import CapError, DomainError
+from .errors import CapError, DomainError, InternalError
 from .ideals import MonomialIdeal, monomials_of_degree
 from .linalg import (
     coordinates_in_span,
@@ -52,10 +52,8 @@ def max_lattice_degree(ideal: MonomialIdeal) -> int:
 def _members_by_degree(ideal: MonomialIdeal, d: int, caps: Caps) -> list[Exponents]:
     n = ideal.ring.nvars
     if comb(d + n - 1, n - 1) > caps.koszul_basis:
-        raise CapError(
-            f"{comb(d + n - 1, n - 1)} degree-{d} monomials exceed the "
-            f"koszul basis cap {caps.koszul_basis}"
-        )
+        raise CapError.over("koszul_basis", f"the ring's degree-{d} monomials reached "
+                            f"{comb(d + n - 1, n - 1)}", caps.koszul_basis)
     mons = np.array(list(monomials_of_degree(ideal.ring, d)), dtype=np.int32)
     gens = ideal.array()
     member = (gens[None, :, :] <= mons[:, None, :]).all(axis=2).any(axis=1)
@@ -82,10 +80,8 @@ class _StrandComplex:
                 continue
             size = len(us) * comb(n, i)
             if size > caps.koszul_basis:
-                raise CapError(
-                    f"strand ({i},{j}) basis of size {size} exceeds cap "
-                    f"{caps.koszul_basis}"
-                )
+                raise CapError.over("koszul_basis", f"strand ({i},{j}) reached a "
+                                    f"basis of {size} elements", caps.koszul_basis)
             basis = [
                 (u, S)
                 for u in us
@@ -173,7 +169,8 @@ def _strands(what: str, small: MonomialIdeal, big: MonomialIdeal, characteristic
     top = max(max_lattice_degree(small), max_lattice_degree(big))
     cap = top if degree_cap is None else degree_cap
     if cap < top:
-        raise CapError(f"degree cap {cap} is below the top lattice degree {top}")
+        raise CapError(f"degree_cap={cap} is below the top lattice degree {top} "
+                       "(a library argument, not a FIBERLAB_CAPS cap)")
     members: tuple[dict, dict] = ({}, {})
 
     def strands():
@@ -245,7 +242,10 @@ def tor_map(
                         img[index_big[(u, S)]] = z[pos]
                 coords = coordinates_in_span(span, img, field)
                 if coords is None:
-                    raise RuntimeError("cycle image escaped the target cycle space")
+                    raise InternalError(
+                        f"Tor map at (i, j) = ({i}, {j}): a cycle's image escaped the "
+                        "target's cycle space"
+                    )
                 matrix_cols.append(coords[len(bnd_big) :])
             out[(i, j)] = [list(row) for row in zip(*matrix_cols)]
     return out

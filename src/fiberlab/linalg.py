@@ -2,12 +2,17 @@
 
 Three layers, each exact:
 
-* ``rank_mod_p`` -- dense vectorized elimination for prime fields (the fast
-  path used on homology boundary matrices).
+* ``rank_mod_p`` -- the one GF(p) elimination: dense, vectorized and
+  fraction-free.  It takes one matrix, as the Koszul engine's strands come,
+  or a (B, R, C) stack, as the lattice walk batches its small boundary
+  matrices, and then eliminates all B matrices with one step per column.
+  A step touches only the rows that are nonzero in its column, so large
+  sparse strands keep their cost.
 * ``rank_exact`` -- sparse fraction-free integer elimination with row-gcd
-  normalization; computes ranks over Q without ever rounding.  Both rank
-  routines take their matrix from ``rank_input``, which both Betti engines
-  feed with (row, col, sign) triplets.
+  normalization; computes ranks over Q without ever rounding, one matrix
+  at a time.  It takes its rows from ``rank_input``, which both Betti
+  engines feed with (row, col, sign) triplets; the Koszul engine's dense
+  GF(p) matrices come from there too.
 * a small dense toolkit generic over a ``Field`` (GF(p) or Fraction) for
   actual bases and coordinates: the induced matrices of ``koszul.tor_map``.
 """
@@ -23,30 +28,53 @@ import numpy as np
 # -- dense rank over GF(p) -------------------------------------------------
 
 
-def rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over GF(p) by row reduction (exact)."""
-    if matrix.size == 0:
-        return 0
-    m = np.array(matrix, dtype=np.int64) % p
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
+def rank_mod_p(matrix: np.ndarray, p: int) -> int | np.ndarray:
+    """Rank over GF(p) of an integer matrix, or of each matrix of a stack (exact).
+
+    A 2-D ``matrix`` gives an int; a ``(B, R, C)`` stack gives an array of
+    B ranks, one per matrix, computed together: one elimination step per
+    column serves every matrix.  A step takes as pivot the first row of
+    each matrix that is nonzero in the column and not yet a pivot, and
+    updates only the other such rows, fraction-free (row * pivot - entry *
+    pivot row), so no inverse is needed.  Zero padding of a stack's matrices
+    leaves their ranks unchanged.  Every product is of two residues, which
+    the bound (p-1)^2 < 2^63 on p keeps inside int64.
+    """
+    work = np.asarray(matrix).astype(np.int64)
+    work %= p
+    single = work.ndim == 2
+    nrows, ncols = work.shape[-2:]
+    nmat = 1 if single else len(work)
+    work = work.reshape(nmat * nrows, ncols)  # matrix b holds rows b*nrows ...
+    ranks = np.zeros(nmat, dtype=np.int64)
+    free = np.ones(nmat * nrows, dtype=bool)  # rows not yet taken as a pivot
+    taken = 0
+    for c in range(ncols):
+        if taken == len(free):
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        rows = np.flatnonzero(work[:, c])
+        rows = rows[free[rows]]
+        if rows.size == 0:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r, c:] = (m[r, c:] * inv) % p
-        below = m[r + 1 :, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            m[r + 1 + nzb, c:] = (m[r + 1 + nzb, c:] - np.outer(below[nzb], m[r, c:])) % p
-        r += 1
-    return r
+        mats = rows // nrows
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = mats[1:] != mats[:-1]
+        prows = rows[first]
+        free[prows] = False
+        ranks[mats[first]] += 1
+        taken += len(prows)
+        if len(prows) == len(rows):
+            continue
+        rows = rows[~first]
+        pivot = work[prows, c:]  # pivot entry, then the rest of the pivot row
+        if len(prows) > 1:
+            pivot = pivot[np.searchsorted(mats[first], mats[~first])]
+        rest = work[rows, c + 1 :]
+        rest *= pivot[:, :1]
+        rest -= work[rows, c][:, None] * pivot[:, 1:]
+        rest %= p
+        work[rows, c + 1 :] = rest
+    return int(ranks[0]) if single else ranks
 
 
 # -- sparse fraction-free rank over Q ---------------------------------------

@@ -131,6 +131,25 @@ def reduced_homology_dims(faces: list[frozenset]) -> dict[int, int]:
     return out
 
 
+def rank_mod_p_oracle(matrix, p: int) -> int:
+    """Rank over GF(p) by textbook row reduction on Python ints."""
+    rows = [[int(v) % p for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        pivot = [v * inv % p for v in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], pivot)]
+        rank += 1
+    return rank
+
+
 # -- brute-force monomial counting -------------------------------------------
 
 

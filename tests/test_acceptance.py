@@ -199,6 +199,7 @@ def test_criterion_11_betti_splittings(run9_sample):
         assert report.passed, (str(left), str(right), report.computed)
         for s in (2, 3):
             filt = filtration(setup, s)
+            assert filt.sum_ok and all(filt.intersection_ok), (str(left), str(right), s)
             for t in range(1, s + 1):
                 step = verify_betti_splitting(
                     filt.stages[t], filt.stages[t - 1], filt.added[t - 1], 0, threads=1

@@ -21,7 +21,9 @@ from fiberlab import (
 from fiberlab.errors import CapError
 from fiberlab.config import Caps
 
-from conftest import ideal_of, random_ideal, reduced_homology_dims
+from fiberlab.linalg import rank_exact, rank_input
+
+from conftest import ideal_of, random_ideal, rank_mod_p_oracle, reduced_homology_dims
 
 
 def test_koszul_baseline(ring_xyz):
@@ -312,10 +314,11 @@ def test_minimal_masks_keep_the_faces():
         minimal = betti_mod._minimal_masks(raw)
         assert set(minimal.tolist()) <= set(raw.tolist())
         assert not any(a != b and a & b == a for a in minimal for b in minimal)
-        assert (betti_mod._faces(raw, m) == betti_mod._faces(minimal, m)).all()
+        faces_raw, faces_minimal = betti_mod._faces([raw, minimal], m)
+        assert (faces_raw == faces_minimal).all()
         for char in (0, 32003):
-            assert (betti_mod._homology_from_masks(raw, m, char)
-                    == betti_mod._homology_from_masks(minimal, m, char))
+            dims_raw, dims_minimal = betti_mod._homology_from_masks([raw, minimal], m, char)
+            assert dims_raw == dims_minimal
 
 
 def test_face_indicator_equals_broadcast_formula():
@@ -328,7 +331,7 @@ def test_face_indicator_equals_broadcast_formula():
         for masks in (raw, betti_mod._minimal_masks(raw)):
             idx = np.arange(1 << m, dtype=np.int64)
             expected = ((idx[:, None] & masks[None, :]) == 0).any(axis=1)
-            assert (betti_mod._faces(masks, m) == expected).all()
+            assert (betti_mod._faces([masks], m)[0] == expected).all()
 
 
 small_ideals = st.integers(1, 4).flatmap(
@@ -369,3 +372,147 @@ def test_tables_agree_over_q_and_gf_p_in_five_variables(ideal):
     q = betti_table(ideal, 0, threads=1)
     p = betti_table(ideal, 32003, threads=1)
     assert q.multigraded() == p.multigraded()
+
+
+# -- batched homology against the per-complex build ---------------------------
+
+
+def reference_homology(masks, m: int, char: int) -> dict[int, int]:
+    """{i: dim H-tilde_(i-1)} of one complex, one boundary matrix at a time.
+
+    The per-complex build the walk used before it batched complexes: faces
+    by brute force, boundary triplets from a loop over each face's bits,
+    ranks by ``rank_exact`` over Q and by textbook reduction over GF(p).
+    """
+    masks = [int(x) for x in masks]
+    if not masks:
+        return {}
+    faces = [f for f in range(1 << m) if any(f & x == 0 for x in masks)]
+    by_card = [[f for f in faces if bin(f).count("1") == k] for k in range(m + 1)]
+    ranks = [0] * (m + 2)
+    for k in range(1, m + 1):
+        if not by_card[k]:
+            continue
+        index = {f: i for i, f in enumerate(by_card[k - 1])}
+        triplets = []
+        for col, face in enumerate(by_card[k]):
+            sign, rest = 1, face
+            while rest:
+                bit = rest & -rest
+                triplets.append((index[face ^ bit], col, sign))
+                sign, rest = -sign, rest ^ bit
+        shape = (len(by_card[k - 1]), len(by_card[k]))
+        if char == 0:
+            ranks[k] = rank_exact(rank_input(triplets, shape, 0))
+        else:
+            dense = np.zeros(shape, dtype=np.int64)
+            for r, c, v in triplets:
+                dense[r, c] = v
+            ranks[k] = rank_mod_p_oracle(dense, char)
+    dims = {i: len(by_card[i]) - ranks[i] - ranks[i + 1] for i in range(m + 1)}
+    return {i: d for i, d in dims.items() if d}
+
+
+mask_batches = st.integers(0, 8).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.lists(
+            st.lists(st.integers(0, (1 << m) - 1), min_size=0, max_size=6),
+            min_size=1, max_size=6,
+        ),
+    )
+)
+
+
+def _covering(masks: list[int], m: int) -> list[int]:
+    """Nonzero masks whose union is every vertex: neither a cone nor a full simplex."""
+    masks = [x for x in masks if x] or [(1 << m) - 1]
+    uncovered = ((1 << m) - 1) & ~np.bitwise_or.reduce(masks)
+    return masks + [int(uncovered)] if uncovered else masks
+
+
+@settings(max_examples=80, deadline=None)
+@given(mask_batches, st.sampled_from([0, 2, 3, 32003]))
+def test_batched_homology_matches_per_complex_build(drawn, char):
+    # the batch mixes the drawn masks (often a cone or a full simplex) with
+    # covering versions of them, which reach the boundary ranks unless
+    # their only mask is every vertex (the complex {empty face})
+    m, batch = drawn
+    if m:
+        batch = batch + [_covering(masks, m) for masks in batch]
+    batch = [np.array(sorted(set(masks)), dtype=np.int64) for masks in batch]
+    got = betti_mod._homology_from_masks(batch, m, char)
+    assert got == [reference_homology(masks, m, char) for masks in batch]
+
+
+def rp2_masks() -> np.ndarray:
+    """The 6-vertex real projective plane: the complements of its triangles."""
+    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                 (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+    return np.array(sorted(63 ^ sum(1 << v for v in t) for t in triangles), dtype=np.int64)
+
+
+def test_rp2_homology_depends_on_the_field():
+    masks = rp2_masks()
+    # H-tilde_1 = H-tilde_2 = 1 over GF(2), under keys i = 2, 3; acyclic otherwise
+    assert betti_mod._homology_from_masks([masks], 6, 2) == [{2: 1, 3: 1}]
+    for char in (3, 32003, 0):
+        assert betti_mod._homology_from_masks([masks], 6, char) == [{}]
+    assert reference_homology(masks, 6, 2) == {2: 1, 3: 1}
+
+
+def test_answer_does_not_depend_on_the_batch():
+    # one complex alone, among others in either order, and with a cell
+    # budget that puts four complexes in a face array (2^6 cells each) and
+    # cuts their stacks after one to a few matrices, so the padding and the
+    # neighbours in a stack differ
+    rng = np.random.default_rng(3)
+    batch = [rp2_masks()]
+    for _ in range(40):
+        raw = rng.integers(1, 1 << 6, size=int(rng.integers(1, 7))).astype(np.int64)
+        batch.append(betti_mod._minimal_masks(raw))
+    for char in (0, 32003, 2):
+        alone = [betti_mod._homology_from_masks([masks], 6, char)[0] for masks in batch]
+        assert betti_mod._homology_from_masks(batch, 6, char) == alone
+        assert betti_mod._homology_from_masks(batch[::-1], 6, char) == alone[::-1]
+        with pytest.MonkeyPatch.context() as patch:
+            for budget in (256, 1024):
+                patch.setattr(betti_mod, "_CELL_BUDGET", budget)
+                assert betti_mod._homology_from_masks(batch, 6, char) == alone
+    assert alone[0] == {2: 1, 3: 1}  # GF(2), the last field above
+
+
+block_products = st.integers(2, 3).flatmap(
+    lambda nblocks: st.tuples(*[
+        st.integers(1, 2).flatmap(
+            lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(any),
+                               min_size=1, max_size=3)
+        )
+        for _ in range(nblocks)
+    ])
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_products)
+def test_product_split_matches_direct_walk(blocks):
+    # a product of ideals in disjoint blocks of variables: its minimal
+    # generators are the products of the factors' minimal generators
+    sizes = [len(gens[0]) for gens in blocks]
+    ring = Ring("R", tuple(f"v{i}" for i in range(sum(sizes))))
+    factors = []
+    for at, gens in enumerate(blocks):
+        before, after = sum(sizes[:at]), sum(sizes[at + 1 :])
+        factors.append(MonomialIdeal.from_exponents(
+            ring, [(0,) * before + g + (0,) * after for g in gens]))
+    ideal = factors[0]
+    for factor in factors[1:]:
+        ideal = ideal * factor
+    if all(len(f.gens) > 1 for f in factors):
+        assert betti_mod._product_split(ideal.array()) is not None
+    for char in (0, 32003):
+        split = betti_table(ideal, char, threads=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(betti_mod, "_product_split", lambda gens: None)
+            direct = betti_table(ideal, char, threads=1)
+        assert split.entries == direct.entries

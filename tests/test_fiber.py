@@ -1,5 +1,6 @@
 """Fiber products, filtrations, splittings, and the formula checks."""
 
+import dataclasses
 import random
 
 import pytest
@@ -70,6 +71,15 @@ def test_filtration_example():
     filt1 = filtration(setup, 1)
     assert filt1.stages[-1] == setup.F
     assert (setup.H & setup.J) == setup.mm * setup.J
+
+
+def test_failed_filtration_identity_is_a_flag_not_an_exception():
+    # a setup whose F is not I + J + mn breaks G_s = F^s: the flag reports it
+    setup = _setup_squares()
+    broken = dataclasses.replace(setup, F=setup.I + setup.J)
+    filt = filtration(broken, 2)
+    assert not filt.sum_ok
+    assert all(filt.intersection_ok)
 
 
 def test_filtration_random_pairs():
@@ -220,6 +230,7 @@ def test_fiber_product_splittings_random(left, right):
     report = verify_betti_splitting(setup.F, setup.H, setup.J, 0, threads=1)
     assert report.passed, report.computed
     filt = filtration(setup, 2)
+    assert filt.sum_ok and all(filt.intersection_ok)
     for t in (1, 2):
         step = verify_betti_splitting(
             filt.stages[t], filt.stages[t - 1], filt.added[t - 1], 0, threads=1

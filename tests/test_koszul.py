@@ -17,7 +17,7 @@ from fiberlab import (
     tor_map,
     tor_vanishing,
 )
-from fiberlab.errors import CapError
+from fiberlab.errors import CapError, InternalError
 from fiberlab.config import Caps
 from fiberlab.linalg import field_for
 
@@ -124,9 +124,19 @@ def test_tor_map_requires_containment(ring_xy):
         tor_map(maxideal_power(ring_xy, None, 1), maxideal_power(ring_xy, None, 2), 0)
 
 
+def test_escaped_cycle_is_an_internal_error(ring_xy, monkeypatch):
+    # a cycle image outside the target's cycle space cannot happen; if it
+    # did, it is a bug (InternalError, CLI exit 4), not a failed claim
+    monkeypatch.setattr(koszul, "coordinates_in_span", lambda *args: None)
+    mm = maxideal_power(ring_xy, None, 1)
+    with pytest.raises(InternalError, match="escaped"):
+        tor_map(mm ** 2, mm, 0)
+
+
 def test_basis_cap(ring_xy):
-    with pytest.raises(CapError):
+    with pytest.raises(CapError) as raised:
         tor_dimensions(maxideal_power(ring_xy, None, 3), 0, caps=Caps(koszul_basis=3))
+    assert "over cap koszul_basis=3 (set FIBERLAB_CAPS=koszul_basis=<value>)" in str(raised.value)
 
 
 def test_json_shape(ring_xy):

@@ -1,11 +1,25 @@
 """Definition-file grammar and the command-line surface."""
 
 import json
+import os
+import re
 import subprocess
+import sys
 
 import pytest
 
-from fiberlab import GrammarError
+from fiberlab import (
+    CapError,
+    Caps,
+    GrammarError,
+    betti_table,
+    cli,
+    component_ideal,
+    finite_length_reg,
+    hilbert_function,
+    koszul,
+    tor_dimensions,
+)
 from fiberlab.lang import eval_expression, load_definitions
 from fiberlab.scenarios import run_scenario
 
@@ -191,6 +205,79 @@ def test_cli_cap_error_exit_code(pair_file):
     out = run_cli("betti", pair_file, "I", FIBERLAB_CAPS="lattice=1")
     assert out.returncode == 3
     assert "cap" in out.stderr.lower()
+    # the cap, the value reached, and the override
+    assert "lcm lattice reached 3 points" in out.stderr  # x^2, x*y and x^2*y
+    assert "over cap lattice=1" in out.stderr
+    assert "FIBERLAB_CAPS=lattice=<value>" in out.stderr
+
+
+@pytest.mark.parametrize("call, cap", [
+    (lambda env, caps: component_ideal(env.ideal("I"), 3, caps), "component_degree"),
+    (lambda env, caps: hilbert_function(env.ideal("I"), 3, caps), "hilbert_degree"),
+    (lambda env, caps: finite_length_reg(env.ideal("I"), env.ideal("I") ** 3, caps),
+     "hilbert_degree"),
+    (lambda env, caps: tor_dimensions(env.ideal("I"), 0, caps=caps), "koszul_basis"),
+    (lambda env, caps: betti_table(env.ideal("I") ** 2, 0, caps, threads=1), "lattice"),
+], ids=["component", "hilbert", "finite-length", "koszul", "lattice"])
+def test_cap_errors_name_cap_value_and_override(call, cap):
+    env = load_definitions(PAIR)
+    with pytest.raises(CapError) as raised:
+        call(env, Caps(**{cap: 2}))
+    message = str(raised.value)
+    assert f"over cap {cap}=2 (set FIBERLAB_CAPS={cap}=<value>)" in message
+    assert re.search(r"\d", message.split(", over cap")[0])  # the value reached
+
+
+def test_cli_internal_error_exit_code(pair_file, monkeypatch, capsys):
+    # an internal invariant failing is exit 4, never exit 1 (a failed claim)
+    def broken(*args, **kwargs):
+        monkeypatch.setattr(koszul, "coordinates_in_span", lambda *a: None)
+        ideal = args[0]
+        return koszul.tor_map(ideal, ideal, 0)
+
+    monkeypatch.setattr(cli, "tor_dimensions", broken)
+    assert cli.main(["tor", pair_file, "I"]) == 4
+    assert "internal error" in capsys.readouterr().err
+
+
+def _cli_into_closed_pipe(*argv: str, read: int = 0) -> subprocess.CompletedProcess:
+    """Run the CLI with a reader that takes ``read`` bytes and closes the pipe."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FIBERLAB_")}
+    reader, writer = os.pipe()
+    child = subprocess.Popen([sys.executable, "-m", "fiberlab.cli", *argv],
+                             stdout=writer, stderr=subprocess.PIPE, env=env)
+    os.close(writer)
+    with os.fdopen(reader, "rb") as pipe:
+        head = pipe.read(read)
+    _, err = child.communicate(timeout=600)
+    return subprocess.CompletedProcess(child.args, child.returncode, head, err.decode())
+
+
+R55 = """
+ring R = [a,b,c];
+ring S = [x];
+I = ideal(R; a^4, a^3*b, a*b^3, b^4, a^2*b^2*c^4);
+J = ideal(S; x^4);
+"""
+
+
+@pytest.mark.parametrize("argv, read, code", [
+    (("scenario", "lemma-A3", "--stable-json"), 0, 0),
+    (("verify", "cor-5.2", "--input", "{r55}", "--I", "I", "--J", "J", "--s", "2"), 0, 1),
+    (("eval", "{defs}", "maxideal(R)^8"), 10, 0),
+], ids=["closed-before-output", "closed-before-failed-claim", "closed-after-10-bytes"])
+def test_cli_reader_closing_stdout_ends_output_only(defs_file, tmp_path, argv, read, code):
+    # the reader goes away before, or while, the CLI writes (the third
+    # output is 88 kB, more than a pipe holds): no traceback, and the exit
+    # code is the one the run earned
+    r55 = tmp_path / "r55.fl"
+    r55.write_text(R55)
+    argv = tuple(a.format(defs=defs_file, r55=r55) for a in argv)
+    out = _cli_into_closed_pipe(*argv, read=read)
+    assert len(out.stdout) == read
+    assert "Traceback" not in out.stderr and "BrokenPipe" not in out.stderr
+    assert out.returncode == code
+    assert run_cli(*argv).returncode == code  # the same run with a reader
 
 
 @pytest.mark.parametrize("argv, env, named", [

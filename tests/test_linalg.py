@@ -8,6 +8,8 @@ import pytest
 
 from fiberlab import DomainError, Ring
 
+from conftest import rank_mod_p_oracle
+
 from fiberlab.linalg import (
     QQ,
     GFp,
@@ -78,6 +80,27 @@ def test_largest_allowed_prime_ranks_exactly():
     for _ in range(200):
         mat = rng.integers(-2, 3, (6, 6))
         assert rank_mod_p(mat, p) == rank_exact(rank_input(triplets_of(mat), mat.shape, 0))
+
+
+def test_stacked_ranks_at_the_largest_allowed_prime():
+    # a (B, R, C) stack gives one rank per matrix, equal to the 2-D answer;
+    # residues near p make every product in the fraction-free step near 2^63
+    p = 3037000493
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(0, 8)), int(rng.integers(0, 8)))
+        residues = p - 1 - rng.integers(0, 3, shape)
+        residues[rng.random(shape) < 0.4] = 0
+        small = rng.integers(-2, 3, shape)
+        for stack in (residues, small):
+            ranks = rank_mod_p(stack, p)
+            assert ranks.shape == (shape[0],)
+            assert ranks.tolist() == [rank_mod_p_oracle(mat, p) for mat in stack]
+            assert ranks.tolist() == [rank_mod_p(mat, p) for mat in stack]
+        assert rank_mod_p(small, p).tolist() == [
+            rank_exact(rank_input(triplets_of(mat), mat.shape, 0)) for mat in small
+        ]
+    assert rank_mod_p(np.zeros((2, 3, 0), dtype=np.int64), p).tolist() == [0, 0]
 
 
 def test_rank_mod_small_prime_can_drop():

@@ -22,13 +22,10 @@ from .betti import BettiTable, LcmLattice, betti_table, lcm_lattice, upper_koszu
 from .koszul import GradedTor, tor_dimensions, tor_map, tor_vanishing
 from .invariants import (
     Invariants,
-    RstabReport,
     has_linear_resolution,
     invariants_of,
     is_componentwise_linear,
-    reg_bound_linear_forms,
     reg_of,
-    rstab_search,
 )
 from .fiber import (
     FiberSetup,
@@ -52,13 +49,13 @@ __all__ = [
     "BettiTable", "CapError", "Caps", "DEFAULT_CAPS", "DEFAULT_PRIME", "DomainError",
     "FiberSetup", "FiberlabError", "Filtration", "GradedTor", "GrammarError", "Graph",
     "InternalError", "Invariants", "LcmLattice", "Monomial", "MonomialIdeal", "Report", "Ring",
-    "RingMismatchError", "RstabReport", "betti_table", "check_componentwise",
+    "RingMismatchError", "betti_table", "check_componentwise",
     "check_depth_formula", "check_reg_formula", "check_reg_formula_equigenerated",
     "check_reg_increasing", "component_ideal", "detect_bipartite_join", "edge_ideal",
     "fiber_product", "filtration", "finite_length_reg", "has_linear_resolution",
     "hilbert_function", "invariants_of", "is_componentwise_linear", "join_fiber_setup",
     "lcm_lattice", "maxideal_power", "parse_monomial", "parse_ring",
-    "reg_bound_linear_forms", "reg_of", "rstab_search", "star_derivative",
+    "reg_of", "star_derivative",
     "tensor_embed", "tensor_ring", "tor_dimensions", "tor_map", "tor_vanishing",
     "upper_koszul", "verify_betti_splitting", "verify_tor_vanishing_lemma",
 ]

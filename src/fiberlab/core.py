@@ -130,15 +130,13 @@ class Ring:
         return f"{self.name} = k[{', '.join(self.variables)}]"
 
 
-def tensor_ring(name: str, left: Ring, right: Ring, characteristic: int | None = None) -> Ring:
+def tensor_ring(name: str, left: Ring, right: Ring) -> Ring:
     """Concatenate two rings into their tensor product, keeping both block lists."""
-    if characteristic is None:
-        if left.characteristic != right.characteristic:
-            raise RingMismatchError(
-                f"cannot tensor rings of characteristic {left.characteristic} and "
-                f"{right.characteristic}"
-            )
-        characteristic = left.characteristic
+    if left.characteristic != right.characteristic:
+        raise RingMismatchError(
+            f"cannot tensor rings of characteristic {left.characteristic} and "
+            f"{right.characteristic}"
+        )
     clash = set(left.variables) & set(right.variables)
     if clash:
         raise GrammarError(f"tensor factors share variable names {sorted(clash)}")
@@ -148,7 +146,7 @@ def tensor_ring(name: str, left: Ring, right: Ring, characteristic: int | None =
     if len(set(bnames)) != len(bnames):
         dup = sorted({n for n in bnames if bnames.count(n) > 1})
         raise GrammarError(f"tensor factors share block names {dup}")
-    return Ring(name, left.variables + right.variables, blocks, characteristic)
+    return Ring(name, left.variables + right.variables, blocks, left.characteristic)
 
 
 def sort_key(exponents: Exponents) -> tuple[int, Exponents]:
@@ -200,10 +198,6 @@ class Monomial:
     def lcm(self, other: "Monomial") -> "Monomial":
         self._check_ring(other)
         return Monomial(self.ring, tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        self._check_ring(other)
-        return Monomial(self.ring, tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check_ring(other)

@@ -48,9 +48,7 @@ class FiberSetup:
     H: MonomialIdeal        # I + mm*nn
 
 
-def fiber_product(
-    left_ideal: MonomialIdeal, right_ideal: MonomialIdeal, name: str | None = None
-) -> FiberSetup:
+def fiber_product(left_ideal: MonomialIdeal, right_ideal: MonomialIdeal) -> FiberSetup:
     """Build the fiber product setup of two ideals over disjoint rings."""
     R, S = left_ideal.ring, right_ideal.ring
     if R.characteristic != S.characteristic:
@@ -61,7 +59,7 @@ def fiber_product(
                 f"ideal over {ring.name!r} must sit inside the square of the "
                 "maximal ideal (no generators of degree < 2)"
             )
-    T = tensor_ring(name or f"{R.name}x{S.name}", R, S)
+    T = tensor_ring(f"{R.name}x{S.name}", R, S)
     I = tensor_embed(left_ideal, T)
     J = tensor_embed(right_ideal, T)
     mm = maxideal_power(T, R.name, 1)

@@ -44,14 +44,9 @@ class Graph:
         return Graph(self.n, frozenset(comp))
 
 
-def edge_ideal(graph: Graph, characteristic: int = 0, ring: Ring | None = None) -> MonomialIdeal:
-    """The ideal generated by x_a * x_b over the edges of the graph."""
-    if ring is None:
-        ring = Ring(
-            "E",
-            tuple(f"x{i}" for i in range(1, graph.n + 1)),
-            characteristic=characteristic,
-        )
+def edge_ideal(graph: Graph) -> MonomialIdeal:
+    """The ideal generated by x_a * x_b over the edges of the graph, over Q."""
+    ring = Ring("E", tuple(f"x{i}" for i in range(1, graph.n + 1)))
     gens = []
     for a, b in sorted(graph.edges):
         vec = [0] * graph.n
@@ -103,7 +98,6 @@ def detect_bipartite_join(graph: Graph) -> tuple[tuple[int, ...], tuple[int, ...
 def join_fiber_setup(
     graph: Graph,
     partition: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-    characteristic: int = 0,
 ) -> FiberSetup:
     """Present the edge ideal of a join graph as a fiber product.
 
@@ -123,7 +117,7 @@ def join_fiber_setup(
         raise DomainError(f"partition is not a join: missing cross edges {missing[:3]}")
 
     def side_ideal(verts: tuple[int, ...], name: str) -> MonomialIdeal:
-        ring = Ring(name, tuple(f"x{v}" for v in verts), characteristic=characteristic)
+        ring = Ring(name, tuple(f"x{v}" for v in verts))
         pos = {v: i for i, v in enumerate(verts)}
         gens = []
         for a, b in sorted(graph.edges):

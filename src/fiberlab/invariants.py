@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .betti import BettiTable, betti_table
 from .config import DEFAULT_CAPS, Caps
-from .core import Monomial
 from .errors import DomainError
 from .hilbert import finite_length_reg
 from .ideals import MonomialIdeal, component_ideal
@@ -59,16 +58,13 @@ def invariants_of(
         raise DomainError("invariants are defined here only for proper nonzero ideals")
     if table is None:
         table = betti_table(ideal, characteristic, caps, threads)
-    coarse = table.coarse()
-    reg = max(j - i for i, j in coarse)
-    pdim = max(i for i, _ in coarse)
-    depth = ideal.ring.nvars - pdim
+    pdim = table.max_index()
     return Invariants(
         subject=ideal,
         characteristic=table.characteristic,
-        reg=reg,
+        reg=table.regularity(),
         pdim=pdim,
-        depth=depth,
+        depth=ideal.ring.nvars - pdim,
         t0=ideal.t0(),
         indeg=ideal.indeg(),
     )
@@ -114,40 +110,6 @@ def is_componentwise_linear(
     return True
 
 
-def reg_bound_linear_forms(
-    ideal: MonomialIdeal,
-    variables: tuple[str, ...],
-    characteristic: int | None = None,
-    caps: Caps = DEFAULT_CAPS,
-    threads: int | None = None,
-) -> int:
-    """Certified upper bound for reg via iterated variable splitting.
-
-    For pairwise distinct variables x_1..x_n the regularity of a monomial
-    ideal M is at most the maximum over subsets S of
-    ``reg((M + (S)) : prod of the rest) + n - |S|``.
-    """
-    ring = ideal.ring
-    idx = [ring.variable_index(v) for v in variables]
-    if len(set(idx)) != len(idx):
-        raise DomainError("variables must be pairwise distinct")
-    best = None
-    for mask in range(1 << len(idx)):
-        added = [idx[p] for p in range(len(idx)) if mask >> p & 1]
-        rest = [idx[p] for p in range(len(idx)) if not mask >> p & 1]
-        lin = MonomialIdeal.from_exponents(
-            ring,
-            [tuple(1 if t == i else 0 for t in range(ring.nvars)) for i in added],
-        ) if added else MonomialIdeal.zero(ring)
-        shifted = ideal + lin
-        prod = Monomial(ring, tuple(1 if t in rest else 0 for t in range(ring.nvars)))
-        term_ideal = shifted.colon(prod)
-        term = reg_of(term_ideal, characteristic, caps, threads) + len(rest)
-        best = term if best is None else max(best, term)
-    assert best is not None
-    return best
-
-
 def reg_maxideal_power_formula(
     ideal: MonomialIdeal,
     i: int,
@@ -171,54 +133,3 @@ def reg_maxideal_power_formula(
     base = reg_of(ideal, characteristic, caps, threads)
     formula = base if top is None else max(base, top + 1)
     return direct, formula
-
-
-@dataclass(frozen=True)
-class RstabReport:
-    """Power-regularity sequence with a candidate stabilization point.
-
-    ``candidate`` is the least exponent from which the computed sequence is
-    exactly linear through the sampled range.  It is a candidate only: no
-    claim is made beyond the sampled exponents.
-    """
-
-    subject: MonomialIdeal
-    regs: tuple[int, ...]  # reg A^s for s = 1..len(regs)
-    candidate: int
-    slope: int
-    intercept: int
-    certified: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "regs": list(self.regs),
-            "candidate": self.candidate,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "certified": self.certified,
-        }
-
-
-def rstab_search(
-    ideal: MonomialIdeal,
-    s_cap: int,
-    characteristic: int | None = None,
-    caps: Caps = DEFAULT_CAPS,
-    threads: int | None = None,
-) -> RstabReport:
-    """reg A^s for s = 1..s_cap plus the least s from which the tail is linear."""
-    if s_cap < 2:
-        raise DomainError("need s_cap >= 2 to talk about a linear tail")
-    regs = []
-    power = MonomialIdeal.unit(ideal.ring)
-    for _ in range(s_cap):
-        power = power * ideal
-        regs.append(reg_of(power, characteristic, caps, threads))
-    diffs = [regs[s + 1] - regs[s] for s in range(s_cap - 1)]
-    candidate = s_cap - 1
-    for m in range(s_cap - 1, 0, -1):
-        if all(d == diffs[-1] for d in diffs[m - 1 :]):
-            candidate = m
-    slope = diffs[candidate - 1]
-    intercept = regs[candidate - 1] - slope * candidate
-    return RstabReport(ideal, tuple(regs), candidate, slope, intercept)

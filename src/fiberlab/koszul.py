@@ -153,13 +153,12 @@ class GradedTor:
 
 
 def _strands(what: str, small: MonomialIdeal, big: MonomialIdeal, characteristic: int | None,
-             degree_cap: int | None, caps: Caps):
+             caps: Caps):
     """Check the input of a Tor computation; return its field and its strands.
 
     ``big`` is ``small`` itself for the Tor of one ideal, else an ideal that
     must contain ``small``.  The strands come as (j, of small, of big) for
-    each degree j up to the cap.  Tor vanishes above the top lattice degree,
-    so a cap below it is a CapError rather than a truncated answer.
+    each degree j up to the top lattice degree, above which Tor vanishes.
     """
     if small.is_zero():
         raise DomainError(f"{what} the zero ideal")
@@ -167,14 +166,10 @@ def _strands(what: str, small: MonomialIdeal, big: MonomialIdeal, characteristic
         raise DomainError("tor_map requires an inclusion of ideals")
     char = resolve_characteristic(small.ring, characteristic)
     top = max(max_lattice_degree(small), max_lattice_degree(big))
-    cap = top if degree_cap is None else degree_cap
-    if cap < top:
-        raise CapError(f"degree_cap={cap} is below the top lattice degree {top} "
-                       "(a library argument, not a FIBERLAB_CAPS cap)")
     members: tuple[dict, dict] = ({}, {})
 
     def strands():
-        for j in range(min(small.indeg(), big.indeg()), cap + 1):
+        for j in range(min(small.indeg(), big.indeg()), top + 1):
             s_small = _StrandComplex(small, j, caps, members[0])
             yield j, s_small, s_small if big is small else _StrandComplex(big, j, caps, members[1])
 
@@ -184,11 +179,10 @@ def _strands(what: str, small: MonomialIdeal, big: MonomialIdeal, characteristic
 def tor_dimensions(
     ideal: MonomialIdeal,
     characteristic: int | None = None,
-    degree_cap: int | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> GradedTor:
-    """Graded Tor_i(k, ideal)_j for all i and all j up to the degree cap."""
-    char, strands = _strands("Tor of", ideal, ideal, characteristic, degree_cap, caps)
+    """Graded Tor_i(k, ideal)_j for all i and j."""
+    char, strands = _strands("Tor of", ideal, ideal, characteristic, caps)
     entries = [(i, j, dim) for j, strand, _ in strands
                for i, _, dim in strand.homology(char) if dim]
     return GradedTor(ideal, char, tuple(sorted(entries)))
@@ -214,7 +208,6 @@ def tor_map(
     small: MonomialIdeal,
     big: MonomialIdeal,
     characteristic: int | None = None,
-    degree_cap: int | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> dict[tuple[int, int], list[list]]:
     """Induced maps Tor_i(k, small)_j -> Tor_i(k, big)_j for an inclusion.
@@ -223,7 +216,7 @@ def tor_map(
     rows are indexed by the target's representatives, columns by the
     source's.  Entries live in GF(p) (ints) or Q (Fractions).
     """
-    char, strands = _strands("Tor map from", small, big, characteristic, degree_cap, caps)
+    char, strands = _strands("Tor map from", small, big, characteristic, caps)
     field = field_for(char)
     out: dict[tuple[int, int], list[list]] = {}
     for j, s_small, s_big in strands:
@@ -255,7 +248,6 @@ def tor_vanishing(
     small: MonomialIdeal,
     big: MonomialIdeal,
     characteristic: int | None = None,
-    degree_cap: int | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> tuple[bool, tuple[int, int] | None]:
     """True iff every induced Tor map of the inclusion is zero.
@@ -267,7 +259,7 @@ def tor_vanishing(
     that intersection has dimension rank D - rank PD, where D is big's
     boundary into position i and P deletes the rows of small's basis.
     """
-    char, strands = _strands("Tor map from", small, big, characteristic, degree_cap, caps)
+    char, strands = _strands("Tor map from", small, big, characteristic, caps)
     witness = None
     for j, s_small, s_big in strands:
         for i, cycles, dim in s_small.homology(char):

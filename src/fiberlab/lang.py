@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import Monomial, Ring, Token, TokenStream, parse_monomial, tensor_ring, tokenize
-from .errors import GrammarError, RingMismatchError
+from .errors import DomainError, GrammarError, RingMismatchError
 from .fiber import fiber_product
 from .ideals import MonomialIdeal, component_ideal, maxideal_power, star_derivative, tensor_embed
 
@@ -275,7 +275,7 @@ class _Parser(TokenStream):
         for ring in self.env.rings.values():
             try:
                 lifted = (lift(left, ring), lift(right, ring))
-            except Exception:
+            except DomainError:  # not a block of this ring
                 continue
             candidates.append(lifted)
         if len(candidates) == 1:

@@ -12,7 +12,12 @@ Three layers, each exact:
   normalization; computes ranks over Q without ever rounding, one matrix
   at a time.  It takes its rows from ``rank_input``, which both Betti
   engines feed with (row, col, sign) triplets; the Koszul engine's dense
-  GF(p) matrices come from there too.
+  GF(p) matrices come from there too.  A dense matrix may have at most
+  ``DENSE_CELL_LIMIT`` (2^26) cells, 512 MiB per int64 copy, and
+  ``rank_mod_p`` makes one working copy.  ``rank_input`` raises
+  ``CapError`` before it allocates a larger one.  The limit is fixed, not a
+  ``FIBERLAB_CAPS`` cap: it keeps a Koszul strand inside memory, which no
+  cap on the basis size does.
 * a small dense toolkit generic over a ``Field`` (GF(p) or Fraction) for
   actual bases and coordinates: the induced matrices of ``koszul.tor_map``.
 """
@@ -24,6 +29,9 @@ from math import gcd
 
 import numpy as np
 
+from .errors import CapError
+
+DENSE_CELL_LIMIT = 1 << 26
 
 # -- dense rank over GF(p) -------------------------------------------------
 
@@ -144,7 +152,8 @@ def rank_input(
     """The matrix with (row, col, value) entries ``triplets``, ready for a rank.
 
     Over Q (characteristic 0) these are the {column: value} rows that
-    ``rank_exact`` takes; over GF(p) the dense int64 array of ``rank_mod_p``.
+    ``rank_exact`` takes; over GF(p) the dense int64 array of ``rank_mod_p``,
+    or a CapError when it would pass ``DENSE_CELL_LIMIT`` cells.
     """
     nrows, ncols = shape
     if characteristic == 0:
@@ -152,6 +161,12 @@ def rank_input(
         for r, c, v in triplets:
             rows[r][c] = v
         return rows
+    if nrows * ncols > DENSE_CELL_LIMIT:
+        raise CapError(
+            f"a dense GF(p) matrix of shape ({nrows}, {ncols}) reached {nrows * ncols} cells, "
+            f"over the fixed limit of {DENSE_CELL_LIMIT} (not a FIBERLAB_CAPS cap; "
+            "it cannot be raised)"
+        )
     mat = np.zeros((nrows, ncols), dtype=np.int64)
     for r, c, v in triplets:
         mat[r, c] = v

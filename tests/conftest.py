@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -35,8 +36,8 @@ def appendix_ring():
 # -- the CLI as a subprocess ------------------------------------------------
 
 
-def run_fiberlab(*argv: str, env: dict[str, str] | None = None,
-                 text: bool = True) -> subprocess.CompletedProcess:
+def run_fiberlab(*argv: str, env: dict[str, str] | None = None, text: bool = True,
+                 address_space_kib: int | None = None) -> subprocess.CompletedProcess:
     """Run ``python -m fiberlab.cli *argv`` and capture its output.
 
     The child inherits this process's environment, so ``PYTHONPATH`` and the
@@ -44,12 +45,19 @@ def run_fiberlab(*argv: str, env: dict[str, str] | None = None,
     caller; only the ``env`` overrides given here are applied on top.  A
     child that cannot import ``fiberlab`` fails the test with that cause
     rather than with its exit code, which would read as a verdict.
+    ``address_space_kib`` sets RLIMIT_AS in the child only.
     """
     child_env = {k: v for k, v in os.environ.items() if not k.startswith("FIBERLAB_")}
     child_env.update(env or {})
+
+    def limit():
+        limit_bytes = address_space_kib * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
     result = subprocess.run(
         [sys.executable, "-m", "fiberlab.cli", *argv],
         capture_output=True, text=text, timeout=600, env=child_env,
+        preexec_fn=None if address_space_kib is None else limit,
     )
     stderr = result.stderr if text else result.stderr.decode(errors="replace")
     if "No module named 'fiberlab'" in stderr:

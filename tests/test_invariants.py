@@ -1,4 +1,4 @@
-"""Regularity, depth, linearity, and power-stabilization searches."""
+"""Regularity, depth, linearity, and the regularity of powers."""
 
 import random
 
@@ -12,9 +12,7 @@ from fiberlab import (
     invariants_of,
     is_componentwise_linear,
     maxideal_power,
-    reg_bound_linear_forms,
     reg_of,
-    rstab_search,
 )
 from fiberlab.invariants import reg_maxideal_power_formula
 from fiberlab.scenarios import appendix_ideals, remark_55_setup
@@ -63,6 +61,7 @@ def test_linear_resolution_examples(ring_xy):
         assert has_linear_resolution(maxideal_power(ring_xy, None, s), 0, threads=1)
     assert not has_linear_resolution(ideal_of(ring_xy, "x^2", "y^2"), 0, threads=1)
     assert reg_of(ideal_of(ring_xy, "x^2", "y^2"), 0, threads=1) == 3
+    assert reg_of(ideal_of(ring_xy, "x^2", "x*y"), 0, threads=1) == 2
 
 
 def test_componentwise_linear_examples(ring_xy):
@@ -120,41 +119,12 @@ def test_reg_maxideal_power_formula_matches():
         assert direct == formula
 
 
-def test_reg_bound_examples(ring_xy):
-    ideal = ideal_of(ring_xy, "x^2", "x*y")
-    bound = reg_bound_linear_forms(ideal, ("x",), 0, threads=1)
-    assert bound == 2 == reg_of(ideal, 0, threads=1)
-    rng = random.Random(61)
-    ring = Ring("R", ("x", "y", "z"))
-    for _ in range(6):
-        cand = random_ideal(rng, ring, max_gens=4, max_deg=3)
-        if not cand.is_proper():
-            continue
-        b = reg_bound_linear_forms(cand, ("x", "y"), 0, threads=1)
-        assert b >= reg_of(cand, 0, threads=1)
+def test_maximal_ideal_square_power_regularity(ring_xy):
+    square = maxideal_power(ring_xy, None, 2)
+    assert [reg_of(square ** s, 0, threads=1) for s in (1, 2, 3, 4)] == [2, 4, 6, 8]
 
 
-def test_reg_bound_appendix_slice():
+def test_appendix_ideal_power_regularity():
     env = appendix_ideals(32003)
-    I3 = env["I"] ** 3
-    bound = reg_bound_linear_forms(I3, ("x", "y", "z"), 32003, threads=1)
-    assert bound == 9
-
-
-def test_rstab_maximal_ideal_square(ring_xy):
-    report = rstab_search(maxideal_power(ring_xy, None, 2), 4, 0, threads=1)
-    assert report.regs == (2, 4, 6, 8)
-    assert report.candidate == 1 and report.slope == 2 and report.intercept == 0
-    assert not report.certified
-
-
-def test_rstab_appendix_ideal():
-    env = appendix_ideals(32003)
-    report = rstab_search(env["I"], 4, 32003, threads=2)
-    assert report.regs == (5, 8, 9, 11)
-    assert report.candidate == 3 and report.slope == 2
-
-
-def test_rstab_needs_two_points(ring_xy):
-    with pytest.raises(DomainError):
-        rstab_search(maxideal_power(ring_xy, None, 2), 1, 0)
+    regs = [reg_of(env["I"] ** s, 32003, threads=2) for s in (1, 2, 3, 4)]
+    assert regs == [5, 8, 9, 11]

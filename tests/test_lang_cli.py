@@ -12,12 +12,14 @@ from fiberlab import (
     CapError,
     Caps,
     GrammarError,
+    RingMismatchError,
     betti_table,
     cli,
     component_ideal,
     finite_length_reg,
     hilbert_function,
     koszul,
+    lang,
     tor_dimensions,
 )
 from fiberlab.lang import eval_expression, load_definitions
@@ -60,6 +62,19 @@ def test_tensor_and_fiber_expressions():
     assert eval_expression(env, "F & maxideal(A) * maxideal(B)") == eval_expression(
         env, "maxideal(A) * maxideal(B)"
     )
+
+
+def test_lifting_passes_on_errors_other_than_a_missing_block(monkeypatch):
+    env = load_definitions(PAIR + "tensor T = A (*) B;\n")
+    with pytest.raises(RingMismatchError):  # no declared ring has both as blocks
+        eval_expression(load_definitions(PAIR), "I + J")
+
+    def broken(ideal, target):
+        raise RuntimeError("a bug in tensor_embed")
+
+    monkeypatch.setattr(lang, "tensor_embed", broken)
+    with pytest.raises(RuntimeError, match="a bug in tensor_embed"):
+        eval_expression(env, "I + J")
 
 
 def test_bare_variables_are_principal_ideals():
@@ -209,6 +224,19 @@ def test_cli_cap_error_exit_code(pair_file):
     assert "lcm lattice reached 3 points" in out.stderr  # x^2, x*y and x^2*y
     assert "over cap lattice=1" in out.stderr
     assert "FIBERLAB_CAPS=lattice=<value>" in out.stderr
+
+
+def test_cli_dense_koszul_matrix_over_the_limit_is_a_cap_error(tmp_path):
+    # I^2 -> m*I of the appendix ideal needs a GF(p) strand matrix of over
+    # 10^8 cells: a cap error, not a MemoryError, under a 3 GB address space
+    path = tmp_path / "tv.fl"
+    path.write_text(APPENDIX + "S = I^2;\nB = maxideal(R) * I;\n")
+    out = run_fiberlab("--char", "32003", "torvanish", str(path), "S", "B",
+                       address_space_kib=3_000_000)
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert "dense GF(p) matrix of shape" in out.stderr
+    assert "not a FIBERLAB_CAPS cap" in out.stderr
 
 
 @pytest.mark.parametrize("call, cap", [

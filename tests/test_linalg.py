@@ -6,11 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fiberlab import DomainError, Ring
+from fiberlab import CapError, DomainError, Ring
 
 from conftest import rank_mod_p_oracle
 
 from fiberlab.linalg import (
+    DENSE_CELL_LIMIT,
     QQ,
     GFp,
     coordinates_in_span,
@@ -67,6 +68,20 @@ def test_ranks_match_oracle_random():
         assert rank_exact(sparse) == want
         # a large prime cannot collide with minors this small
         assert rank_mod_p(mat, 32003) == want
+
+
+def test_dense_rank_input_over_the_cell_limit_raises_before_allocating(monkeypatch):
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(np, "zeros", allocate)
+    with pytest.raises(AssertionError, match="allocated"):  # at the limit: allocates
+        rank_input([], (DENSE_CELL_LIMIT // 4096, 4096), 32003)
+    with pytest.raises(CapError) as raised:
+        rank_input([], (DENSE_CELL_LIMIT // 4096 + 1, 4096), 32003)
+    message = str(raised.value)
+    assert "shape (16385, 4096)" in message
+    assert "not a FIBERLAB_CAPS cap" in message
 
 
 def test_largest_allowed_prime_ranks_exactly():

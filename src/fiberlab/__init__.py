@@ -13,11 +13,11 @@ from .errors import (
 from .ideals import (
     MonomialIdeal,
     component_ideal,
+    finite_length_reg,
     maxideal_power,
     star_derivative,
     tensor_embed,
 )
-from .hilbert import finite_length_reg, hilbert_function
 from .betti import BettiTable, LcmLattice, betti_table, lcm_lattice, upper_koszul
 from .koszul import GradedTor, tor_dimensions, tor_map, tor_vanishing
 from .invariants import (
@@ -53,7 +53,7 @@ __all__ = [
     "check_depth_formula", "check_reg_formula", "check_reg_formula_equigenerated",
     "check_reg_increasing", "component_ideal", "detect_bipartite_join", "edge_ideal",
     "fiber_product", "filtration", "finite_length_reg", "has_linear_resolution",
-    "hilbert_function", "invariants_of", "is_componentwise_linear", "join_fiber_setup",
+    "invariants_of", "is_componentwise_linear", "join_fiber_setup",
     "lcm_lattice", "maxideal_power", "parse_monomial", "parse_ring",
     "reg_of", "star_derivative",
     "tensor_embed", "tensor_ring", "tor_dimensions", "tor_map", "tor_vanishing",

@@ -196,13 +196,13 @@ def _run(args, caps: Caps) -> int:
     threads = args.threads
 
     if args.verb == "eval":
-        env = load_file(args.file, char)
+        env = load_file(args.file, char, caps)
         value = eval_expression(env, args.expression)
         _emit(args, str(value))
         return EXIT_OK
 
     if args.verb in ("betti", "invariants", "tor"):
-        env = load_file(args.file, char)
+        env = load_file(args.file, char, caps)
         ideal = _resolve(env, args.name, args.file)
         if args.verb == "betti":
             table = betti_table(ideal, char, caps, threads)
@@ -228,7 +228,7 @@ def _run(args, caps: Caps) -> int:
         return EXIT_OK
 
     if args.verb == "torvanish":
-        env = load_file(args.file, char)
+        env = load_file(args.file, char, caps)
         small = _resolve(env, args.small, args.file)
         big = _resolve(env, args.big, args.file)
         ok, witness = tor_vanishing(small, big, char, caps=caps)
@@ -258,13 +258,13 @@ def _run_verify(args, caps, char, threads) -> int:
     if claim == "lemma-4.1":
         if not args.input or not args.left:
             raise GrammarError("lemma-4.1 needs --input and --I")
-        env = load_file(args.input, char)
+        env = load_file(args.input, char, caps)
         ideal = _resolve(env, args.left, args.input)
         rep = verify_tor_vanishing_lemma(ideal, args.s, args.mode, char, caps)
         return _emit_reports(args, [rep])
     if not args.input or not args.left or not args.right:
         raise GrammarError(f"claim {claim!r} needs --input, --I, and --J")
-    env = load_file(args.input, char)
+    env = load_file(args.input, char, caps)
     left = _resolve(env, args.left, args.input)
     right = _resolve(env, args.right, args.input)
     from .ideals import project_to_block

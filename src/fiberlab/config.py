@@ -1,8 +1,11 @@
 """Resource caps and global defaults.
 
 Caps are hard limits: exceeding one raises CapError instead of degrading
-the answer.  Library calls take them as a ``caps=`` argument and default
-to ``DEFAULT_CAPS``.  The command line reads overrides from the
+the answer.  There are three, one per computation that can grow without
+bound on small input: the lcm-lattice closure, a Koszul strand and a
+degree-d component ideal.  Library calls take them as a ``caps=`` argument
+(a definition file's ``component(A, d)`` reads ``Environment.caps``) and
+default to ``DEFAULT_CAPS``.  The command line reads overrides from the
 FIBERLAB_CAPS environment variable (comma-separated ``name=value`` pairs,
 e.g. ``FIBERLAB_CAPS=lattice=4000000,koszul_basis=500000``) once per run
 and passes them down; importing this package reads no environment.
@@ -18,10 +21,9 @@ DEFAULT_PRIME = 32003
 
 @dataclass(frozen=True)
 class Caps:
-    lattice: int = 2_000_000        # lcm-lattice point count
+    lattice: int = 2_000_000        # lcm-lattice point count of betti_table
     koszul_basis: int = 200_000     # Koszul strand basis size per (i, j)
-    component_degree: int = 64      # component_ideal degree
-    hilbert_degree: int = 512       # hilbert_function degree
+    component_degree: int = 64      # d of component_ideal(A, d) and component(A, d)
 
 
 DEFAULT_CAPS = Caps()

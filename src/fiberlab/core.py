@@ -117,12 +117,6 @@ class Ring:
     def block_names(self) -> tuple[str, ...]:
         return tuple(b.name for b in self.blocks)
 
-    def variable_index(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise GrammarError(f"unknown variable {name!r} in ring {self.name!r}") from None
-
     def zero_exponents(self) -> Exponents:
         return (0,) * self.nvars
 

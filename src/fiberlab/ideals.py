@@ -301,6 +301,38 @@ def component_ideal(ideal: MonomialIdeal, d: int, caps: Caps = DEFAULT_CAPS) -> 
     return MonomialIdeal.from_exponents(ring, out)
 
 
+def finite_length_reg(big: MonomialIdeal, small: MonomialIdeal) -> int | None:
+    """Top degree where the quotient big/small is nonzero.
+
+    Requires small to be contained in big with a finite-length quotient;
+    the quotient's regularity is then its top nonzero degree.  Returns
+    ``None`` for the empty quotient (equal ideals).  With m the ideal of
+    all the variables, both steps are exact ideal arithmetic:
+
+    - big/small has finite length iff big lies in small : m^oo, the
+      intersection over the variables x_v of small : x_v^oo; that colon is
+      small with the x_v-exponent of every generator set to 0.
+    - A monomial u of big outside small of top degree has every x_v * u in
+      small, so u lies in big & (small : m), and it is a minimal generator
+      there: u = g * x_v * w with g in small : m would put u in small.  The
+      top degree is the largest degree of such a generator outside small.
+    """
+    big._check_ring(small)
+    if not big.contains(small):
+        raise DomainError("second ideal is not contained in the first")
+    if big == small:
+        return None
+    if small.is_zero():
+        raise DomainError("quotient by the zero ideal has infinite length")
+    for v in range(small.ring.nvars):
+        saturated = small.array()
+        saturated[:, v] = 0
+        if not MonomialIdeal.from_exponents(small.ring, saturated).contains(big):
+            raise DomainError("quotient is not of finite length")
+    socle = big & small.colon(maxideal_power(small.ring, None, 1))
+    return max(sum(g) for g in socle.gens if not small.member(g))
+
+
 def tensor_embed(ideal: MonomialIdeal, target: Ring) -> MonomialIdeal:
     """Re-index an ideal over a factor ring into a tensor ring containing it as a block."""
     src = ideal.ring

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from .betti import BettiTable, betti_table
 from .config import DEFAULT_CAPS, Caps
 from .errors import DomainError
-from .hilbert import finite_length_reg
-from .ideals import MonomialIdeal, component_ideal
+from .ideals import MonomialIdeal, component_ideal, finite_length_reg, maxideal_power
 
 
 @dataclass(frozen=True)
@@ -122,14 +121,12 @@ def reg_maxideal_power_formula(
     The two agree whenever A has positive depth, which holds for every
     nonzero ideal of a polynomial ring.
     """
-    from .ideals import maxideal_power
-
     if i < 1:
         raise DomainError("power must be at least 1")
     mm = maxideal_power(ideal.ring, None, i)
     shifted = mm * ideal
     direct = reg_of(shifted, characteristic, caps, threads)
-    top = finite_length_reg(ideal, shifted, caps)
+    top = finite_length_reg(ideal, shifted)
     base = reg_of(ideal, characteristic, caps, threads)
     formula = base if top is None else max(base, top + 1)
     return direct, formula

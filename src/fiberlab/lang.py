@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .config import DEFAULT_CAPS, Caps
 from .core import Monomial, Ring, Token, TokenStream, parse_monomial, tensor_ring, tokenize
 from .errors import DomainError, GrammarError, RingMismatchError
 from .fiber import fiber_product
@@ -37,11 +38,13 @@ def _tokenize(text: str) -> list[Token]:
 
 @dataclass
 class Environment:
-    """Named rings and ideals built up by a definition file."""
+    """Named rings and ideals built up by a definition file, and the caps
+    that its ``component(A, d)`` calls obey."""
 
     rings: dict[str, Ring] = field(default_factory=dict)
     ideals: dict[str, MonomialIdeal] = field(default_factory=dict)
     characteristic: int = 0
+    caps: Caps = DEFAULT_CAPS
 
     def ring(self, name: str) -> Ring:
         if name not in self.rings:
@@ -192,7 +195,7 @@ class _Parser(TokenStream):
             if deg.kind != "int":
                 raise GrammarError("expected an integer degree", position=deg.pos)
             self.expect(")")
-            return component_ideal(arg, int(deg.text))
+            return component_ideal(arg, int(deg.text), self.env.caps)
         if tok.text in self.env.ideals:
             return self.env.ideals[tok.text]
         # bare variable of a unique ring: a principal ideal
@@ -291,16 +294,17 @@ class _Parser(TokenStream):
         )
 
 
-def load_definitions(text: str, characteristic: int = 0) -> Environment:
-    env = Environment(characteristic=characteristic)
+def load_definitions(text: str, characteristic: int = 0,
+                     caps: Caps = DEFAULT_CAPS) -> Environment:
+    env = Environment(characteristic=characteristic, caps=caps)
     parser = _Parser(_tokenize(text), env)
     parser.statements()
     return env
 
 
-def load_file(path: str, characteristic: int = 0) -> Environment:
+def load_file(path: str, characteristic: int = 0, caps: Caps = DEFAULT_CAPS) -> Environment:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_definitions(fh.read(), characteristic)
+        return load_definitions(fh.read(), characteristic, caps)
 
 
 def eval_expression(env: Environment, text: str) -> MonomialIdeal:

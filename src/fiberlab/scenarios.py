@@ -409,7 +409,11 @@ def scenario_lemma_54(characteristic: int | None = None, caps: Caps = DEFAULT_CA
 
 def scenario_thm_36(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
                     threads: int | None = None) -> list[Report]:
-    """F = H + J is a Betti splitting, with H & J = mJ and reg/lind transfer."""
+    """Theorem 3.6 on three fiber products F = H + J.
+
+    Each setup checks H & J = mJ, that F = H + J is a Betti splitting,
+    reg F = max(reg I, reg J), and componentwise linearity at s = 1.
+    """
     char = 0 if characteristic is None else characteristic
     reports = []
     pairs = []

@@ -1,51 +1,11 @@
-"""Hilbert functions and finite-length quotient regularity."""
-
-import random
+"""Finite-length quotient regularity: the top degree where big/small is nonzero."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fiberlab import DomainError, MonomialIdeal, Ring, finite_length_reg, maxideal_power
-from fiberlab.hilbert import hilbert_function, hilbert_inclusion_exclusion
 
-from conftest import count_in_ideal_bruteforce, ideal_of, random_ideal
-
-
-def test_examples(ring_xy, ring_xyz):
-    squares = ideal_of(ring_xy, "x^2", "y^2")
-    assert hilbert_function(squares, 2) == 2
-    assert hilbert_function(squares, 3) == 4
-    assert hilbert_function(maxideal_power(ring_xyz, None, 1), 5) == 21
-    assert hilbert_function(MonomialIdeal.zero(ring_xy), 3) == 0
-    assert hilbert_function(MonomialIdeal.unit(ring_xy), 3) == 4
-
-
-def test_three_paths_agree():
-    rng = random.Random(41)
-    for nvars in (2, 3, 4, 5):
-        ring = Ring("R", tuple(f"x{i}" for i in range(nvars)))
-        for _ in range(8):
-            ideal = random_ideal(rng, ring, max_gens=6, max_deg=4)
-            for d in (0, 1, 3, 5, 8, 12):
-                a = hilbert_function(ideal, d)
-                b = hilbert_inclusion_exclusion(ideal, d)
-                assert a == b == count_in_ideal_bruteforce(ideal, d)
-
-
-def test_splitting_path_handles_many_generators():
-    ring = Ring("R", ("a", "b", "c", "d"))
-    big = maxideal_power(ring, None, 2) * ideal_of(ring, "a^2", "b^2", "c^2", "d^2")
-    for d in (4, 5, 6, 9):
-        assert hilbert_function(big, d) == count_in_ideal_bruteforce(big, d)
-
-
-def test_modularity_identity(ring_xy):
-    rng = random.Random(5)
-    for _ in range(10):
-        a = random_ideal(rng, ring_xy, max_gens=4, max_deg=4)
-        b = random_ideal(rng, ring_xy, max_gens=4, max_deg=4)
-        for d in range(8):
-            lhs = hilbert_function(a + b, d) + hilbert_function(a & b, d)
-            assert lhs == hilbert_function(a, d) + hilbert_function(b, d)
+from conftest import count_in_ideal_bruteforce, ideal_of
 
 
 def test_finite_length_reg_examples(ring_xy):
@@ -80,3 +40,44 @@ def test_finite_length_reg_rejects_infinite(ring_xy):
         finite_length_reg(big, small)
     with pytest.raises(DomainError):
         finite_length_reg(small, big)  # not contained
+
+
+def _count_gaps(big: MonomialIdeal, small: MonomialIdeal, top: int) -> list[int]:
+    """Degrees up to ``top`` where big has more monomials than small."""
+    return [d for d in range(top + 1)
+            if count_in_ideal_bruteforce(big, d) != count_in_ideal_bruteforce(small, d)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(Ring("R", tuple("xyzw"[:n]))),
+    st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(any), min_size=1, max_size=4),
+    st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=4),
+    st.integers(1, 3),
+)))
+# big & m^2 = (x^2, x*y, y^3) for big = (x, y^3): y^3 is a minimal generator of
+# big & (small : m) that lies in small, so it must not count as the top degree
+@example((Ring("R", ("x", "y")), [(1, 0), (0, 3)], [(0, 1)], 2))
+def test_finite_length_reg_matches_bruteforce_counts(case):
+    ring, big_gens, other_gens, k = case
+    big = MonomialIdeal.from_exponents(ring, big_gens)
+    mk = maxideal_power(ring, None, k)
+    past = big.t0() + k  # big/(m^k big) and big/(big & m^k) vanish from here on
+    # finite length; big & m^k is big itself when big starts in degree k or later
+    for small in (mk * big, big & mk):
+        gaps = _count_gaps(big, small, past)
+        assert past not in gaps
+        assert finite_length_reg(big, small) == (gaps[-1] if gaps else None)
+    # infinite length: x is a nonzerodivisor modulo an ideal that avoids it,
+    # so big/(big & beside) is nonzero in every degree from t0(big) on
+    beside = MonomialIdeal.from_exponents(ring, [(0,) + g[1:] for g in other_gens])
+    small = big & beside
+    if small == big:
+        assert finite_length_reg(big, small) is None
+    else:
+        assert count_in_ideal_bruteforce(big, past) > count_in_ideal_bruteforce(small, past)
+        with pytest.raises(DomainError, match="not of finite length"):
+            finite_length_reg(big, small)
+    # not contained: m^k big is strictly smaller than big
+    with pytest.raises(DomainError, match="not contained"):
+        finite_length_reg(mk * big, big)

@@ -16,8 +16,6 @@ from fiberlab import (
     betti_table,
     cli,
     component_ideal,
-    finite_length_reg,
-    hilbert_function,
     koszul,
     lang,
     tor_dimensions,
@@ -226,6 +224,16 @@ def test_cli_cap_error_exit_code(pair_file):
     assert "FIBERLAB_CAPS=lattice=<value>" in out.stderr
 
 
+def test_cli_caps_reach_component_in_definition_files(pair_file):
+    # the run's FIBERLAB_CAPS bound component(A, d), not the default caps
+    out = run_cli("eval", pair_file, "component(I, 5)", FIBERLAB_CAPS="component_degree=3")
+    assert out.returncode == 3
+    assert "component degree 5 was asked for, over cap component_degree=3" in out.stderr
+    out = run_cli("eval", pair_file, "component(I, 70)", FIBERLAB_CAPS="component_degree=100")
+    assert out.returncode == 0
+    assert out.stdout.startswith("x^70, x^69*y, ")
+
+
 def test_cli_dense_koszul_matrix_over_the_limit_is_a_cap_error(tmp_path):
     # I^2 -> m*I of the appendix ideal needs a GF(p) strand matrix of over
     # 10^8 cells: a cap error, not a MemoryError, under a 3 GB address space
@@ -241,12 +249,9 @@ def test_cli_dense_koszul_matrix_over_the_limit_is_a_cap_error(tmp_path):
 
 @pytest.mark.parametrize("call, cap", [
     (lambda env, caps: component_ideal(env.ideal("I"), 3, caps), "component_degree"),
-    (lambda env, caps: hilbert_function(env.ideal("I"), 3, caps), "hilbert_degree"),
-    (lambda env, caps: finite_length_reg(env.ideal("I"), env.ideal("I") ** 3, caps),
-     "hilbert_degree"),
     (lambda env, caps: tor_dimensions(env.ideal("I"), 0, caps=caps), "koszul_basis"),
     (lambda env, caps: betti_table(env.ideal("I") ** 2, 0, caps, threads=1), "lattice"),
-], ids=["component", "hilbert", "finite-length", "koszul", "lattice"])
+], ids=["component", "koszul", "lattice"])
 def test_cap_errors_name_cap_value_and_override(call, cap):
     env = load_definitions(PAIR)
     with pytest.raises(CapError) as raised:
@@ -310,10 +315,12 @@ def test_cli_reader_closing_stdout_ends_output_only(defs_file, tmp_path, argv, r
 
 @pytest.mark.parametrize("argv, env, named", [
     (("betti",), {"FIBERLAB_CAPS": "bogus=1"}, "bogus"),
+    (("betti",), {"FIBERLAB_CAPS": "hilbert_degree=512"}, "hilbert_degree"),
     (("betti",), {"FIBERLAB_CAPS": "lattice=abc"}, "lattice"),
     (("betti",), {"FIBERLAB_CAPS": "lattice=-5"}, "lattice"),
     (("--threads", "0", "betti"), {}, "--threads"),
-], ids=["caps-unknown-name", "caps-non-integer", "caps-not-positive", "threads-zero"])
+], ids=["caps-unknown-name", "caps-removed-name", "caps-non-integer", "caps-not-positive",
+        "threads-zero"])
 def test_cli_malformed_setting_is_usage_error(pair_file, argv, env, named):
     out = run_cli(*argv, pair_file, "I", **env)
     assert out.returncode == 2

@@ -32,8 +32,9 @@ stack and one ``rank_mod_p`` call; over Q each goes to ``rank_exact``.  A
 fixed cell budget splits the face arrays and the stacks.
 
 Boundary ranks are computed only for complexes that are not cones (a
-vertex in no minimal tight set lies in every facet).  The closure itself
-runs on exponent vectors packed into int64 words, deduplicated by sorting.
+vertex in no minimal tight set lies in every facet).  The closure and the
+bulk prune run on the packed exponent rows of ``ideals`` (int64 words,
+deduplicated by sorting; ``_divisible`` for the prune).
 
 When the generating set is, after exact verification, a product of
 generating sets over disjoint variable blocks, the table is assembled as
@@ -53,10 +54,9 @@ import numpy as np
 from .config import DEFAULT_CAPS, Caps, default_threads
 from .core import Exponents, Monomial, resolve_characteristic
 from .errors import CapError, DomainError
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, _divisible, _Packing, _row_keys, _sorted_unique, _unique_rows
 from .linalg import rank_mod_p, rank_exact
 
-_INT = np.int32
 # surviving points from which the walk uses the process pool: on 2 cores the
 # pool won from about 250 survivors up, and no claim-check walk has 300
 _PARALLEL_MIN_POINTS = 1_000
@@ -69,86 +69,6 @@ _PARALLEL_MIN_POINTS = 1_000
 class LcmLattice:
     ideal: MonomialIdeal
     points: tuple[Exponents, ...]
-
-
-class _Packing:
-    """Exponent vectors packed into int64 words, one bit field per variable.
-
-    Every field has a spare guard bit above it, so a single subtraction
-    compares all fields of a word at once without borrows crossing fields:
-    in ``(a | guard) - b`` a field keeps its guard bit iff a_v >= b_v.  Joins
-    and divisibility tests then cost a few word operations per pair.
-    """
-
-    def __init__(self, maxexp: np.ndarray):
-        self.ncols = len(maxexp)
-        self.fields = []  # (column, word, shift, width) of every column that is not 0
-        word = used = 0
-        for col, e in enumerate(maxexp):
-            w = int(e).bit_length()
-            if w:
-                if used + w + 1 > 63:
-                    word, used = word + 1, 0
-                self.fields.append((col, word, used, w))
-                used += w + 1
-        self.nwords = word + 1
-        self.guard = np.zeros(self.nwords, dtype=np.int64)
-        by_width: dict[int, np.ndarray] = {}
-        for _, word, shift, w in self.fields:
-            self.guard[word] |= 1 << (shift + w)
-            by_width.setdefault(w, np.zeros(self.nwords, dtype=np.int64))[word] |= 1 << (shift + w)
-        self.by_width = sorted(by_width.items())
-
-    def pack(self, arr: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(arr), self.nwords), dtype=np.int64)
-        for col, word, shift, _ in self.fields:
-            out[:, word] |= arr[:, col].astype(np.int64) << shift
-        return out
-
-    def unpack(self, words: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(words), self.ncols), dtype=_INT)
-        for col, word, shift, w in self.fields:
-            out[:, col] = (words[:, word] >> shift) & ((1 << w) - 1)
-        return out
-
-    def geq(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Guard bits of the fields where a_v >= b_v."""
-        out = (a | self.guard) - b
-        out &= self.guard
-        return out
-
-    def join(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Fieldwise maximum of two broadcastable word arrays."""
-        ge = self.geq(a, b)
-        spread = np.zeros_like(ge)
-        for w, guards in self.by_width:  # guard bit -> the w value bits below it
-            bits = ge & guards
-            bits -= bits >> w
-            spread |= bits
-        out = a & spread
-        np.invert(spread, out=spread)
-        spread &= b
-        out |= spread
-        return out
-
-    def divides(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a_v <= b_v in every field, reduced over the last (word) axis."""
-        return (self.geq(b, a) == self.guard).all(axis=-1)
-
-
-def _row_keys(words: np.ndarray) -> np.ndarray:
-    """One sortable key per row of packed words."""
-    if words.shape[1] == 1:
-        return words[:, 0]
-    return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[1])))[:, 0]
-
-
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys (sorting beats NumPy's hashed ``unique`` here)."""
-    keys = np.sort(keys)
-    keep = np.ones(len(keys), dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return keys[keep]
 
 
 def _closure(gens: np.ndarray, cap: int) -> np.ndarray:
@@ -361,14 +281,7 @@ def _contractible(points: np.ndarray, gens: np.ndarray) -> np.ndarray:
     supp(b), i.e. divides b minus the indicator of supp(b).  The point 0 is
     excluded: its complex is {empty face}, which has reduced homology.
     """
-    packing = _Packing(np.maximum(points.max(axis=0), gens.max(axis=0)))
-    gw = packing.pack(gens)[None, :, :]
-    lowered = packing.pack(points - (points > 0))
-    out = np.zeros(len(points), dtype=bool)
-    step = max(1, 1_000_000 // gw.shape[1])
-    for lo in range(0, len(points), step):
-        out[lo : lo + step] = packing.divides(gw, lowered[lo : lo + step, None, :]).any(axis=1)
-    return out & points.any(axis=1)
+    return _divisible(gens, points - (points > 0)) & points.any(axis=1)
 
 
 def _minimal_masks(masks: np.ndarray) -> np.ndarray:
@@ -426,16 +339,12 @@ def _points_betti(
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(gens_bytes: bytes, shape: tuple[int, int], char: int):
-    _WORKER_CTX["gens"] = np.frombuffer(gens_bytes, dtype=_INT).reshape(shape).copy()
-    _WORKER_CTX["char"] = char
+def _worker_init(gens: np.ndarray, char: int):
     # one homology cache per worker, shared by the slices it walks
-    _WORKER_CTX["cache"] = {}
+    _WORKER_CTX.update(gens=gens, char=char, cache={})
 
 
-def _worker_run(payload: tuple[bytes, tuple[int, int]]):
-    data, shape = payload
-    pts = np.frombuffer(data, dtype=_INT).reshape(shape).copy()
+def _worker_run(pts: np.ndarray):
     return _points_betti(pts, _WORKER_CTX["gens"], _WORKER_CTX["char"], _WORKER_CTX["cache"])
 
 
@@ -453,15 +362,14 @@ def _multigraded(
     points = _closure(gens, caps.lattice)
     points = points[~_contractible(points, gens)]
     if threads > 1 and len(points) >= _PARALLEL_MIN_POINTS:
-        slices = np.array_split(points, threads * 4)
-        payloads = [(s.tobytes(), s.shape) for s in slices if len(s)]
+        slices = [s for s in np.array_split(points, threads * 4) if len(s)]
         entries: dict[tuple[int, Exponents], int] = {}
         with ProcessPoolExecutor(
             max_workers=threads,
             initializer=_worker_init,
-            initargs=(gens.tobytes(), gens.shape, char),
+            initargs=(gens, char),
         ) as pool:
-            for part in pool.map(_worker_run, payloads):
+            for part in pool.map(_worker_run, slices):
                 entries.update(part)
         return entries
     return _points_betti(points, gens, char, {})
@@ -499,7 +407,7 @@ def _product_split(gens: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | No
             a, b = active[a_pos], active[b_pos]
             if find(a) == find(b):
                 continue
-            pairs = len(np.unique(gens[:, [a, b]], axis=0))
+            pairs = len(_unique_rows(gens[:, [a, b]]))
             if pairs != uniq[a] * uniq[b]:
                 parent[find(a)] = find(b)
     groups: dict[int, list[int]] = {}
@@ -512,7 +420,7 @@ def _product_split(gens: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | No
     projections = []
     count = 1
     for block in blocks:
-        sub = np.unique(gens[:, block], axis=0)
+        sub = _unique_rows(gens[:, block])
         projections.append((np.array(block), sub))
         count *= len(sub)
     if count != k:

@@ -4,6 +4,13 @@ A ``MonomialIdeal`` stores its unique minimal monomial generating set as a
 canonically sorted tuple of exponent vectors, so ideal equality is plain
 tuple equality.  The zero ideal is the empty tuple; the unit ideal is the
 single all-zero vector.  Every operation returns a minimal generating set.
+
+Exponents are at most ``EXPONENT_LIMIT`` = 2^31 - 1, a fixed limit, not a
+``FIBERLAB_CAPS`` cap: ``from_exponents`` and products raise ``DomainError``
+past it, so int32 rows never wrap and a packed field fits in one word.
+Bulk work, here and in ``betti``, runs on rows packed by ``_Packing`` into
+int64 words: ``_unique_rows`` sorts one key per row, and ``_divisible``
+marks the rows that some generator divides.
 """
 
 from __future__ import annotations
@@ -18,19 +25,124 @@ from .core import Exponents, Monomial, Ring, canonical_order
 from .errors import CapError, DomainError, RingMismatchError
 
 _INT = np.int32
+EXPONENT_LIMIT = 2**31 - 1
+
+
+def _check_exponent(top: int) -> None:
+    if top > EXPONENT_LIMIT:
+        raise DomainError(f"exponent {top} is over the fixed limit of 2^31 - 1 "
+                          "(not a FIBERLAB_CAPS cap; it cannot be raised)")
 
 
 def _as_array(vectors, nvars: int) -> np.ndarray:
-    arr = np.asarray(list(vectors), dtype=_INT)
-    if arr.size == 0:
-        return np.zeros((0, nvars), dtype=_INT)
-    return arr.reshape(len(arr), nvars)
+    vectors = list(vectors)
+    return np.asarray(vectors, dtype=_INT).reshape(len(vectors), nvars)
+
+
+# -- packed exponent rows ------------------------------------------------------
+
+
+class _Packing:
+    """Exponent vectors packed into int64 words, one bit field per variable.
+
+    Every field has a spare guard bit above it, so a single subtraction
+    compares all fields of a word at once without borrows crossing fields:
+    in ``(a | guard) - b`` a field keeps its guard bit iff a_v >= b_v.  Joins
+    and divisibility tests then cost a few word operations per pair.
+    """
+
+    def __init__(self, maxexp: np.ndarray):
+        self.ncols = len(maxexp)
+        self.fields = []  # (column, word, shift, width) of every column that is not 0
+        word = used = 0
+        for col, e in enumerate(maxexp):
+            w = int(e).bit_length()
+            if w:
+                if used + w + 1 > 63:
+                    word, used = word + 1, 0
+                self.fields.append((col, word, used, w))
+                used += w + 1
+        self.nwords = word + 1
+        self.guard = np.zeros(self.nwords, dtype=np.int64)
+        by_width: dict[int, np.ndarray] = {}
+        for _, word, shift, w in self.fields:
+            self.guard[word] |= 1 << (shift + w)
+            by_width.setdefault(w, np.zeros(self.nwords, dtype=np.int64))[word] |= 1 << (shift + w)
+        self.by_width = sorted(by_width.items())
+
+    def pack(self, arr: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(arr), self.nwords), dtype=np.int64)
+        for col, word, shift, _ in self.fields:
+            out[:, word] |= arr[:, col].astype(np.int64) << shift
+        return out
+
+    def unpack(self, words: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(words), self.ncols), dtype=_INT)
+        for col, word, shift, w in self.fields:
+            out[:, col] = (words[:, word] >> shift) & ((1 << w) - 1)
+        return out
+
+    def geq(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Guard bits of the fields where a_v >= b_v."""
+        out = (a | self.guard) - b
+        out &= self.guard
+        return out
+
+    def join(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Fieldwise maximum of two broadcastable word arrays."""
+        ge = self.geq(a, b)
+        spread = np.zeros_like(ge)
+        for w, guards in self.by_width:  # guard bit -> the w value bits below it
+            bits = ge & guards
+            bits -= bits >> w
+            spread |= bits
+        out = a & spread
+        np.invert(spread, out=spread)
+        spread &= b
+        out |= spread
+        return out
+
+    def divides(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a_v <= b_v in every field, reduced over the last (word) axis."""
+        return (self.geq(b, a) == self.guard).all(axis=-1)
+
+
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """One sortable key per row of packed words."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[1])))[:, 0]
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys (sorting beats NumPy's hashed ``unique`` here)."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
 
 
 def _unique_rows(arr: np.ndarray) -> np.ndarray:
-    if len(arr) == 0:
+    """The distinct rows, in the order of their packed keys."""
+    if len(arr) <= 1:
         return arr
-    return np.unique(arr, axis=0)
+    packing = _Packing(arr.max(axis=0))
+    keys = _sorted_unique(_row_keys(packing.pack(arr)))
+    return packing.unpack(keys.view(np.int64).reshape(len(keys), packing.nwords))
+
+
+def _divisible(gens: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """True where some row of ``gens`` divides (is componentwise <=) the row of ``rows``."""
+    if len(gens) == 0 or len(rows) == 0:
+        return np.zeros(len(rows), dtype=bool)
+    packing = _Packing(np.maximum(gens.max(axis=0), rows.max(axis=0)))
+    packed_gens, packed_rows = packing.pack(gens)[None, :, :], packing.pack(rows)
+    out = np.empty(len(rows), dtype=bool)
+    step = max(1, 1_000_000 // len(gens))  # bounds the (rows x gens x words) intermediate
+    for lo in range(0, len(rows), step):
+        part = packed_rows[lo : lo + step, None, :]
+        out[lo : lo + step] = packing.divides(packed_gens, part).any(axis=1)
+    return out
 
 
 def _minimal_rows(arr: np.ndarray) -> np.ndarray:
@@ -41,27 +153,12 @@ def _minimal_rows(arr: np.ndarray) -> np.ndarray:
     order, filtering each layer against everything kept so far.
     """
     arr = _unique_rows(arr)
-    if len(arr) <= 1:
-        return arr
     degrees = arr.sum(axis=1)
-    kept: list[np.ndarray] = []
-    kept_stack: np.ndarray | None = None
+    kept = arr[:0]
     for d in np.unique(degrees):
         layer = arr[degrees == d]
-        if kept_stack is not None and len(kept_stack):
-            # survive iff no kept row divides the candidate
-            divisible = np.zeros(len(layer), dtype=bool)
-            # chunk to bound the (layer x kept x nvars) intermediate
-            step = max(1, 8_000_000 // (kept_stack.shape[0] * arr.shape[1] + 1))
-            for lo in range(0, len(layer), step):
-                part = layer[lo : lo + step]
-                hit = (kept_stack[None, :, :] <= part[:, None, :]).all(axis=2).any(axis=1)
-                divisible[lo : lo + step] = hit
-            layer = layer[~divisible]
-        if len(layer):
-            kept.append(layer)
-            kept_stack = np.concatenate(kept) if len(kept) > 1 else kept[0]
-    return kept_stack if kept_stack is not None else arr[:0]
+        kept = np.concatenate([kept, layer[~_divisible(kept, layer)]])
+    return kept
 
 
 def _canonical_tuple(arr: np.ndarray) -> tuple[Exponents, ...]:
@@ -87,9 +184,12 @@ class MonomialIdeal:
 
     @staticmethod
     def from_exponents(ring: Ring, vectors) -> "MonomialIdeal":
-        arr = _as_array(vectors, ring.nvars)
-        if arr.size and arr.min() < 0:
+        vectors = list(vectors)
+        exponents = [int(e) for v in vectors for e in v]  # checked before the int32 conversion
+        if min(exponents, default=0) < 0:
             raise DomainError("negative exponent in generator")
+        _check_exponent(max(exponents, default=0))
+        arr = _as_array(vectors, ring.nvars)
         return MonomialIdeal(ring, _canonical_tuple(_minimal_rows(arr)))
 
     @staticmethod
@@ -139,12 +239,7 @@ class MonomialIdeal:
 
     def contains(self, other: "MonomialIdeal") -> bool:
         self._check_ring(other)
-        if other.is_zero():
-            return True
-        if self.is_zero():
-            return False
-        a, b = self.array(), other.array()
-        return bool((a[None, :, :] <= b[:, None, :]).all(axis=2).any(axis=1).all())
+        return bool(_divisible(self.array(), other.array()).all())
 
     def __le__(self, other: "MonomialIdeal") -> bool:
         return other.contains(self)
@@ -165,12 +260,12 @@ class MonomialIdeal:
         if self.is_zero() or other.is_zero():
             return MonomialIdeal.zero(self.ring)
         a, b = self.array(), other.array()
+        _check_exponent(int((a.max(axis=0).astype(np.int64) + b.max(axis=0)).max()))
         prods = (a[:, None, :] + b[None, :, :]).reshape(-1, self.ring.nvars)
-        prods = _unique_rows(prods)
-        # products of minimal sets over disjoint supports are already minimal
-        if not (a.any(axis=0) & b.any(axis=0)).any():
-            return MonomialIdeal(self.ring, _canonical_tuple(prods))
-        return MonomialIdeal(self.ring, _canonical_tuple(_minimal_rows(prods)))
+        # products of minimal sets over disjoint supports are distinct and minimal
+        if (a.any(axis=0) & b.any(axis=0)).any():
+            prods = _minimal_rows(prods)
+        return MonomialIdeal(self.ring, _canonical_tuple(prods))
 
     def __pow__(self, s: int) -> "MonomialIdeal":
         if s < 0:
@@ -198,7 +293,8 @@ class MonomialIdeal:
                 raise RingMismatchError("colon by a monomial from a different ring")
             if self.is_zero():
                 return self
-            m = np.asarray(other.exponents, dtype=_INT)
+            # self's exponents are within the limit: a larger one of m clears its column alike
+            m = np.asarray([min(e, EXPONENT_LIMIT) for e in other.exponents], dtype=_INT)
             quo = np.maximum(self.array() - m[None, :], 0)
             return MonomialIdeal(self.ring, _canonical_tuple(_minimal_rows(quo)))
         self._check_ring(other)
@@ -258,6 +354,7 @@ def maxideal_power(ring: Ring, block: str | None = None, s: int = 1) -> Monomial
         raise DomainError("negative power of the maximal ideal")
     if s == 0:
         return MonomialIdeal.unit(ring)
+    _check_exponent(s)
     if block is None:
         indices = tuple(range(ring.nvars))
     else:

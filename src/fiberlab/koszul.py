@@ -26,7 +26,7 @@ import numpy as np
 from .config import DEFAULT_CAPS, Caps
 from .core import Exponents, canonical_order, resolve_characteristic
 from .errors import CapError, DomainError, InternalError
-from .ideals import MonomialIdeal, monomials_of_degree
+from .ideals import MonomialIdeal, _divisible, monomials_of_degree
 from .linalg import (
     coordinates_in_span,
     field_for,
@@ -42,11 +42,7 @@ def max_lattice_degree(ideal: MonomialIdeal) -> int:
     """Total degree of the join of all generators: Tor vanishes above it."""
     if ideal.is_zero():
         raise DomainError("zero ideal")
-    join = [0] * ideal.ring.nvars
-    for g in ideal.gens:
-        for i, e in enumerate(g):
-            join[i] = max(join[i], e)
-    return sum(join)
+    return int(ideal.array().max(axis=0).sum())
 
 
 def _members_by_degree(ideal: MonomialIdeal, d: int, caps: Caps) -> list[Exponents]:
@@ -55,9 +51,7 @@ def _members_by_degree(ideal: MonomialIdeal, d: int, caps: Caps) -> list[Exponen
         raise CapError.over("koszul_basis", f"the ring's degree-{d} monomials reached "
                             f"{comb(d + n - 1, n - 1)}", caps.koszul_basis)
     mons = np.array(list(monomials_of_degree(ideal.ring, d)), dtype=np.int32)
-    gens = ideal.array()
-    member = (gens[None, :, :] <= mons[:, None, :]).all(axis=2).any(axis=1)
-    picked = [tuple(int(e) for e in row) for row in mons[member]]
+    picked = [tuple(int(e) for e in row) for row in mons[_divisible(ideal.array(), mons)]]
     return canonical_order(picked)
 
 

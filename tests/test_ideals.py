@@ -3,11 +3,15 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import fiberlab.ideals as ideals_mod
 from fiberlab import (
     DomainError,
+    Monomial,
     MonomialIdeal,
     Ring,
+    betti_table,
     component_ideal,
     maxideal_power,
     parse_monomial,
@@ -16,6 +20,7 @@ from fiberlab import (
     tensor_ring,
 )
 from fiberlab.errors import CapError, RingMismatchError
+from fiberlab.ideals import EXPONENT_LIMIT
 
 from conftest import ideal_of, random_ideal
 
@@ -201,3 +206,68 @@ def test_product_distributes_over_sum():
         b = random_ideal(rng, ring, max_gens=3, max_deg=3)
         c = random_ideal(rng, ring, max_gens=3, max_deg=3)
         assert a * (b + c) == a * b + a * c
+
+
+# -- the packed exponent-row kernel against Python sets ---------------------
+
+# 12 variables with exponents up to 20 need 72 packed bits: two words
+_TWO_WORDS = (12, [(20,) * 6 + (0,) * 6, (0,) * 6 + (1,) * 6, (0,) * 12],
+              [(20,) * 12, (19,) * 12, (20,) * 6 + (0,) * 6, (0,) * 11 + (1,), (20,) * 12])
+
+
+@st.composite
+def exponent_rows(draw):
+    """A ring size and two lists of exponent rows: generators, and rows to test."""
+    nvars = draw(st.sampled_from((1, 3, 12)))
+    top = draw(st.sampled_from((1, 3, 20)))
+    zero = draw(st.sets(st.integers(0, nvars - 1)))  # columns that stay all-zero
+    row = st.tuples(*(st.just(0) if c in zero else st.integers(0, top) for c in range(nvars)))
+    rows = st.lists(st.one_of(row, st.just((0,) * nvars)), max_size=10)  # with the unit row
+    return nvars, draw(rows), draw(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_rows())
+@example(_TWO_WORDS)
+@example((3, [], []))
+@example((3, [], [(1, 0, 2)]))
+@example((3, [(0, 0, 0)], []))
+def test_row_kernel_matches_python_sets(data):
+    nvars, gens, rows = data
+    G, X = ideals_mod._as_array(gens, nvars), ideals_mod._as_array(rows, nvars)
+    divides = lambda g, r: all(a <= b for a, b in zip(g, r))  # noqa: E731
+    unique = ideals_mod._unique_rows(X).tolist()
+    assert sorted(map(tuple, unique)) == sorted(set(rows))
+    assert ideals_mod._divisible(G, X).tolist() == [any(divides(g, r) for g in gens)
+                                                   for r in rows]
+    minimal = {r for r in rows if not any(divides(g, r) for g in set(rows) - {r})}
+    assert sorted(map(tuple, ideals_mod._minimal_rows(X).tolist())) == sorted(minimal)
+    ring = Ring("R", tuple(f"v{i}" for i in range(nvars)))
+    big, small = (MonomialIdeal.from_exponents(ring, v) for v in (gens, rows))
+    assert big.contains(small) == all(any(divides(g, r) for g in gens) for r in rows)
+
+
+def test_row_kernel_example_spans_two_words():
+    nvars, gens, rows = _TWO_WORDS
+    top = ideals_mod._as_array(gens + rows, nvars).max(axis=0)
+    assert ideals_mod._Packing(top).nwords == 2
+
+
+def test_exponents_up_to_the_limit(ring_xy):
+    below = MonomialIdeal.from_exponents(ring_xy, [(2**30 - 1, 0)])
+    half = MonomialIdeal.from_exponents(ring_xy, [(2**30, 0)])
+    assert (below * half).gens == ((EXPONENT_LIMIT, 0),)
+    with pytest.raises(DomainError, match="over the fixed limit of 2\\^31 - 1"):
+        half * half
+    with pytest.raises(DomainError, match="exponent 3000000000 is over"):
+        MonomialIdeal.from_exponents(ring_xy, [(1, 3_000_000_000)])
+    # two fields of 31 bits and their guards fill two words of the lattice
+    corners = MonomialIdeal.from_exponents(ring_xy, [(EXPONENT_LIMIT, 0), (0, EXPONENT_LIMIT)])
+    assert betti_table(corners, 0, threads=1).multigraded() == {
+        (0, (EXPONENT_LIMIT, 0)): 1, (0, (0, EXPONENT_LIMIT)): 1,
+        (1, (EXPONENT_LIMIT, EXPONENT_LIMIT)): 1,
+    }
+    # a colon by a monomial past the limit clears that variable, as any larger power would
+    wide = Monomial(ring_xy, (3_000_000_000, 1))
+    assert corners.colon(wide).gens == ((0, 0),)
+    assert ideal_of(ring_xy, "x^2*y^3").colon(wide).gens == ((0, 2),)

@@ -247,6 +247,26 @@ def test_cli_dense_koszul_matrix_over_the_limit_is_a_cap_error(tmp_path):
     assert "not a FIBERLAB_CAPS cap" in out.stderr
 
 
+_PAST_THE_LIMIT = "ring R = [x];\nA = ideal(R; x^1073741824);\nC = A^2;\n"
+
+
+@pytest.mark.parametrize("text, argv", [
+    (_PAST_THE_LIMIT, ("betti", "C")),
+    (_PAST_THE_LIMIT, ("torvanish", "C", "A")),
+    ("ring R = [x];\nA = ideal(R; x^3000000000);\n", ("betti", "A")),
+], ids=["betti-of-product", "torvanish-of-product", "generator"])
+def test_cli_exponent_past_the_limit_is_a_usage_error(tmp_path, text, argv):
+    # (x^(2^30))^2 wrapped to x^(-2^31) in int32: beta_0 at j = -2147483648, and a
+    # failed containment; x^3000000000 ended in an OverflowError traceback
+    path = tmp_path / "big.fl"
+    path.write_text(text)
+    out = run_fiberlab(argv[0], str(path), *argv[1:])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert "over the fixed limit of 2^31 - 1" in out.stderr
+
+
 @pytest.mark.parametrize("call, cap", [
     (lambda env, caps: component_ideal(env.ideal("I"), 3, caps), "component_degree"),
     (lambda env, caps: tor_dimensions(env.ideal("I"), 0, caps=caps), "koszul_basis"),

@@ -155,8 +155,7 @@ def _resolve(env: Environment, name: str, path: str):
 
 
 def _invariants_payload(ideal, char, caps, threads) -> dict:
-    table = betti_table(ideal, char, caps, threads)
-    inv = invariants_of(ideal, char, caps, threads, table=table)
+    inv = invariants_of(ideal, char, caps, threads)
     return {
         "reg": inv.reg,
         "pdim": inv.pdim,

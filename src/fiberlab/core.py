@@ -143,18 +143,6 @@ def tensor_ring(name: str, left: Ring, right: Ring) -> Ring:
     return Ring(name, left.variables + right.variables, blocks, left.characteristic)
 
 
-def sort_key(exponents: Exponents) -> tuple[int, Exponents]:
-    """Canonical comparison key: total degree first, then lex on exponents.
-
-    Listings sort descending on this key, so x^2 precedes x*y precedes y^2.
-    """
-    return (sum(exponents), exponents)
-
-
-def canonical_order(vectors) -> list[Exponents]:
-    return sorted(vectors, key=sort_key, reverse=True)
-
-
 @dataclass(frozen=True, order=False)
 class Monomial:
     """A monomial identified with its exponent vector in a fixed ring."""

@@ -4,28 +4,35 @@ A ``MonomialIdeal`` stores its unique minimal monomial generating set as a
 canonically sorted tuple of exponent vectors, so ideal equality is plain
 tuple equality.  The zero ideal is the empty tuple; the unit ideal is the
 single all-zero vector.  Every operation returns a minimal generating set.
+The canonical order is total degree first, then lex, both descending, so
+x^2 precedes x*y precedes y^2 precedes x.  ``_minimal_rows`` fixes it on
+every result, and ``_canonical_rows`` on rows already distinct and minimal.
 
 Exponents are at most ``EXPONENT_LIMIT`` = 2^31 - 1, a fixed limit, not a
 ``FIBERLAB_CAPS`` cap: ``from_exponents`` and products raise ``DomainError``
 past it, so int32 rows never wrap and a packed field fits in one word.
 Bulk work, here and in ``betti``, runs on rows packed by ``_Packing`` into
 int64 words: ``_unique_rows`` sorts one key per row, and ``_divisible``
-marks the rows that some generator divides.
+marks the rows that some generator divides.  ``component_ideal`` refuses,
+with ``CapError``, to enumerate more than ``COMPONENT_LIMIT`` = 2^22
+generators, another fixed limit: it keeps the enumeration inside memory.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .core import Exponents, Monomial, Ring, canonical_order
+from .core import Exponents, Monomial, Ring
 from .errors import CapError, DomainError, RingMismatchError
 
 _INT = np.int32
 EXPONENT_LIMIT = 2**31 - 1
+COMPONENT_LIMIT = 1 << 22
 
 
 def _check_exponent(top: int) -> None:
@@ -145,24 +152,31 @@ def _divisible(gens: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _canonical_rows(arr: np.ndarray) -> np.ndarray:
+    """Distinct rows in canonical order: total degree, then lex, both descending."""
+    if len(arr) <= 1:
+        return arr
+    return arr[np.lexsort((*arr.T[::-1], arr.sum(axis=1)))[::-1]]
+
+
 def _minimal_rows(arr: np.ndarray) -> np.ndarray:
-    """Drop every row that is divisible by (componentwise >=) another row.
+    """The rows no other row divides (is componentwise <=), in canonical order.
 
     Rows of equal total degree never divide one another unless equal, so
     after deduplication it is enough to sweep degree layers in increasing
     order, filtering each layer against everything kept so far.
     """
-    arr = _unique_rows(arr)
+    arr = _canonical_rows(_unique_rows(arr))
     degrees = arr.sum(axis=1)
-    kept = arr[:0]
-    for d in np.unique(degrees):
-        layer = arr[degrees == d]
-        kept = np.concatenate([kept, layer[~_divisible(kept, layer)]])
-    return kept
+    keep = np.ones(len(arr), dtype=bool)
+    bounds = [0, *(np.flatnonzero(degrees[1:] != degrees[:-1]) + 1).tolist()]
+    for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):  # layers above the lowest, upwards
+        keep[lo:hi] = ~_divisible(arr[hi:][keep[hi:]], arr[lo:hi])
+    return arr[keep]
 
 
 def _canonical_tuple(arr: np.ndarray) -> tuple[Exponents, ...]:
-    return tuple(canonical_order(tuple(int(e) for e in row) for row in arr))
+    return tuple(map(tuple, arr.tolist()))
 
 
 @dataclass(frozen=True)
@@ -265,11 +279,19 @@ class MonomialIdeal:
         # products of minimal sets over disjoint supports are distinct and minimal
         if (a.any(axis=0) & b.any(axis=0)).any():
             prods = _minimal_rows(prods)
+        else:
+            prods = _canonical_rows(prods)
         return MonomialIdeal(self.ring, _canonical_tuple(prods))
 
     def __pow__(self, s: int) -> "MonomialIdeal":
         if s < 0:
             raise DomainError("negative ideal power")
+        if self.is_zero() and s:
+            return self
+        if len(self.gens) == 1:  # (g)^s = (g^s), the unit ideal included
+            _check_exponent(s * max(self.gens[0]))
+            return MonomialIdeal(self.ring, (tuple(s * e for e in self.gens[0]),))
+        # two or more generators: I^s has at least s + 1 of them
         result = MonomialIdeal.unit(self.ring)
         for _ in range(s):  # repeated products keep intermediates minimal
             result = result * self
@@ -360,8 +382,8 @@ def maxideal_power(ring: Ring, block: str | None = None, s: int = 1) -> Monomial
     else:
         blk = ring.block(block)
         indices = tuple(range(blk.start, blk.stop))
-    gens = list(monomials_of_degree(ring, s, indices))
-    return MonomialIdeal(ring, _canonical_tuple(_as_array(gens, ring.nvars)))
+    gens = _as_array(monomials_of_degree(ring, s, indices), ring.nvars)
+    return MonomialIdeal(ring, _canonical_tuple(_canonical_rows(gens)))
 
 
 def star_derivative(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -387,15 +409,19 @@ def component_ideal(ideal: MonomialIdeal, d: int, caps: Caps = DEFAULT_CAPS) -> 
                             caps.component_degree)
     if ideal.is_zero():
         return ideal
-    ring = ideal.ring
-    out = []
-    for g in ideal.gens:
-        deg = sum(g)
-        if deg > d:
-            continue
-        for filler in monomials_of_degree(ring, d - deg):
-            out.append(tuple(a + b for a, b in zip(g, filler)))
-    return MonomialIdeal.from_exponents(ring, out)
+    ring, n = ideal.ring, ideal.ring.nvars
+    gens = [(g, d - sum(g)) for g in ideal.gens if sum(g) <= d]  # (g, filler degree)
+    count = sum(comb(k + n - 1, n - 1) for _, k in gens)
+    if count > COMPONENT_LIMIT:
+        raise CapError(f"component degree {d} would enumerate {count} generators, over the "
+                       f"fixed limit of {COMPONENT_LIMIT} (not a FIBERLAB_CAPS cap; "
+                       "it cannot be raised)")
+    if not gens:
+        return MonomialIdeal.zero(ring)
+    _check_exponent(max(max(g) + k for g, k in gens))  # x_v^k is among the fillers
+    fillers = {k: _as_array(monomials_of_degree(ring, k), n) for k in {k for _, k in gens}}
+    rows = np.concatenate([fillers[k] + np.asarray(g, dtype=_INT) for g, k in gens])
+    return MonomialIdeal(ring, _canonical_tuple(_minimal_rows(rows)))
 
 
 def finite_length_reg(big: MonomialIdeal, small: MonomialIdeal) -> int | None:
@@ -442,7 +468,7 @@ def tensor_embed(ideal: MonomialIdeal, target: Ring) -> MonomialIdeal:
                 vec = [0] * target.nvars
                 vec[b.start : b.stop] = g
                 gens.append(tuple(vec))
-            return MonomialIdeal(target, tuple(canonical_order(gens)))
+            return MonomialIdeal(target, tuple(gens))  # zero columns keep the order
     raise DomainError(f"ring {src.name!r} is not a block of {target.name!r}")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import BettiTable, betti_table
+from .betti import betti_table
 from .config import DEFAULT_CAPS, Caps
 from .errors import DomainError
 from .ideals import MonomialIdeal, component_ideal, finite_length_reg, maxideal_power
@@ -51,12 +51,10 @@ def invariants_of(
     characteristic: int | None = None,
     caps: Caps = DEFAULT_CAPS,
     threads: int | None = None,
-    table: BettiTable | None = None,
 ) -> Invariants:
     if not ideal.is_proper():
         raise DomainError("invariants are defined here only for proper nonzero ideals")
-    if table is None:
-        table = betti_table(ideal, characteristic, caps, threads)
+    table = betti_table(ideal, characteristic, caps, threads)
     pdim = table.max_index()
     return Invariants(
         subject=ideal,

@@ -24,18 +24,11 @@ from math import comb
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .core import Exponents, canonical_order, resolve_characteristic
+from .core import Exponents, resolve_characteristic
 from .errors import CapError, DomainError, InternalError
-from .ideals import MonomialIdeal, _divisible, monomials_of_degree
-from .linalg import (
-    coordinates_in_span,
-    field_for,
-    nullspace,
-    rank_exact,
-    rank_input,
-    rank_mod_p,
-    rref,
-)
+from .ideals import (MonomialIdeal, _canonical_rows, _canonical_tuple, _divisible,
+                     monomials_of_degree)
+from .linalg import coordinates_in_span, nullspace, rank_exact, rank_input, rank_mod_p, rref
 
 
 def max_lattice_degree(ideal: MonomialIdeal) -> int:
@@ -45,21 +38,20 @@ def max_lattice_degree(ideal: MonomialIdeal) -> int:
     return int(ideal.array().max(axis=0).sum())
 
 
-def _members_by_degree(ideal: MonomialIdeal, d: int, caps: Caps) -> list[Exponents]:
+def _members_by_degree(ideal: MonomialIdeal, d: int, caps: Caps) -> tuple[Exponents, ...]:
     n = ideal.ring.nvars
     if comb(d + n - 1, n - 1) > caps.koszul_basis:
         raise CapError.over("koszul_basis", f"the ring's degree-{d} monomials reached "
                             f"{comb(d + n - 1, n - 1)}", caps.koszul_basis)
     mons = np.array(list(monomials_of_degree(ideal.ring, d)), dtype=np.int32)
-    picked = [tuple(int(e) for e in row) for row in mons[_divisible(ideal.array(), mons)]]
-    return canonical_order(picked)
+    return _canonical_tuple(_canonical_rows(mons[_divisible(ideal.array(), mons)]))
 
 
 class _StrandComplex:
     """All Koszul strands of one ideal in one total degree j."""
 
     def __init__(self, ideal: MonomialIdeal, j: int, caps: Caps,
-                 members: dict[int, list[Exponents]]):
+                 members: dict[int, tuple[Exponents, ...]]):
         n = ideal.ring.nvars
         self.nvars = n
         self.basis: dict[int, list[tuple[Exponents, tuple[int, ...]]]] = {}
@@ -120,11 +112,10 @@ class _StrandComplex:
             cycles = self.dim(i) - ranks[i]
             yield i, cycles, cycles - ranks[i + 1]
 
-    def boundary_dense(self, i: int, field) -> list[list]:
-        nrows, ncols = self.dim(i - 1), self.dim(i)
-        mat = [[field.zero()] * ncols for _ in range(nrows)]
+    def boundary_dense(self, i: int) -> list[list[int]]:
+        mat = [[0] * self.dim(i) for _ in range(self.dim(i - 1))]
         for r, c, s in self.boundary_triplets(i):
-            mat[r][c] = field.from_int(s)
+            mat[r][c] = s
         return mat
 
 
@@ -182,7 +173,7 @@ def tor_dimensions(
     return GradedTor(ideal, char, tuple(sorted(entries)))
 
 
-def _homology_data(strand: _StrandComplex, i: int, field):
+def _homology_data(strand: _StrandComplex, i: int, characteristic: int):
     """Cycle representatives (columns) and a boundary basis (columns) for strand i.
 
     One echelon form of [boundary columns | cycle basis]: its pivots among
@@ -191,9 +182,9 @@ def _homology_data(strand: _StrandComplex, i: int, field):
     """
     if strand.dim(i) == 0:
         return [], []
-    cycles = nullspace(strand.boundary_dense(i, field), strand.dim(i), field)
-    stacked = [list(col) for col in zip(*strand.boundary_dense(i + 1, field))] + cycles
-    _, pivots = rref([list(row) for row in zip(*stacked)], field)
+    cycles = nullspace(strand.boundary_dense(i), strand.dim(i), characteristic)
+    stacked = [list(col) for col in zip(*strand.boundary_dense(i + 1))] + cycles
+    _, pivots = rref([list(row) for row in zip(*stacked)], characteristic)
     nb = len(stacked) - len(cycles)
     return [stacked[c] for c in pivots if c >= nb], [stacked[c] for c in pivots if c < nb]
 
@@ -211,23 +202,22 @@ def tor_map(
     source's.  Entries live in GF(p) (ints) or Q (Fractions).
     """
     char, strands = _strands("Tor map from", small, big, characteristic, caps)
-    field = field_for(char)
     out: dict[tuple[int, int], list[list]] = {}
     for j, s_small, s_big in strands:
         for i, _, dim in s_small.homology(char):
             if not dim:
                 continue
-            reps, _ = _homology_data(s_small, i, field)
-            reps_big, bnd_big = _homology_data(s_big, i, field)
+            reps, _ = _homology_data(s_small, i, char)
+            reps_big, bnd_big = _homology_data(s_big, i, char)
             span = bnd_big + reps_big
             index_big = s_big.index[i]
             matrix_cols = []
             for z in reps:
-                img = [field.zero()] * s_big.dim(i)
+                img = [0] * s_big.dim(i)
                 for pos, (u, S) in enumerate(s_small.basis[i]):
-                    if not field.is_zero(z[pos]):
+                    if z[pos]:
                         img[index_big[(u, S)]] = z[pos]
-                coords = coordinates_in_span(span, img, field)
+                coords = coordinates_in_span(span, img, char)
                 if coords is None:
                     raise InternalError(
                         f"Tor map at (i, j) = ({i}, {j}): a cycle's image escaped the "

@@ -18,8 +18,9 @@ Three layers, each exact:
   ``CapError`` before it allocates a larger one.  The limit is fixed, not a
   ``FIBERLAB_CAPS`` cap: it keeps a Koszul strand inside memory, which no
   cap on the basis size does.
-* a small dense toolkit generic over a ``Field`` (GF(p) or Fraction) for
-  actual bases and coordinates: the induced matrices of ``koszul.tor_map``.
+* a small dense toolkit for actual bases and coordinates: the induced
+  matrices of ``koszul.tor_map``.  Like ``rank_input`` it takes the
+  characteristic: its elements are residues mod p, or Fractions over Q.
 """
 
 from __future__ import annotations
@@ -173,69 +174,18 @@ def rank_input(
     return mat
 
 
-# -- dense field-generic toolkit --------------------------------------------
+# -- dense toolkit over Q or GF(p) -----------------------------------------
 
 
-class GFp:
-    """Prime field arithmetic on plain ints in [0, p)."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def from_int(self, n: int):
-        return n % self.p
-
-    def zero(self):
-        return 0
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        return pow(a, self.p - 2, self.p)
+def _element(value, p: int):
+    """``value`` in the field of characteristic ``p``: a residue mod p, or a Fraction."""
+    return value % p if p else Fraction(value)
 
 
-class QQ:
-    """The rationals via fractions.Fraction."""
-
-    def from_int(self, n: int):
-        return Fraction(n)
-
-    def zero(self):
-        return Fraction(0)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return 1 / a
-
-
-def field_for(characteristic: int):
-    return QQ() if characteristic == 0 else GFp(characteristic)
-
-
-def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
+def rref(rows: list[list], characteristic: int) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    m = [list(r) for r in rows]
+    p = characteristic
+    m = [[_element(v, p) for v in r] for r in rows]
     if not m:
         return m, []
     ncols = len(m[0])
@@ -244,53 +194,52 @@ def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
     for c in range(ncols):
         if r == len(m):
             break
-        pr = next((i for i in range(r, len(m)) if not field.is_zero(m[i][c])), None)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, v) for v in m[r]]
+        inv = pow(m[r][c], -1, p) if p else 1 / m[r][c]
+        m[r] = [_element(inv * v, p) for v in m[r]]
         for i in range(len(m)):
-            if i != r and not field.is_zero(m[i][c]):
+            if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[r])]
+                m[i] = [_element(a - f * b, p) for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return m[: len(pivots)], pivots
 
 
-def nullspace(rows: list[list], ncols: int, field) -> list[list]:
+def nullspace(rows: list[list], ncols: int, characteristic: int) -> list[list]:
     """Basis of the right kernel, one vector per free column (deterministic)."""
-    red, pivots = rref(rows, field)
+    red, pivots = rref(rows, characteristic)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [field.zero()] * ncols
-        vec[free] = field.from_int(1)
+        vec = [_element(0, characteristic)] * ncols
+        vec[free] = _element(1, characteristic)
         for prow, pcol in zip(red, pivots):
-            v = prow[free]
-            if not field.is_zero(v):
-                vec[pcol] = field.sub(field.zero(), v)
+            if prow[free]:
+                vec[pcol] = _element(-prow[free], characteristic)
         basis.append(vec)
     return basis
 
 
-def coordinates_in_span(basis_cols: list[list], vector: list, field) -> list | None:
+def coordinates_in_span(basis_cols: list[list], vector: list, characteristic: int) -> list | None:
     """Coordinates of ``vector`` in the span of ``basis_cols``, or None.
 
     ``basis_cols`` is a list of column vectors, all the same length.
     """
     if not basis_cols:
-        return [] if all(field.is_zero(v) for v in vector) else None
+        return None if any(_element(v, characteristic) for v in vector) else []
     nrows = len(vector)
     aug = [[col[i] for col in basis_cols] + [vector[i]] for i in range(nrows)]
-    red, pivots = rref(aug, field)
+    red, pivots = rref(aug, characteristic)
     k = len(basis_cols)
     if k in pivots:
         return None
-    coords = [field.zero()] * k
+    coords = [_element(0, characteristic)] * k
     for prow, pcol in zip(red, pivots):
         coords[pcol] = prow[k]
     return coords

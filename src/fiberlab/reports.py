@@ -50,16 +50,14 @@ def make_report(
     computed: dict,
     expected: dict,
     ms: float,
-    compare_keys: tuple[str, ...] | None = None,
     provenance: str | None = None,
 ) -> Report:
-    """Pass iff computed matches expected on every compared key.
+    """Pass iff computed matches expected on every key of expected.
 
-    A compared key missing from either side fails the check.
+    A key of expected missing from computed fails the check.
     """
-    keys = compare_keys if compare_keys is not None else tuple(expected)
     expected_out = dict(expected)
     if provenance is not None:
         expected_out["provenance"] = provenance
-    ok = all(k in computed and k in expected and computed[k] == expected[k] for k in keys)
+    ok = all(k in computed and computed[k] == v for k, v in expected.items())
     return Report(claim, params, computed, expected_out, "pass" if ok else "fail", ms)

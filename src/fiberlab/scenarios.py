@@ -111,7 +111,7 @@ def _equality_report(claim: str, params: dict, lhs: MonomialIdeal, rhs: Monomial
         claim, params,
         computed={"equal": lhs == rhs, "lhsGens": len(lhs.gens), "rhsGens": len(rhs.gens)},
         expected={"equal": True},
-        ms=ms, compare_keys=("equal",), provenance=provenance,
+        ms=ms, provenance=provenance,
     )
 
 
@@ -121,14 +121,8 @@ def _containment_report(claim: str, params: dict, small: MonomialIdeal,
         claim, params,
         computed={"contained": big.contains(small)},
         expected={"contained": True},
-        ms=ms, compare_keys=("contained",), provenance=provenance,
+        ms=ms, provenance=provenance,
     )
-
-
-def _value_report(claim: str, params: dict, computed: dict, expected: dict,
-                  ms: float, provenance: str) -> Report:
-    return make_report(claim, params, computed, expected, ms,
-                       compare_keys=tuple(expected), provenance=provenance)
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -226,7 +220,7 @@ def scenario_lemma_a5(characteristic: int | None = None, caps: Caps = DEFAULT_CA
         for i in range(6):
             with Stopwatch() as sw:
                 val = reg_of(Hs * qq ** i, char, caps, threads)
-            reports.append(_value_report(
+            reports.append(make_report(
                 "lemma-A5.i", {"s": s, "i": i},
                 {"reg": val}, {"reg": max(2 * s + 3, 2 * s + i)},
                 sw.ms, "lemma A.5(i)",
@@ -247,19 +241,19 @@ def scenario_appendix_a1(characteristic: int | None = None, caps: Caps = DEFAULT
     reports = []
     with Stopwatch() as sw:
         val = reg_of(I ** 3, char, caps, threads)
-    reports.append(_value_report("thm-A.1-regI3", {"char": char}, {"reg": val}, {"reg": 9},
-                                 sw.ms, "theorem A.1"))
+    reports.append(make_report("thm-A.1-regI3", {"char": char}, {"reg": val}, {"reg": 9},
+                               sw.ms, "theorem A.1"))
     I2 = I ** 2
     for s in (0, 1, 2):
         with Stopwatch() as sw:
             shifted = maxideal_power(R, None, s) * I2
             val = reg_of(shifted, char, caps, threads)
-        reports.append(_value_report("thm-A.1-regmsI2", {"s": s, "char": char},
-                                     {"reg": val}, {"reg": s + 8}, sw.ms, "theorem A.1"))
+        reports.append(make_report("thm-A.1-regmsI2", {"s": s, "char": char},
+                                   {"reg": val}, {"reg": s + 8}, sw.ms, "theorem A.1"))
     with Stopwatch() as sw:
         val_q = reg_of(I2, 0, caps, threads)
-    reports.append(_value_report("thm-A.1-char-agreement", {"s": 0, "char": 0},
-                                 {"reg": val_q}, {"reg": 8}, sw.ms, "theorem A.1"))
+    reports.append(make_report("thm-A.1-char-agreement", {"s": 0, "char": 0},
+                               {"reg": val_q}, {"reg": 8}, sw.ms, "theorem A.1"))
     return reports
 
 
@@ -276,11 +270,11 @@ def scenario_remark_55(characteristic: int | None = None, caps: Caps = DEFAULT_C
             "regI2": reg_of(I ** 2, char, caps, threads),
             "regmI": reg_of(maxideal_power(R, None, 1) * I, char, caps, threads),
         }
-    reports.append(_value_report("remark-5.5-values", {}, vals,
-                                 {"regI": 8, "regI2": 8, "regmI": 9}, sw.ms, "remark 5.5"))
+    reports.append(make_report("remark-5.5-values", {}, vals,
+                               {"regI": 8, "regI2": 8, "regmI": 9}, sw.ms, "remark 5.5"))
     with Stopwatch() as sw:
         r51 = check_reg_formula(setup, 2, char, caps, threads)
-    reports.append(_value_report(
+    reports.append(make_report(
         "remark-5.5-regF2", {"s": 2},
         {"regF2": r51.computed["regFs"], "thm51": r51.computed["formula"],
          "thm51Pass": r51.passed},
@@ -288,7 +282,7 @@ def scenario_remark_55(characteristic: int | None = None, caps: Caps = DEFAULT_C
     ))
     with Stopwatch() as sw:
         r52 = check_reg_formula_equigenerated(setup, 2, char, caps, threads)
-    reports.append(_value_report(
+    reports.append(make_report(
         "remark-5.5-cor52-gap", {"s": 2},
         {"cor52": r52.computed["formula"], "regF2": r52.computed["regFs"],
          "equal": r52.passed},
@@ -306,7 +300,7 @@ def scenario_remark_56(characteristic: int | None = None, caps: Caps = DEFAULT_C
     with Stopwatch() as sw:
         direct = reg_of(maxideal_power(R, None, 2) * I, char, caps, threads)
         rhs = max(reg_of(I, char, caps, threads), 2 + I.t0())
-    return [_value_report(
+    return [make_report(
         "remark-5.6", {},
         {"regm2I": direct, "naiveFormula": rhs, "strictlyBelow": direct < rhs},
         {"regm2I": 5, "naiveFormula": 6, "strictlyBelow": True},
@@ -338,17 +332,17 @@ def scenario_remark_59(characteristic: int | None = None, caps: Caps = DEFAULT_C
         ))
     with Stopwatch() as sw:
         val = reg_of(I, char, caps, threads)
-    reports.append(_value_report("remark-5.9-regI", {"n": n}, {"reg": val},
-                                 {"reg": n + 5}, sw.ms, "remark 5.9(2)"))
+    reports.append(make_report("remark-5.9-regI", {"n": n}, {"reg": val},
+                               {"reg": n + 5}, sw.ms, "remark 5.9(2)"))
     reg_powers = {}
     for s in powers_checked:
         with Stopwatch() as sw:
             reg_powers[s] = reg_of(I ** s, char, caps, threads)
-        reports.append(_value_report("remark-5.9-regIs", {"n": n, "s": s},
-                                     {"reg": reg_powers[s]}, {"reg": 6 * s},
-                                     sw.ms, "remark 5.9(2)"))
+        reports.append(make_report("remark-5.9-regIs", {"n": n, "s": s},
+                                   {"reg": reg_powers[s]}, {"reg": 6 * s},
+                                   sw.ms, "remark 5.9(2)"))
     if n >= 8:
-        reports.append(_value_report(
+        reports.append(make_report(
             "remark-5.9-nonmonotone", {"n": n},
             {"regI": val, "regI2": reg_powers[2], "decreasing": val > reg_powers[2]},
             {"regI": n + 5, "regI2": 12, "decreasing": True},
@@ -358,7 +352,7 @@ def scenario_remark_59(characteristic: int | None = None, caps: Caps = DEFAULT_C
         for s in (1, 2, 3):
             with Stopwatch() as sw:
                 direct = reg_of(setup.F ** s, char, caps, threads)
-            reports.append(_value_report(
+            reports.append(make_report(
                 "remark-5.9-regFs", {"n": n, "s": s},
                 {"reg": direct}, {"reg": max(n + 4 + s, 6 * s)},
                 sw.ms, "remark 5.9(3)",
@@ -383,13 +377,13 @@ def scenario_lemma_54(characteristic: int | None = None, caps: Caps = DEFAULT_CA
         for i in (1, 2):
             with Stopwatch() as sw:
                 direct, general = reg_maxideal_power_formula(M, i, char, caps, threads)
-            reports.append(_value_report(
+            reports.append(make_report(
                 "lemma-5.4-general", {"ideal": label, "i": i},
                 {"direct": direct, "formula": general},
                 {"formula": direct}, sw.ms, "lemma 5.4(i)",
             ))
             if M.is_equigenerated():
-                reports.append(_value_report(
+                reports.append(make_report(
                     "lemma-5.4-equigenerated", {"ideal": label, "i": i},
                     {"direct": direct, "formula": max(base, i + M.t0())},
                     {"formula": direct}, 0.0, "lemma 5.4(ii)",
@@ -400,7 +394,7 @@ def scenario_lemma_54(characteristic: int | None = None, caps: Caps = DEFAULT_CA
             with Stopwatch() as sw:
                 shifted = maxideal_power(ring, None, i) * M
                 linear = has_linear_resolution(shifted, char, caps, threads)
-            reports.append(_value_report(
+            reports.append(make_report(
                 "lemma-5.4-linear-threshold", {"ideal": label, "i": i},
                 {"linear": linear}, {"linear": True}, sw.ms, "lemma 5.4(ii)",
             ))
@@ -447,7 +441,7 @@ def scenario_thm_36(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS
                 reg_of(setup.I_left, char, caps, threads),
                 reg_of(setup.J_right, char, caps, threads),
             )
-        reports.append(_value_report(
+        reports.append(make_report(
             "prop-3.4-reg", {"setup": label},
             {"regF": direct}, {"regF": expected}, sw.ms, "proposition 3.4(ii)",
         ))

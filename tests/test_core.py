@@ -2,6 +2,7 @@
 
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +15,7 @@ from fiberlab import (
     parse_ring,
     tensor_ring,
 )
-from fiberlab.core import canonical_order, sort_key
+from fiberlab.ideals import _canonical_rows, _minimal_rows
 
 
 def test_parse_ring_eight_variables():
@@ -101,8 +102,8 @@ def test_divides_and_lcm(ring_xy):
 
 
 def test_canonical_order_is_degree_then_lex(ring_xy):
-    vecs = [(0, 2), (2, 0), (1, 1), (1, 0)]
-    assert canonical_order(vecs) == [(2, 0), (1, 1), (0, 2), (1, 0)]
+    vecs = np.array([(0, 2), (2, 0), (1, 1), (1, 0)], dtype=np.int32)
+    assert _canonical_rows(vecs).tolist() == [[2, 0], [1, 1], [0, 2], [1, 0]]
 
 
 def test_print_round_trip(ring_xy):
@@ -161,9 +162,20 @@ def test_divides_transitive_and_lcm_laws(a, b, c):
     assert u.divides(u.lcm(v))
 
 
-@given(small_exps)
-def test_sort_key_orders_by_degree_first(a):
-    ring = Ring("R", ("x", "y", "z"))
-    u = Monomial(ring, a)
-    key = sort_key(u.exponents)
-    assert key[0] == u.total_degree
+@st.composite
+def distinct_rows(draw):
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), unique=True, max_size=12))
+    return np.array(rows, dtype=np.int32).reshape(len(rows), n)
+
+
+@given(distinct_rows())
+def test_sort_key_orders_by_degree_first(arr):
+    # both orderings of ideal rows match Python's sort by (degree, lex), descending,
+    # and _minimal_rows keeps exactly the rows that no other row divides
+    rows = [tuple(r) for r in arr.tolist()]
+    want = sorted(rows, key=lambda row: (sum(row), row), reverse=True)
+    assert [tuple(r) for r in _canonical_rows(arr).tolist()] == want
+    minimal = [r for r in want
+               if not any(s != r and all(a <= b for a, b in zip(s, r)) for s in rows)]
+    assert [tuple(r) for r in _minimal_rows(arr).tolist()] == minimal

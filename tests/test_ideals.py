@@ -82,6 +82,19 @@ def test_power_additivity_random():
             assert ideal ** s * ideal ** t == ideal ** (s + t)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3), st.booleans(), st.integers(0, 6))
+def test_principal_powers_equal_repeated_products(exps, zero, s):
+    ring = Ring("R", tuple("xyz"[: len(exps)]))
+    ideal = MonomialIdeal.zero(ring) if zero else MonomialIdeal.from_exponents(ring, [exps])
+    product = MonomialIdeal.unit(ring)
+    for _ in range(s):
+        product = product * ideal
+    with pytest.MonkeyPatch.context() as patch:  # one step, not s products
+        patch.setattr(MonomialIdeal, "__mul__", lambda *args: pytest.fail("multiplied"))
+        assert ideal ** s == product
+
+
 def test_intersect_examples(ring_xy):
     x, y = ideal_of(ring_xy, "x"), ideal_of(ring_xy, "y")
     assert x & y == ideal_of(ring_xy, "x*y")

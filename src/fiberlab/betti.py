@@ -27,8 +27,10 @@ homology together, grouped by support size m.  One (complexes x 2^m)
 boolean array holds a group's faces.  A complex's boundary from k- to
 (k-1)-faces is the full simplex's, restricted to the complex's own faces:
 every column keeps all its entries, since a complex holds the facets of
-its faces.  Over GF(p), matrices of similar size share one zero-padded
-stack and one ``rank_mod_p`` call; over Q each goes to ``rank_exact``.  A
+its faces.  The walk only computes where those entries go: ``linalg.
+rank_inputs``, which the Koszul engine uses too, lays out the boundaries
+of one k for ``rank_mod_p`` or ``rank_exact``, largest k first, so a GF(p)
+batch over the dense limit is refused before any rank is spent on it.  A
 fixed cell budget splits the face arrays and the stacks.
 
 Boundary ranks are computed only for complexes that are not cones (a
@@ -46,6 +48,7 @@ two blocks within reach without ever enumerating the product lattice.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -55,10 +58,14 @@ from .config import DEFAULT_CAPS, Caps, default_threads
 from .core import Exponents, Monomial, resolve_characteristic
 from .errors import CapError, DomainError
 from .ideals import MonomialIdeal, _divisible, _Packing, _row_keys, _sorted_unique, _unique_rows
-from .linalg import rank_mod_p, rank_exact
+from . import linalg
+from .linalg import rank_exact, rank_inputs, rank_mod_p
 
-# surviving points from which the walk uses the process pool: on 2 cores the
-# pool won from about 250 survivors up, and no claim-check walk has 300
+# surviving points from which the walk uses the process pool.  Serial : threads=2 on
+# 2 cores, Appendix A ideal, over GF(32003) | Q: I^2 (2,736 points) 0.13-0.39 : 0.19-0.29 s
+# | 1.2-1.4 : 1.2-1.5 s; I^3 (6,264) 0.28-0.50 : 0.25-0.50 s | 0.73-0.86 : 0.63-0.64 s;
+# m*I^2 (15,820) 1.2-1.6 : 0.91-1.09 s over GF(32003).  At 10,000, walking I^2 and I^3 in
+# the calling process raised the appendix-lattice benchmark's peak RSS from 210 to 283 MB
 _PARALLEL_MIN_POINTS = 1_000
 
 
@@ -135,19 +142,9 @@ def upper_koszul(ideal: MonomialIdeal, b: Exponents | Monomial) -> UpperKoszul:
 
 # -- homology of upper Koszul complexes, in batches --------------------------
 
-# cells of one face-indicator array (complexes x 2^m) or of one stack of
-# boundary matrices; a larger batch of complexes is cut into several
-_CELL_BUDGET = 1 << 21
-
-_POPCOUNT_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _popcounts(m: int) -> np.ndarray:
-    table = _POPCOUNT_CACHE.get(m)
-    if table is None:
-        table = np.array([bin(i).count("1") for i in range(1 << m)], dtype=np.int8)
-        _POPCOUNT_CACHE[m] = table
-    return table
+    return np.array([bin(i).count("1") for i in range(1 << m)], dtype=np.int8)
 
 
 def _faces(batch: list[np.ndarray], m: int) -> np.ndarray:
@@ -166,62 +163,28 @@ def _faces(batch: list[np.ndarray], m: int) -> np.ndarray:
     return faces
 
 
-def _stacks(nrows: list[int], ncols: list[int]) -> list[slice]:
-    """Consecutive runs of matrices whose zero-padded stack fits the cell budget."""
-    runs, start, top_r, top_c = [], 0, 0, 0
-    for i, (r, c) in enumerate(zip(nrows, ncols)):
-        top_r, top_c = max(top_r, r), max(top_c, c)
-        if i > start and (i - start + 1) * top_r * top_c > _CELL_BUDGET:
-            runs.append(slice(start, i))
-            start, top_r, top_c = i, r, c
-    return runs + [slice(start, len(nrows))] if nrows else runs
-
-
 def _boundary_ranks(owner: np.ndarray, face: np.ndarray, index: np.ndarray,
-                    nrows: np.ndarray, ncols: np.ndarray, first: np.ndarray, k: int,
-                    char: int) -> np.ndarray:
+                    nrows: np.ndarray, ncols: np.ndarray, k: int, char: int) -> np.ndarray:
     """Rank of each complex's boundary from its k-faces to its (k-1)-faces.
 
-    ``owner`` and ``face`` list the batch's k-faces by complex, then by
-    bitmask; complex b has ``ncols[b]`` of them from position ``first[b]``
-    on, and ``nrows[b]`` faces of cardinality k-1, where ``index[b, g]``
-    is the row of face g.  The full simplex's boundary has, in the column
-    of a k-face, the entry (-1)^t at the facet that drops its t-th lowest
-    vertex.  A complex holds the facets of its faces, so its boundary keeps
-    these columns whole, at its own faces.  Over GF(p), matrices of similar
-    size share a zero-padded stack and one ``rank_mod_p`` call; over Q each
-    matrix goes to ``rank_exact`` as its transpose, one {row: sign} dict
-    per column.
+    ``owner`` and ``face`` list the batch's k-faces by complex; complex b
+    has ``ncols[b]`` of them and ``nrows[b]`` (k-1)-faces, and face g is
+    row or column ``index[b, g]``.  The column of a k-face holds (-1)^t at
+    the facet that drops its t-th lowest vertex, as in the full simplex.
     """
-    rows = np.empty((len(face), k), dtype=np.int64)
+    rows = np.empty((len(face), k), dtype=np.int32)
     rest = face
     for t in range(k):
         low = rest & -rest
         rows[:, t] = index[owner, face ^ low]
         rest = rest ^ low
-    sign = [-1 if t % 2 else 1 for t in range(k)]
+    sign = np.ones((len(face), k), dtype=np.int8)
+    sign[:, 1::2] = -1
     ranks = np.zeros(len(ncols), dtype=np.int64)
-    if char == 0:
-        rows = rows.tolist()
-        for b in np.flatnonzero(ncols).tolist():
-            lo = int(first[b])
-            # the transpose, one {row: sign} dict per column: the same rank
-            columns = rows[lo : lo + int(ncols[b])]
-            ranks[b] = rank_exact([dict(zip(facets, sign)) for facets in columns])
-        return ranks
-    col = np.arange(len(face)) - np.repeat(first, ncols)
-    have = np.flatnonzero(ncols)
-    have = have[np.lexsort((nrows[have], ncols[have]))]
-    heights, widths = nrows[have].tolist(), ncols[have].tolist()
-    slot = np.empty(len(ncols), dtype=np.int64)
-    for run in _stacks(heights, widths):
-        part = have[run]
-        slot.fill(-1)
-        slot[part] = np.arange(len(part))
-        mine = slot[owner] >= 0
-        stack = np.zeros((len(part), max(heights[run]), max(widths[run])), dtype=np.int8)
-        stack[slot[owner[mine]][:, None], rows[mine], col[mine][:, None]] = sign
-        ranks[part] = rank_mod_p(stack, char)
+    for members, matrix in rank_inputs(np.repeat(owner, k), rows.ravel(),
+                                       np.repeat(index[owner, face], k), sign.ravel(),
+                                       nrows, ncols, char):
+        ranks[members] = rank_exact(matrix) if char == 0 else rank_mod_p(matrix, char)
     return ranks
 
 
@@ -244,7 +207,7 @@ def _homology_from_masks(batch: list[np.ndarray], m: int, char: int) -> list[dic
         elif (masks != 0).all() and np.bitwise_or.reduce(masks) == full:
             todo.append(b)
         # else a full simplex, or a cone on a vertex in no mask: contractible
-    step = max(1, _CELL_BUDGET >> m)
+    step = max(1, linalg._CELL_BUDGET >> m)
     for lo in range(0, len(todo), step):
         part = todo[lo : lo + step]
         owner, face = np.nonzero(_faces([batch[b] for b in part], m))
@@ -259,12 +222,12 @@ def _homology_from_masks(batch: list[np.ndarray], m: int, char: int) -> list[dic
         index[owner, face] = np.arange(len(face)) - np.repeat(starts, counts)
         counts, starts = counts.reshape(m + 1, len(part)), starts.reshape(m + 1, len(part))
         ranks = np.zeros((m + 2, len(part)), dtype=np.int64)
-        for k in range(1, m + 1):
-            if not counts[k].any():
-                break  # a complex is closed under faces: nothing above k either
+        # the largest boundary first: a batch over the dense limit is refused at once
+        cells = (counts[:-1] * counts[1:]).max(axis=1)
+        for k in np.argsort(-cells, kind="stable")[: np.count_nonzero(cells)] + 1:
             span = slice(starts[k, 0], starts[k, 0] + counts[k].sum())
             ranks[k] = _boundary_ranks(owner[span], face[span], index, counts[k - 1],
-                                       counts[k], starts[k] - starts[k, 0], k, char)
+                                       counts[k], k, char)
         dims = counts - ranks[:-1] - ranks[1:]
         for b, column in zip(part, dims.T.tolist()):
             out[b] = {i: d for i, d in enumerate(column) if d}

@@ -167,8 +167,11 @@ def _invariants_payload(ideal, char, caps, threads) -> dict:
 
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise GrammarError(f"--output: {exc}") from None
     else:
         try:
             print(text, flush=True)
@@ -313,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (FiberlabError, FileNotFoundError) as exc:
+    except FiberlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -166,9 +166,6 @@ class Monomial:
     def support(self) -> tuple[str, ...]:
         return tuple(v for v, e in zip(self.ring.variables, self.exponents) if e > 0)
 
-    def is_one(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
     def _check_ring(self, other: "Monomial") -> None:
         if self.ring != other.ring:
             raise RingMismatchError("monomials live in different rings")
@@ -186,15 +183,12 @@ class Monomial:
         return Monomial(self.ring, tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def __str__(self) -> str:
-        if self.is_one():
-            return "1"
-        parts = []
-        for v, e in zip(self.ring.variables, self.exponents):
-            if e == 1:
-                parts.append(v)
-            elif e > 1:
-                parts.append(f"{v}^{e}")
-        return "*".join(parts)
+        return format_monomial(self.ring.variables, self.exponents)
+
+
+def format_monomial(variables: tuple[str, ...], exponents: Exponents) -> str:
+    """``x*y^2`` for the exponents (1, 2) of variables (x, y); ``1`` for no variable."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exponents) if e) or "1"
 
 
 # -- the grammar shared by monomials, rings and definition files --------------

@@ -27,7 +27,7 @@ from math import comb
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .core import Exponents, Monomial, Ring
+from .core import Exponents, Monomial, Ring, format_monomial
 from .errors import CapError, DomainError, RingMismatchError
 
 _INT = np.int32
@@ -241,7 +241,7 @@ class MonomialIdeal:
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
-        return ", ".join(str(m) for m in self.generators)
+        return ", ".join(format_monomial(self.ring.variables, g) for g in self.gens)
 
     # -- membership ----------------------------------------------------
 

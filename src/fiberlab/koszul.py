@@ -28,7 +28,7 @@ from .core import Exponents, resolve_characteristic
 from .errors import CapError, DomainError, InternalError
 from .ideals import (MonomialIdeal, _canonical_rows, _canonical_tuple, _divisible,
                      monomials_of_degree)
-from .linalg import coordinates_in_span, nullspace, rank_exact, rank_input, rank_mod_p, rref
+from .linalg import coordinates_in_span, nullspace, rank_exact, rank_inputs, rank_mod_p, rref
 
 
 def max_lattice_degree(ideal: MonomialIdeal) -> int:
@@ -93,7 +93,7 @@ class _StrandComplex:
                 out.append((target[key], col, -1 if pos % 2 else 1))
         return out
 
-    def boundary_rank(self, i: int, characteristic: int, rows: list[int] | None = None) -> int:
+    def boundary_rank(self, i: int, char: int, rows: list[int] | None = None) -> int:
         """Rank of the map from strand i to strand i-1, or of its ``rows`` only."""
         trips, nrows = self.boundary_triplets(i), self.dim(i - 1)
         if rows is not None:
@@ -102,8 +102,9 @@ class _StrandComplex:
             nrows = len(rows)
         if not trips:
             return 0
-        matrix = rank_input(trips, (nrows, self.dim(i)), characteristic)
-        return rank_exact(matrix) if characteristic == 0 else rank_mod_p(matrix, characteristic)
+        # one matrix, which has entries
+        (_, matrix), = rank_inputs([0] * len(trips), *zip(*trips), [nrows], [self.dim(i)], char)
+        return int(rank_exact(matrix) if char == 0 else rank_mod_p(matrix, char)[0])
 
     def homology(self, characteristic: int):
         """(i, dim Z_i, dim H_i) for every homological position i."""

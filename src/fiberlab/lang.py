@@ -19,6 +19,7 @@ blocks, when there is exactly one such ring.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_CAPS, Caps
@@ -57,10 +58,21 @@ class Environment:
         return self.ideals[name]
 
 
+# binary operators, loosest first; '^' takes an integer and binds tightest
+_PRECEDENCE = {":": 1, "+": 2, "&": 3, "*": 4}
+_BINARY = {":": lambda a, b: a.colon(b), "+": operator.add, "&": operator.and_, "*": operator.mul}
+
+# parentheses and call arguments nest at most this deep, a fixed limit that
+# keeps the recursive descent well inside Python's recursion limit: a level
+# costs 3 frames (atom, expression, power_expr), 4 through fiber_call
+NESTING_LIMIT = 150
+
+
 class _Parser(TokenStream):
     def __init__(self, tokens: list[Token], env: Environment):
         super().__init__(tokens)
         self.env = env
+        self.depth = 0
 
     # -- statements ----------------------------------------------------
 
@@ -114,43 +126,38 @@ class _Parser(TokenStream):
         self.env.ideals[name.text] = value
 
     # -- expressions -----------------------------------------------------
-    # precedence: ':' < '+' < '&' < '*' < '^' < atoms
 
-    def expression(self) -> MonomialIdeal:
-        left = self.sum_expr()
-        while self.at(":"):
-            self.next()
-            right = self.sum_expr()
-            left, right = self.align(left, right)
-            left = left.colon(right)
-        return left
+    def expression(self, opener: Token | None = None) -> MonomialIdeal:
+        """The longest expression at this point; with ``opener``, one inside
+        parentheses or call arguments, one nesting level deeper.
 
-    def sum_expr(self) -> MonomialIdeal:
-        left = self.meet_expr()
-        while self.at("+"):
+        Operators of one precedence group to the left. The operands wait on an
+        explicit stack, so a nesting level costs the same few Python frames
+        whatever operators lead into it.
+        """
+        if opener is not None:
+            if self.depth == NESTING_LIMIT:
+                raise GrammarError(f"expressions nest deeper than the fixed limit of {NESTING_LIMIT} "
+                                   "levels (not a FIBERLAB_CAPS cap)", position=opener.pos)
+            self.depth += 1
+        operands = [self.power_expr()]
+        operators: list[str] = []
+        while (tok := self.peek()) is not None and tok.text in _PRECEDENCE:
             self.next()
-            right = self.meet_expr()
-            left, right = self.align(left, right)
-            left = left + right
-        return left
+            while operators and _PRECEDENCE[operators[-1]] >= _PRECEDENCE[tok.text]:
+                self.reduce(operands, operators.pop())
+            operators.append(tok.text)
+            operands.append(self.power_expr())
+        while operators:
+            self.reduce(operands, operators.pop())
+        if opener is not None:
+            self.depth -= 1
+        return operands[0]
 
-    def meet_expr(self) -> MonomialIdeal:
-        left = self.product_expr()
-        while self.at("&"):
-            self.next()
-            right = self.product_expr()
-            left, right = self.align(left, right)
-            left = left & right
-        return left
-
-    def product_expr(self) -> MonomialIdeal:
-        left = self.power_expr()
-        while self.at("*"):
-            self.next()
-            right = self.power_expr()
-            left, right = self.align(left, right)
-            left = left * right
-        return left
+    def reduce(self, operands: list[MonomialIdeal], op: str) -> None:
+        right = operands.pop()
+        left, right = self.align(operands.pop(), right)
+        operands.append(_BINARY[op](left, right))
 
     def power_expr(self) -> MonomialIdeal:
         base = self.atom()
@@ -165,7 +172,7 @@ class _Parser(TokenStream):
     def atom(self) -> MonomialIdeal:
         tok = self.next()
         if tok.text == "(":
-            inner = self.expression()
+            inner = self.expression(tok)
             self.expect(")")
             return inner
         if tok.kind == "int":
@@ -183,13 +190,11 @@ class _Parser(TokenStream):
         if tok.text == "fiber":
             return self.fiber_call()
         if tok.text == "dstar":
-            self.expect("(")
-            arg = self.expression()
+            arg = self.expression(self.expect("("))
             self.expect(")")
             return star_derivative(arg)
         if tok.text == "component":
-            self.expect("(")
-            arg = self.expression()
+            arg = self.expression(self.expect("("))
             self.expect(",")
             deg = self.next()
             if deg.kind != "int":
@@ -245,10 +250,8 @@ class _Parser(TokenStream):
         raise GrammarError(f"unknown ring or block {rname.text!r}", position=rname.pos)
 
     def fiber_call(self) -> MonomialIdeal:
-        self.expect("(")
-        a = self.expression()
-        self.expect(",")
-        b = self.expression()
+        a = self.expression(self.expect("("))
+        b = self.expression(self.expect(","))
         self.expect(")")
         setup = fiber_product(a, b)
         # reuse a declared tensor ring when one matches, so the result
@@ -303,8 +306,17 @@ def load_definitions(text: str, characteristic: int = 0,
 
 
 def load_file(path: str, characteristic: int = 0, caps: Caps = DEFAULT_CAPS) -> Environment:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_definitions(fh.read(), characteristic, caps)
+    """The definitions in the file at ``path``; a file that cannot be read as
+    UTF-8 text is a GrammarError that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise GrammarError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        message = f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        raise GrammarError(message) from None
+    return load_definitions(text, characteristic, caps)
 
 
 def eval_expression(env: Environment, text: str) -> MonomialIdeal:

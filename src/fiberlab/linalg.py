@@ -1,25 +1,25 @@
 """Exact rank and echelon computations over Q and GF(p).
 
-Three layers, each exact:
+Four parts, each exact:
 
+* ``rank_inputs`` -- the one layout of rank inputs, for both Betti engines:
+  a batch of sparse integer matrices, as COO arrays with their shapes,
+  becomes {column: value} rows for ``rank_exact`` over Q, or zero-padded
+  stacks of similar shapes, cut at a fixed cell budget, for ``rank_mod_p``
+  over GF(p).  A dense matrix may have at most ``DENSE_CELL_LIMIT`` (2^26)
+  cells, 512 MiB per int64 copy, of which ``rank_mod_p`` makes one: a fixed
+  limit, not a ``FIBERLAB_CAPS`` cap, checked before any stack exists.  A
+  large Koszul strand, or a simplex boundary on 16 vertices, passes it.
 * ``rank_mod_p`` -- the one GF(p) elimination: dense, vectorized and
-  fraction-free.  It takes one matrix, as the Koszul engine's strands come,
-  or a (B, R, C) stack, as the lattice walk batches its small boundary
-  matrices, and then eliminates all B matrices with one step per column.
-  A step touches only the rows that are nonzero in its column, so large
-  sparse strands keep their cost.
+  fraction-free.  It takes one matrix, or a (B, R, C) stack, and then
+  eliminates all B matrices with one step per column.  A step touches
+  only the rows that are nonzero in its column, so large sparse strands
+  keep their cost.
 * ``rank_exact`` -- sparse fraction-free integer elimination with row-gcd
   normalization; computes ranks over Q without ever rounding, one matrix
-  at a time.  It takes its rows from ``rank_input``, which both Betti
-  engines feed with (row, col, sign) triplets; the Koszul engine's dense
-  GF(p) matrices come from there too.  A dense matrix may have at most
-  ``DENSE_CELL_LIMIT`` (2^26) cells, 512 MiB per int64 copy, and
-  ``rank_mod_p`` makes one working copy.  ``rank_input`` raises
-  ``CapError`` before it allocates a larger one.  The limit is fixed, not a
-  ``FIBERLAB_CAPS`` cap: it keeps a Koszul strand inside memory, which no
-  cap on the basis size does.
+  at a time.
 * a small dense toolkit for actual bases and coordinates: the induced
-  matrices of ``koszul.tor_map``.  Like ``rank_input`` it takes the
+  matrices of ``koszul.tor_map``.  Like ``rank_inputs`` it takes the
   characteristic: its elements are residues mod p, or Fractions over Q.
 """
 
@@ -33,6 +33,9 @@ import numpy as np
 from .errors import CapError
 
 DENSE_CELL_LIMIT = 1 << 26
+# cells of one stack of zero-padded matrices, and of one face-indicator array
+# of the lattice walk; a larger batch is cut into several
+_CELL_BUDGET = 1 << 21
 
 # -- dense rank over GF(p) -------------------------------------------------
 
@@ -147,31 +150,63 @@ def rank_exact(rows: list[dict[int, int]]) -> int:
     return rank
 
 
-def rank_input(
-    triplets: list[tuple[int, int, int]], shape: tuple[int, int], characteristic: int
-) -> list[dict[int, int]] | np.ndarray:
-    """The matrix with (row, col, value) entries ``triplets``, ready for a rank.
+def _stacks(nrows: list[int], ncols: list[int]) -> list[slice]:
+    """Consecutive runs of matrices whose zero-padded stack fits the cell budget."""
+    runs, start, top_r, top_c = [], 0, 0, 0
+    for i, (r, c) in enumerate(zip(nrows, ncols)):
+        top_r, top_c = max(top_r, r), max(top_c, c)
+        if i > start and (i - start + 1) * top_r * top_c > _CELL_BUDGET:
+            runs.append(slice(start, i))
+            start, top_r, top_c = i, r, c
+    return runs + [slice(start, len(nrows))] if nrows else runs
 
-    Over Q (characteristic 0) these are the {column: value} rows that
-    ``rank_exact`` takes; over GF(p) the dense int64 array of ``rank_mod_p``,
-    or a CapError when it would pass ``DENSE_CELL_LIMIT`` cells.
+
+def rank_inputs(owner, row, col, value, nrows, ncols, characteristic: int):
+    """Lay out a batch of sparse integer matrices for ``rank_exact`` or ``rank_mod_p``.
+
+    Matrix b has shape (nrows[b], ncols[b]) and the entry value[e] at
+    (row[e], col[e]) for each e with owner[e] == b, at distinct positions.
+    Yields (members, matrix) pairs, leaving out matrices without entries.
+    Over Q members is one b and matrix its {column: value} rows.  Over
+    GF(p) members is an array and matrix their zero-padded stack (int8 if
+    the values fit): sorted by width, then height, consecutive matrices
+    share a stack within ``_CELL_BUDGET`` cells.  A matrix over
+    ``DENSE_CELL_LIMIT`` cells raises CapError before any stack exists.
     """
-    nrows, ncols = shape
-    if characteristic == 0:
-        rows: list[dict[int, int]] = [dict() for _ in range(nrows)]
-        for r, c, v in triplets:
+    if characteristic == 0:  # plain Python, so a small strand pays no NumPy call
+        owner, row, col, value = (a.tolist() if isinstance(a, np.ndarray) else a
+                                  for a in (owner, row, col, value))
+        mats: dict[int, list[dict[int, int]]] = {}
+        for b, r, c, v in zip(owner, row, col, value):
+            rows = mats.get(b)
+            if rows is None:
+                rows = mats[b] = [{} for _ in range(nrows[b])]
             rows[r][c] = v
-        return rows
-    if nrows * ncols > DENSE_CELL_LIMIT:
+        yield from mats.items()
+        return
+    owner, row, col, value = np.asarray(owner, dtype=np.int64), *map(np.asarray, (row, col, value))
+    nrows, ncols = np.asarray(nrows, dtype=np.int64), np.asarray(ncols, dtype=np.int64)
+    have = np.flatnonzero(np.bincount(owner, minlength=len(nrows)))
+    have = have[np.lexsort((nrows[have], ncols[have]))]
+    heights, widths = nrows[have].tolist(), ncols[have].tolist()
+    cells = nrows[have] * ncols[have]
+    if len(have) and cells.max() > DENSE_CELL_LIMIT:
+        r, c = heights[cells.argmax()], widths[cells.argmax()]
         raise CapError(
-            f"a dense GF(p) matrix of shape ({nrows}, {ncols}) reached {nrows * ncols} cells, "
+            f"a dense GF(p) matrix of shape ({r}, {c}) reached {r * c} cells, "
             f"over the fixed limit of {DENSE_CELL_LIMIT} (not a FIBERLAB_CAPS cap; "
             "it cannot be raised)"
         )
-    mat = np.zeros((nrows, ncols), dtype=np.int64)
-    for r, c, v in triplets:
-        mat[r, c] = v
-    return mat
+    dtype = np.int8 if np.abs(value).max(initial=0) < 128 else np.int64
+    place = np.empty(len(nrows), dtype=np.int64)  # a matrix's place in the sorted order
+    place[have] = np.arange(len(have))
+    place = place[owner]
+    runs = _stacks(heights, widths)
+    for run in runs:
+        mine = slice(None) if len(runs) == 1 else (place >= run.start) & (place < run.stop)
+        stack = np.zeros((run.stop - run.start, max(heights[run]), max(widths[run])), dtype=dtype)
+        stack[place[mine] - run.start, row[mine], col[mine]] = value[mine]
+        yield have[run], stack
 
 
 # -- dense toolkit over Q or GF(p) -----------------------------------------

@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from fiberlab import MonomialIdeal, Ring, parse_monomial
+from fiberlab.linalg import rank_exact, rank_inputs
 
 
 @pytest.fixture
@@ -137,6 +138,16 @@ def reduced_homology_dims(faces: list[frozenset]) -> dict[int, int]:
         if dim:
             out[k] = dim
     return out
+
+
+def exact_rank(triplets, shape: tuple[int, int]) -> int:
+    """Rank over Q of the matrix with (row, col, value) ``triplets``, laid out
+    by ``rank_inputs`` as the engines lay out theirs."""
+    if not triplets:
+        return 0
+    row, col, value = zip(*triplets)
+    return sum(rank_exact(rows) for _, rows in
+               rank_inputs([0] * len(triplets), row, col, value, [shape[0]], [shape[1]], 0))
 
 
 def rank_mod_p_oracle(matrix, p: int) -> int:

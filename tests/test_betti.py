@@ -1,6 +1,7 @@
 """The lattice Betti engine against independent oracles."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -21,9 +22,9 @@ from fiberlab import (
 from fiberlab.errors import CapError
 from fiberlab.config import Caps
 
-from fiberlab.linalg import rank_exact, rank_input
+import fiberlab.linalg as linalg
 
-from conftest import ideal_of, random_ideal, rank_mod_p_oracle, reduced_homology_dims
+from conftest import exact_rank, ideal_of, random_ideal, rank_mod_p_oracle, reduced_homology_dims
 
 
 def test_koszul_baseline(ring_xyz):
@@ -403,7 +404,7 @@ def reference_homology(masks, m: int, char: int) -> dict[int, int]:
                 sign, rest = -sign, rest ^ bit
         shape = (len(by_card[k - 1]), len(by_card[k]))
         if char == 0:
-            ranks[k] = rank_exact(rank_input(triplets, shape, 0))
+            ranks[k] = exact_rank(triplets, shape)
         else:
             dense = np.zeros(shape, dtype=np.int64)
             for r, c, v in triplets:
@@ -477,7 +478,7 @@ def test_answer_does_not_depend_on_the_batch():
         assert betti_mod._homology_from_masks(batch[::-1], 6, char) == alone[::-1]
         with pytest.MonkeyPatch.context() as patch:
             for budget in (256, 1024):
-                patch.setattr(betti_mod, "_CELL_BUDGET", budget)
+                patch.setattr(linalg, "_CELL_BUDGET", budget)
                 assert betti_mod._homology_from_masks(batch, 6, char) == alone
     assert alone[0] == {2: 1, 3: 1}  # GF(2), the last field above
 
@@ -516,3 +517,31 @@ def test_product_split_matches_direct_walk(blocks):
             patch.setattr(betti_mod, "_product_split", lambda gens: None)
             direct = betti_table(ideal, char, threads=1)
         assert split.entries == direct.entries
+
+
+def test_walk_refuses_a_dense_matrix_over_the_limit_before_allocating(monkeypatch):
+    # (x1^2, ..., x8^2): the point with support m carries the boundary of the
+    # (m-1)-simplex, whose largest boundary matrix has C(m, m//2) * C(m, m//2 - 1)
+    # cells: 3,920 at m = 8 and 1,225 at m = 7
+    ring = Ring("R", tuple(f"x{i}" for i in range(1, 9)))
+    ideal = MonomialIdeal.from_exponents(
+        ring, [tuple(2 * (j == i) for j in range(8)) for i in range(8)])
+    monkeypatch.setattr(linalg, "DENSE_CELL_LIMIT", 3919)
+    stacks = []
+    allocate = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and len(shape) == 3:
+            stacks.append(shape)
+        return allocate(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    with pytest.raises(CapError, match=r"shape \(56, 70\) reached 3920 cells, over the fixed "
+                                       r"limit of 3919 \(not a FIBERLAB_CAPS cap"):
+        betti_table(ideal, 32003, threads=1)
+    assert (1, 35, 35) in stacks  # m = 7 was ranked
+    # nothing of m = 8 was laid out: its largest boundary went first and was refused
+    assert (1, 8, 28) not in stacks and all(r * c < 3920 for _, r, c in stacks)
+    # over Q nothing is dense: the complete intersection of 8 quadrics
+    table = betti_table(ideal, 0, threads=1)
+    assert table.coarse() == {(i, 2 * i + 2): math.comb(8, i + 1) for i in range(8)}

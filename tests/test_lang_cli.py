@@ -8,10 +8,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fiberlab import (
     CapError,
     Caps,
+    FiberlabError,
     GrammarError,
     RingMismatchError,
     betti_table,
@@ -445,3 +447,82 @@ def test_scenario_parameter_in_the_name_may_repeat_the_argument():
     named = run_scenario("remark-5.9(2)", n=2)
     plain = run_scenario("remark-5.9", n=2)
     assert [r.to_json_dict(False) for r in named] == [r.to_json_dict(False) for r in plain]
+
+
+# -- path errors, the nesting limit and token soups: never a traceback ---------
+
+
+@pytest.mark.parametrize("case", ["input-is-a-directory", "input-not-utf8",
+                                  "output-is-a-directory"])
+def test_cli_path_errors_are_usage_errors(tmp_path, pair_file, case):
+    # each ended in an IsADirectoryError or UnicodeDecodeError traceback, exit 1
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    latin1 = tmp_path / "latin1.fl"
+    latin1.write_bytes(PAIR.encode() + "# caf\xe9\n".encode("latin-1"))
+    argv, named = {
+        "input-is-a-directory": (("eval", str(folder), "I"), str(folder)),
+        "input-not-utf8": (("eval", str(latin1), "I"), str(latin1)),
+        "output-is-a-directory": (("--output", str(folder), "eval", pair_file, "I"), str(folder)),
+    }[case]
+    out = run_fiberlab(*argv)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: ") and repr(named) in out.stderr
+
+
+def test_cli_nesting_limit(tmp_path, pair_file):
+    # 200 nested parentheses ended in a RecursionError traceback; 150 evaluated
+    out = run_fiberlab("eval", pair_file, "(" * 150 + "I" + ")" * 150)
+    assert (out.returncode, out.stdout) == (0, "x^2, x*y\n")
+    out = run_fiberlab("eval", pair_file, "(" * 200 + "I" + ")" * 200)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "nest deeper than the fixed limit of 150 levels (not a FIBERLAB_CAPS cap) " \
+        "(at position 150)" in out.stderr
+    # a level entered through the operator chain or a call costs a fixed
+    # number of frames: 150 of each evaluate (or meet a ring error), 151 do not
+    for opener, closer in [("I : I + I & I * (", ")"), ("I : I + I & I * fiber(I, ", ")"),
+                           ("fiber(", ", J)"), ("component(", ", 3)")]:
+        for levels in (150, 151):
+            out = run_fiberlab("eval", pair_file, opener * levels + "I" + closer * levels)
+            assert out.returncode in (0, 2) and "Traceback" not in out.stderr
+            if levels == 151:
+                assert "nest deeper than the fixed limit of 150 levels" in out.stderr
+            try:
+                eval_expression(load_definitions(PAIR), opener * levels + "I" + closer * levels)
+            except GrammarError as exc:
+                assert (levels == 151) == ("nest deeper" in str(exc))
+            except FiberlabError:
+                assert levels == 150
+    deep = tmp_path / "deep.fl"
+    deep.write_text(PAIR + "D = " + "(" * 5000 + "I" + ")" * 5000 + ";\n")
+    out = run_fiberlab("eval", str(deep), "I")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "nest deeper than the fixed limit of 150 levels" in out.stderr
+
+
+# the grammar's alphabet: keywords, names bound below, small integers (a large
+# power of a non-principal ideal is a long computation, not an error), and
+# every punctuation mark, a comment and a character outside the grammar
+_SOUP_TOKENS = st.sampled_from([
+    "ring", "tensor", "ideal", "maxideal", "fiber", "dstar", "component", "R", "A", "B",
+    "T", "I", "J", "x", "y", "u", "zz", "0", "1", "2", "3", ";", "=", "[", "]", ",",
+    "(", ")", "+", "*", "^", "&", ":", "(*)", "#", "\n", "$",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SOUP_TOKENS, max_size=30), st.booleans())
+def test_token_soups_raise_only_fiberlab_errors(tokens, after_pair):
+    text = " ".join(tokens)
+    try:
+        load_definitions(PAIR + text if after_pair else text)
+    except FiberlabError:
+        pass
+    env = load_definitions(PAIR + "tensor T = A (*) B;\n")
+    try:
+        eval_expression(env, text)
+    except FiberlabError:
+        pass

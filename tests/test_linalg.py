@@ -6,16 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
+import fiberlab.linalg as linalg
 from fiberlab import CapError, DomainError, Ring
 
-from conftest import rank_mod_p_oracle
+from conftest import exact_rank, rank_mod_p_oracle
 
 from fiberlab.linalg import (
     DENSE_CELL_LIMIT,
     coordinates_in_span,
     nullspace,
     rank_exact,
-    rank_input,
+    rank_inputs,
     rank_mod_p,
     rref,
 )
@@ -56,8 +59,11 @@ def test_ranks_match_oracle_random():
             dtype=np.int64,
         )
         want = rank_fraction_oracle(mat)
-        assert rank_exact(rank_input(triplets_of(mat), mat.shape, 0)) == want
-        assert np.array_equal(rank_input(triplets_of(mat), mat.shape, 32003), mat)
+        assert exact_rank(triplets_of(mat), mat.shape) == want
+        # over GF(p) the layout of one matrix is a stack of one, the matrix itself
+        row, col, value = zip(*triplets_of(mat)) if mat.any() else ((), (), ())
+        layouts = list(rank_inputs([0] * len(row), row, col, value, [rows], [cols], 32003))
+        assert [stack.tolist() for _, stack in layouts] == ([[mat.tolist()]] if mat.any() else [])
         sparse = [
             {j: int(v) for j, v in enumerate(row) if v}
             for row in mat
@@ -71,14 +77,62 @@ def test_dense_rank_input_over_the_cell_limit_raises_before_allocating(monkeypat
     def allocate(*args, **kwargs):
         raise AssertionError("allocated")
 
+    def layout(*nrows):  # one entry in each matrix, 4096 columns
+        k = len(nrows)
+        return list(rank_inputs(range(k), [0] * k, [0] * k, [1] * k, nrows, [4096] * k, 32003))
+
     monkeypatch.setattr(np, "zeros", allocate)
     with pytest.raises(AssertionError, match="allocated"):  # at the limit: allocates
-        rank_input([], (DENSE_CELL_LIMIT // 4096, 4096), 32003)
-    with pytest.raises(CapError) as raised:
-        rank_input([], (DENSE_CELL_LIMIT // 4096 + 1, 4096), 32003)
-    message = str(raised.value)
-    assert "shape (16385, 4096)" in message
-    assert "not a FIBERLAB_CAPS cap" in message
+        layout(DENSE_CELL_LIMIT // 4096)
+    # one matrix over the limit refuses the batch, before a smaller one is laid out
+    for batch in ((DENSE_CELL_LIMIT // 4096 + 1,), (3, DENSE_CELL_LIMIT // 4096 + 1)):
+        with pytest.raises(CapError) as raised:
+            layout(*batch)
+        message = str(raised.value)
+        assert "shape (16385, 4096)" in message
+        assert "not a FIBERLAB_CAPS cap" in message
+
+
+small_sparse_batches = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+        lambda shape: st.lists(
+            st.one_of(st.just(0), st.integers(-3, 3), st.integers(-300, 300)),
+            min_size=shape[0] * shape[1], max_size=shape[0] * shape[1],
+        ).map(lambda cells: np.array(cells, dtype=np.int64).reshape(shape))
+    ),
+    min_size=0, max_size=8,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_sparse_batches, st.sampled_from([0, 2, 5, 32003]),
+       st.sampled_from([1, 12, 60, 1 << 21]), st.booleans())
+def test_rank_inputs_give_every_matrix_its_own_rank(mats, char, budget, as_arrays):
+    # mixed shapes, values past int8, empty matrices, and a budget that cuts
+    # the stacks after one to a few matrices: each rank is the matrix's own
+    owner, row, col, value = [], [], [], []
+    for b, mat in enumerate(mats):
+        for (r, c), v in np.ndenumerate(mat):
+            if v:
+                owner.append(b), row.append(r), col.append(c), value.append(int(v))
+    coo = [np.array(a, dtype=np.int64) for a in (owner, row, col, value)] if as_arrays else \
+        [owner, row, col, value]
+    shapes = [mat.shape[0] for mat in mats], [mat.shape[1] for mat in mats]
+    ranks = np.zeros(len(mats), dtype=np.int64)
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_CELL_BUDGET", budget)
+        for members, matrix in rank_inputs(*coo, *shapes, char):
+            ranks[members] = rank_exact(matrix) if char == 0 else rank_mod_p(matrix, char)
+            seen.extend(np.atleast_1d(members).tolist())
+            if char and len(matrix) > 1:
+                assert matrix.size <= budget
+    assert sorted(seen) == sorted(set(owner))
+    for mat, rank in zip(mats, ranks.tolist()):
+        if char == 0:
+            assert rank == rank_exact([{c: int(v) for c, v in enumerate(r) if v} for r in mat])
+        else:
+            assert rank == rank_mod_p(mat, char) == rank_mod_p_oracle(mat, char)
 
 
 def test_largest_allowed_prime_ranks_exactly():
@@ -91,7 +145,7 @@ def test_largest_allowed_prime_ranks_exactly():
     rng = np.random.default_rng(0)
     for _ in range(200):
         mat = rng.integers(-2, 3, (6, 6))
-        assert rank_mod_p(mat, p) == rank_exact(rank_input(triplets_of(mat), mat.shape, 0))
+        assert rank_mod_p(mat, p) == exact_rank(triplets_of(mat), mat.shape)
 
 
 def test_stacked_ranks_at_the_largest_allowed_prime():
@@ -110,7 +164,7 @@ def test_stacked_ranks_at_the_largest_allowed_prime():
             assert ranks.tolist() == [rank_mod_p_oracle(mat, p) for mat in stack]
             assert ranks.tolist() == [rank_mod_p(mat, p) for mat in stack]
         assert rank_mod_p(small, p).tolist() == [
-            rank_exact(rank_input(triplets_of(mat), mat.shape, 0)) for mat in small
+            exact_rank(triplets_of(mat), mat.shape) for mat in small
         ]
     assert rank_mod_p(np.zeros((2, 3, 0), dtype=np.int64), p).tolist() == [0, 0]
 
@@ -118,7 +172,7 @@ def test_stacked_ranks_at_the_largest_allowed_prime():
 def test_rank_mod_small_prime_can_drop():
     mat = np.array([[2]], dtype=np.int64)
     assert rank_mod_p(mat, 2) == 0
-    assert rank_exact(rank_input(triplets_of(mat), mat.shape, 0)) == 1
+    assert exact_rank(triplets_of(mat), mat.shape) == 1
 
 
 def test_rref_and_nullspace_q():

@@ -1,23 +1,23 @@
-"""Multigraded Betti numbers, two independent ways.
+"""Betti tables from the lattice engine, Tor maps from the Koszul engine.
 
 The lattice engine computes reduced homology of upper Koszul complexes at
-the join-closure of the generator degrees.  The Koszul engine tensors the
-ideal with the Koszul complex on all ring variables and takes homology of
-total-degree strands.  They must agree; regularity, projective dimension,
-and depth then fall out of the coarse table.
+the join-closure of the generator degrees; regularity, projective
+dimension, and depth then fall out of the coarse table.  The Koszul engine
+tensors an ideal with the Koszul complex on all ring variables; it gives
+the maps on Tor that an inclusion of ideals induces, and decides whether
+they all vanish.
 """
 
 from fiberlab import (
+    MonomialIdeal,
     Ring,
     betti_table,
     invariants_of,
-    lcm_lattice,
     maxideal_power,
-    tor_dimensions,
-    upper_koszul,
+    parse_monomial,
+    star_derivative,
+    tor_vanishing,
 )
-from fiberlab.ideals import MonomialIdeal
-from fiberlab.core import parse_monomial
 
 ring = Ring("R", ("x", "y", "z"))
 mm = maxideal_power(ring, None, 1)
@@ -27,21 +27,23 @@ table = betti_table(mm, 0)
 print("coarse table:", table.coarse())
 print("reg:", table.regularity())
 
-print("\n== the lcm lattice drives the computation ==")
+print("\n== the lcm lattice carries the multigraded table ==")
 taylor = MonomialIdeal.from_monomials(
     [parse_monomial(ring, "x^2"), parse_monomial(ring, "x*y")]
 )
-print("lattice points of (x^2, xy):", lcm_lattice(taylor).points)
-print("multigraded table:", betti_table(taylor, 0).multigraded())
+print("multigraded table of (x^2, xy):", betti_table(taylor, 0).multigraded())
+print("(the generators at their own degrees, one syzygy at their join x^2*y)")
 
-print("\n== what the engine sees at one multidegree ==")
-cx = upper_koszul(MonomialIdeal.from_monomials(
-    [parse_monomial(ring, "x"), parse_monomial(ring, "y")]), (1, 1, 0))
-print("faces at b = xy for (x, y):", cx.face_sets(), " (a 0-sphere: one first syzygy)")
-
-print("\n== the independent Koszul-strand engine agrees ==")
-print("strand dimensions:", tor_dimensions(taylor, 0).table())
-print("lattice engine:   ", betti_table(taylor, 0).coarse())
+print("\n== the Koszul engine: induced maps on Tor ==")
+plane = Ring("P", ("x", "y"))
+m1 = maxideal_power(plane, None, 1)
+m2 = maxideal_power(plane, None, 2)
+print("(x,y)^2 -> (x,y) Tor-vanishing:", tor_vanishing(m2, m1, 0))
+print("(x,y) -> (x,y), the identity:  ", tor_vanishing(m1, m1, 0),
+      " (witness: Tor_0 in degree 1)")
+square = m2 ** 2
+print("A = (x,y)^4 -> d*(A) = (x,y)^3, certified by the square-free derivative:",
+      tor_vanishing(square, star_derivative(square), 0))
 
 print("\n== derived invariants ==")
 H = MonomialIdeal.from_exponents(

@@ -18,8 +18,8 @@ from .ideals import (
     star_derivative,
     tensor_embed,
 )
-from .betti import BettiTable, LcmLattice, betti_table, lcm_lattice, upper_koszul
-from .koszul import GradedTor, tor_dimensions, tor_map, tor_vanishing
+from .betti import BettiTable, betti_table
+from .koszul import tor_vanishing
 from .invariants import (
     Invariants,
     has_linear_resolution,
@@ -47,15 +47,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BettiTable", "CapError", "Caps", "DEFAULT_CAPS", "DEFAULT_PRIME", "DomainError",
-    "FiberSetup", "FiberlabError", "Filtration", "GradedTor", "GrammarError", "Graph",
-    "InternalError", "Invariants", "LcmLattice", "Monomial", "MonomialIdeal", "Report", "Ring",
+    "FiberSetup", "FiberlabError", "Filtration", "GrammarError", "Graph",
+    "InternalError", "Invariants", "Monomial", "MonomialIdeal", "Report", "Ring",
     "RingMismatchError", "betti_table", "check_componentwise",
     "check_depth_formula", "check_reg_formula", "check_reg_formula_equigenerated",
     "check_reg_increasing", "component_ideal", "detect_bipartite_join", "edge_ideal",
     "fiber_product", "filtration", "finite_length_reg", "has_linear_resolution",
     "invariants_of", "is_componentwise_linear", "join_fiber_setup",
-    "lcm_lattice", "maxideal_power", "parse_monomial", "parse_ring",
+    "maxideal_power", "parse_monomial", "parse_ring",
     "reg_of", "star_derivative",
-    "tensor_embed", "tensor_ring", "tor_dimensions", "tor_map", "tor_vanishing",
-    "upper_koszul", "verify_betti_splitting", "verify_tor_vanishing_lemma",
+    "tensor_embed", "tensor_ring", "tor_vanishing",
+    "verify_betti_splitting", "verify_tor_vanishing_lemma",
 ]

@@ -22,16 +22,18 @@ Two consequences keep most points away from per-point work:
   position, and key the homology cache, so each distinct complex is
   computed once.
 
-The walk collects each chunk's uncached complexes and computes their
-homology together, grouped by support size m.  One (complexes x 2^m)
-boolean array holds a group's faces.  A complex's boundary from k- to
-(k-1)-faces is the full simplex's, restricted to the complex's own faces:
-every column keeps all its entries, since a complex holds the facets of
-its faces.  The walk only computes where those entries go: ``linalg.
-rank_inputs``, which the Koszul engine uses too, lays out the boundaries
-of one k for ``rank_mod_p`` or ``rank_exact``, largest k first, so a GF(p)
-batch over the dense limit is refused before any rank is spent on it.  A
-fixed cell budget splits the face arrays and the stacks.
+The walk meets the points largest support first, collects each chunk's
+uncached complexes and computes their homology together, grouped by
+support size m, largest m first.  One (complexes x 2^m) boolean array
+holds a group's faces.  A complex's boundary from k- to (k-1)-faces is
+the full simplex's, restricted to the complex's own faces: every column
+keeps all its entries, since a complex holds the facets of its faces.
+The walk only computes where those entries go: ``linalg.rank_inputs``,
+which the Koszul engine uses too, lays out the boundaries of one k for
+``rank_mod_p`` or ``rank_exact``, largest k first.  A fixed cell budget
+splits the face arrays and the stacks.  Large supports carry the large
+complexes, so a GF(p) boundary over the dense limit is met, and refused,
+before ranks are spent on the many small ones.
 
 Boundary ranks are computed only for complexes that are not cones (a
 vertex in no minimal tight set lies in every facet).  The closure and the
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps, default_threads
-from .core import Exponents, Monomial, resolve_characteristic
+from .core import Exponents, resolve_characteristic
 from .errors import CapError, DomainError
 from .ideals import MonomialIdeal, _divisible, _Packing, _row_keys, _sorted_unique, _unique_rows
 from . import linalg
@@ -70,12 +72,6 @@ _PARALLEL_MIN_POINTS = 1_000
 
 
 # -- lcm lattice -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LcmLattice:
-    ideal: MonomialIdeal
-    points: tuple[Exponents, ...]
 
 
 def _closure(gens: np.ndarray, cap: int) -> np.ndarray:
@@ -97,47 +93,6 @@ def _closure(gens: np.ndarray, cap: int) -> np.ndarray:
         if len(closed) > cap:
             raise CapError.over("lattice", f"lcm lattice reached {len(closed)} points", cap)
     return packing.unpack(closed)
-
-
-def lcm_lattice(ideal: MonomialIdeal, caps: Caps = DEFAULT_CAPS) -> LcmLattice:
-    if ideal.is_zero():
-        raise DomainError("lcm lattice of the zero ideal")
-    pts = _closure(ideal.array(), caps.lattice)
-    return LcmLattice(ideal, tuple(sorted(tuple(int(e) for e in row) for row in pts)))
-
-
-# -- upper Koszul complexes --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UpperKoszul:
-    """The simplicial complex at a multidegree, on the variables of supp(b)."""
-
-    vertices: tuple[str, ...]
-    faces: tuple[int, ...]  # bitmasks over ``vertices``; 0 is the empty face
-
-    def face_sets(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(
-            tuple(v for j, v in enumerate(self.vertices) if mask >> j & 1)
-            for mask in self.faces
-        )
-
-
-def upper_koszul(ideal: MonomialIdeal, b: Exponents | Monomial) -> UpperKoszul:
-    if isinstance(b, Monomial):
-        b = b.exponents
-    ring = ideal.ring
-    supp = [i for i, e in enumerate(b) if e > 0]
-    m = len(supp)
-    faces = []
-    for mask in range(1 << m):
-        probe = list(b)
-        for j, i in enumerate(supp):
-            if mask >> j & 1:
-                probe[i] -= 1
-        if ideal.member(tuple(probe)):
-            faces.append(mask)
-    return UpperKoszul(tuple(ring.variables[i] for i in supp), tuple(faces))
 
 
 # -- homology of upper Koszul complexes, in batches --------------------------
@@ -287,7 +242,7 @@ def _points_betti(
             keys.append(key)
             if key not in cache:
                 pending.setdefault(m, {})[key[1]] = masks
-        for m, group in sorted(pending.items()):
+        for m, group in sorted(pending.items(), reverse=True):
             for blob, dims in zip(group, _homology_from_masks(list(group.values()), m, char)):
                 cache[(m, blob)] = dims
         for row, key in enumerate(keys):
@@ -324,6 +279,8 @@ def _multigraded(
         return _convolve(tables, gens.shape[1])
     points = _closure(gens, caps.lattice)
     points = points[~_contractible(points, gens)]
+    # largest support first: the largest complexes meet the dense limit before any rank
+    points = points[np.argsort(-(points > 0).sum(axis=1), kind="stable")]
     if threads > 1 and len(points) >= _PARALLEL_MIN_POINTS:
         slices = [s for s in np.array_split(points, threads * 4) if len(s)]
         entries: dict[tuple[int, Exponents], int] = {}

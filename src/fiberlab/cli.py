@@ -4,7 +4,8 @@ Verbs:
     eval        print the canonical generators of an expression
     betti       Betti table of a named ideal (text or JSON)
     invariants  reg / pdim / depth / t0 / componentwise linearity
-    tor         graded Tor dimensions via the Koszul engine
+    tor         graded Tor dimensions: the coarse Betti table, read off the
+                lattice engine as ``betti`` does
     torvanish   Tor-vanishing verdict for an inclusion of ideals
     verify      run one claim check against a definition file
     scenario    run a named scenario from the claim registry
@@ -45,8 +46,8 @@ from .fiber import (
     verify_betti_splitting,
     verify_tor_vanishing_lemma,
 )
-from .invariants import invariants_of, is_componentwise_linear
-from .koszul import tor_dimensions, tor_vanishing
+from .invariants import _componentwise_linear, invariants_of
+from .koszul import tor_vanishing
 from .lang import Environment, eval_expression, load_file
 from .reports import Report
 from .scenarios import run_scenario, scenario_names
@@ -161,7 +162,7 @@ def _invariants_payload(ideal, char, caps, threads) -> dict:
         "pdim": inv.pdim,
         "depth": inv.depth,
         "t0": inv.t0,
-        "componentwiseLinear": is_componentwise_linear(ideal, char, caps, threads),
+        "componentwiseLinear": _componentwise_linear(ideal, inv.reg, char, caps, threads),
     }
 
 
@@ -206,27 +207,22 @@ def _run(args, caps: Caps) -> int:
     if args.verb in ("betti", "invariants", "tor"):
         env = load_file(args.file, char, caps)
         ideal = _resolve(env, args.name, args.file)
-        if args.verb == "betti":
-            table = betti_table(ideal, char, caps, threads)
-            if args.json:
-                _emit(args, json.dumps(table.to_json_dict(), sort_keys=True))
-            else:
-                rows = sorted(table.coarse().items())
-                body = "\n".join(f"i={i} j={j} dim={d}" for (i, j), d in rows)
-                _emit(args, body)
-        elif args.verb == "invariants":
+        if args.verb == "invariants":
             payload = _invariants_payload(ideal, char, caps, threads)
             if args.json:
                 _emit(args, json.dumps(payload, sort_keys=True))
             else:
                 _emit(args, "\n".join(f"{k} = {v}" for k, v in sorted(payload.items())))
+            return EXIT_OK
+        table = betti_table(ideal, char, caps, threads)
+        if args.json:
+            payload = table.to_json_dict()
+            if args.verb == "tor":  # the coarse table only
+                del payload["multigraded"]
+            _emit(args, json.dumps(payload, sort_keys=True))
         else:
-            tor = tor_dimensions(ideal, char, caps=caps)
-            if args.json:
-                _emit(args, json.dumps(tor.to_json_dict(), sort_keys=True))
-            else:
-                body = "\n".join(f"i={i} j={j} dim={d}" for i, j, d in tor.entries)
-                _emit(args, body)
+            rows = sorted(table.coarse().items())
+            _emit(args, "\n".join(f"i={i} j={j} dim={d}" for (i, j), d in rows))
         return EXIT_OK
 
     if args.verb == "torvanish":

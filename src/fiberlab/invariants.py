@@ -97,8 +97,14 @@ def is_componentwise_linear(
         raise DomainError("componentwise linearity of the zero ideal")
     if ideal.is_unit():
         return True
-    top = reg_of(ideal, characteristic, caps, threads)
-    for d in range(ideal.indeg(), top + 1):
+    return _componentwise_linear(ideal, reg_of(ideal, characteristic, caps, threads),
+                                 characteristic, caps, threads)
+
+
+def _componentwise_linear(ideal: MonomialIdeal, reg: int, characteristic: int | None,
+                          caps: Caps, threads: int | None) -> bool:
+    """``is_componentwise_linear`` of a proper nonzero ideal of regularity ``reg``."""
+    for d in range(ideal.indeg(), reg + 1):
         comp = component_ideal(ideal, d, caps)
         if comp.is_zero():
             continue

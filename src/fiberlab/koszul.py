@@ -1,24 +1,24 @@
-"""Tor dimensions, induced Tor maps and Tor-vanishing via the Koszul complex.
+"""Induced Tor maps and Tor-vanishing via the Koszul complex.
 
 Tensoring an ideal with the Koszul complex on all ring variables computes
 the same graded Tor spaces as the lattice engine, but through an entirely
 different enumeration: the (i, j) strand has one basis element per pair
 (monomial u in the ideal of degree j - i, i-subset S of the variables),
 with differential (u, S) -> sum of +-(x_s * u, S minus s).  This engine is
-exponentially heavier in the ring size; it exists as an independent
-cross-check and because a chain-level inclusion of ideals induces maps on
-homology, which the lattice engine cannot provide.
+exponentially heavier in the ring size.  It exists because a chain-level
+inclusion of ideals induces maps on homology, which the lattice engine
+cannot provide; every Betti table, the CLI's ``tor`` included, comes from
+the lattice engine, and the tests keep these strands as its independent
+cross-check.
 
-Dimensions and Tor-vanishing verdicts come from strand ranks alone.
-``tor_map`` builds the induced matrices themselves with the dense toolkit
-of ``linalg``; it is the API for those maps and the oracle the verdicts
-are tested against.
+Tor-vanishing verdicts come from strand ranks alone.  ``tor_map`` builds
+the induced matrices themselves with the dense toolkit of ``linalg``; it
+is the API for those maps and the oracle the verdicts are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -120,35 +120,15 @@ class _StrandComplex:
         return mat
 
 
-@dataclass(frozen=True)
-class GradedTor:
-    """Graded Tor dimensions of an ideal, over a fixed field."""
+def _strands(small: MonomialIdeal, big: MonomialIdeal, characteristic: int | None, caps: Caps):
+    """Check an inclusion small -> big of ideals; return its field and its strands.
 
-    subject: MonomialIdeal
-    characteristic: int
-    entries: tuple[tuple[int, int, int], ...]  # (i, j, dim)
-
-    def table(self) -> dict[tuple[int, int], int]:
-        return {(i, j): d for i, j, d in self.entries}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "char": self.characteristic,
-            "entries": [{"i": i, "j": j, "dim": d} for i, j, d in sorted(self.entries)],
-        }
-
-
-def _strands(what: str, small: MonomialIdeal, big: MonomialIdeal, characteristic: int | None,
-             caps: Caps):
-    """Check the input of a Tor computation; return its field and its strands.
-
-    ``big`` is ``small`` itself for the Tor of one ideal, else an ideal that
-    must contain ``small``.  The strands come as (j, of small, of big) for
-    each degree j up to the top lattice degree, above which Tor vanishes.
+    The strands come as (j, of small, of big) for each degree j up to the
+    top lattice degree, above which Tor vanishes.
     """
     if small.is_zero():
-        raise DomainError(f"{what} the zero ideal")
-    if big is not small and not big.contains(small):
+        raise DomainError("Tor map from the zero ideal")
+    if not big.contains(small):
         raise DomainError("tor_map requires an inclusion of ideals")
     char = resolve_characteristic(small.ring, characteristic)
     top = max(max_lattice_degree(small), max_lattice_degree(big))
@@ -156,22 +136,10 @@ def _strands(what: str, small: MonomialIdeal, big: MonomialIdeal, characteristic
 
     def strands():
         for j in range(min(small.indeg(), big.indeg()), top + 1):
-            s_small = _StrandComplex(small, j, caps, members[0])
-            yield j, s_small, s_small if big is small else _StrandComplex(big, j, caps, members[1])
+            yield (j, _StrandComplex(small, j, caps, members[0]),
+                   _StrandComplex(big, j, caps, members[1]))
 
     return char, strands()
-
-
-def tor_dimensions(
-    ideal: MonomialIdeal,
-    characteristic: int | None = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> GradedTor:
-    """Graded Tor_i(k, ideal)_j for all i and j."""
-    char, strands = _strands("Tor of", ideal, ideal, characteristic, caps)
-    entries = [(i, j, dim) for j, strand, _ in strands
-               for i, _, dim in strand.homology(char) if dim]
-    return GradedTor(ideal, char, tuple(sorted(entries)))
 
 
 def _homology_data(strand: _StrandComplex, i: int, characteristic: int):
@@ -202,7 +170,7 @@ def tor_map(
     rows are indexed by the target's representatives, columns by the
     source's.  Entries live in GF(p) (ints) or Q (Fractions).
     """
-    char, strands = _strands("Tor map from", small, big, characteristic, caps)
+    char, strands = _strands(small, big, characteristic, caps)
     out: dict[tuple[int, int], list[list]] = {}
     for j, s_small, s_big in strands:
         for i, _, dim in s_small.homology(char):
@@ -244,7 +212,7 @@ def tor_vanishing(
     that intersection has dimension rank D - rank PD, where D is big's
     boundary into position i and P deletes the rows of small's basis.
     """
-    char, strands = _strands("Tor map from", small, big, characteristic, caps)
+    char, strands = _strands(small, big, characteristic, caps)
     witness = None
     for j, s_small, s_big in strands:
         for i, cycles, dim in s_small.homology(char):

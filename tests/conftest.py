@@ -1,8 +1,11 @@
-"""Shared fixtures and small independent oracles for the test suite.
+"""Shared fixtures and small oracles for the test suite.
 
-The oracles here are deliberately self-contained (plain fractions, brute
+Most oracles here are deliberately self-contained (plain fractions, brute
 enumeration) so that engine results are checked against code that shares
-nothing with the production paths.
+nothing with the production paths.  The last section holds the oracles
+built on engine internals that no production path calls: the Koszul
+strands' Tor table, the full lcm lattice and the upper Koszul complex of
+one point.
 """
 
 from __future__ import annotations
@@ -12,11 +15,13 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from fiberlab import MonomialIdeal, Ring, parse_monomial
+from fiberlab import DEFAULT_CAPS, Caps, DomainError, MonomialIdeal, Ring, parse_monomial
+from fiberlab import betti, koszul
 from fiberlab.linalg import rank_exact, rank_inputs
 
 
@@ -38,7 +43,8 @@ def appendix_ring():
 
 
 def run_fiberlab(*argv: str, env: dict[str, str] | None = None, text: bool = True,
-                 address_space_kib: int | None = None) -> subprocess.CompletedProcess:
+                 address_space_kib: int | None = None,
+                 timeout: float = 600) -> subprocess.CompletedProcess:
     """Run ``python -m fiberlab.cli *argv`` and capture its output.
 
     The child inherits this process's environment, so ``PYTHONPATH`` and the
@@ -46,7 +52,8 @@ def run_fiberlab(*argv: str, env: dict[str, str] | None = None, text: bool = Tru
     caller; only the ``env`` overrides given here are applied on top.  A
     child that cannot import ``fiberlab`` fails the test with that cause
     rather than with its exit code, which would read as a verdict.
-    ``address_space_kib`` sets RLIMIT_AS in the child only.
+    ``address_space_kib`` sets RLIMIT_AS in the child only; a child still
+    running after ``timeout`` seconds is killed and fails the test.
     """
     child_env = {k: v for k, v in os.environ.items() if not k.startswith("FIBERLAB_")}
     child_env.update(env or {})
@@ -57,7 +64,7 @@ def run_fiberlab(*argv: str, env: dict[str, str] | None = None, text: bool = Tru
 
     result = subprocess.run(
         [sys.executable, "-m", "fiberlab.cli", *argv],
-        capture_output=True, text=text, timeout=600, env=child_env,
+        capture_output=True, text=text, timeout=timeout, env=child_env,
         preexec_fn=None if address_space_kib is None else limit,
     )
     stderr = result.stderr if text else result.stderr.decode(errors="replace")
@@ -186,3 +193,57 @@ def count_in_ideal_bruteforce(ideal: MonomialIdeal, degree: int) -> int:
         for mono in all_monomials(ideal.ring.nvars, degree)
         if any(all(g[i] <= mono[i] for i in range(len(mono))) for g in ideal.gens)
     )
+
+
+# -- oracles built on engine internals ---------------------------------------
+
+
+def koszul_tor(ideal: MonomialIdeal, char: int,
+               caps: Caps = DEFAULT_CAPS) -> dict[tuple[int, int], int]:
+    """{(i, j): dim Tor_i(k, ideal)_j}, nonzero entries only, from the Koszul strands.
+
+    The strands enumerate (monomial, variable subset) pairs where the
+    lattice engine walks lcm-lattice points, so the two tables are
+    computed independently and must agree.
+    """
+    members: dict = {}
+    table = {}
+    for j in range(ideal.indeg(), koszul.max_lattice_degree(ideal) + 1):
+        for i, _, dim in koszul._StrandComplex(ideal, j, caps, members).homology(char):
+            if dim:
+                table[(i, j)] = dim
+    return table
+
+
+def lcm_lattice(ideal: MonomialIdeal, caps: Caps = DEFAULT_CAPS) -> tuple[tuple[int, ...], ...]:
+    """Every point of the lcm lattice, contractible ones included, sorted."""
+    if ideal.is_zero():
+        raise DomainError("lcm lattice of the zero ideal")
+    return tuple(sorted(tuple(int(e) for e in row)
+                        for row in betti._closure(ideal.array(), caps.lattice)))
+
+
+@dataclass(frozen=True)
+class UpperKoszul:
+    """The simplicial complex at a multidegree, on the variables of supp(b)."""
+
+    vertices: tuple[str, ...]
+    faces: tuple[int, ...]  # bitmasks over ``vertices``; 0 is the empty face
+
+    def face_sets(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(v for j, v in enumerate(self.vertices) if mask >> j & 1)
+                     for mask in self.faces)
+
+
+def upper_koszul(ideal: MonomialIdeal, b: tuple[int, ...]) -> UpperKoszul:
+    """The squarefree tau below b with x^(b - tau) in the ideal, by membership tests."""
+    supp = [i for i, e in enumerate(b) if e > 0]
+    faces = []
+    for mask in range(1 << len(supp)):
+        probe = list(b)
+        for j, i in enumerate(supp):
+            if mask >> j & 1:
+                probe[i] -= 1
+        if ideal.member(tuple(probe)):
+            faces.append(mask)
+    return UpperKoszul(tuple(ideal.ring.variables[i] for i in supp), tuple(faces))

@@ -28,7 +28,6 @@ from fiberlab import (
     maxideal_power,
     reg_of,
     star_derivative,
-    tor_dimensions,
     tor_vanishing,
     verify_betti_splitting,
     verify_tor_vanishing_lemma,
@@ -37,7 +36,7 @@ from fiberlab.ideals import monomials_of_degree
 from fiberlab.koszul import max_lattice_degree
 from fiberlab.scenarios import run_scenario
 
-from conftest import ideal_of, run_fiberlab
+from conftest import ideal_of, koszul_tor, run_fiberlab
 from test_graphs import brute_force_has_join
 
 
@@ -105,8 +104,8 @@ def test_criterion_02_engine_agreement():
         ideal = _sample_ideal_for_agreement(rng)
         t_q = betti_table(ideal, 0, threads=1).coarse()
         t_p = betti_table(ideal, 32003, threads=1).coarse()
-        assert t_q == tor_dimensions(ideal, 0).table(), str(ideal)
-        assert t_p == tor_dimensions(ideal, 32003).table(), str(ideal)
+        assert t_q == koszul_tor(ideal, 0), str(ideal)
+        assert t_p == koszul_tor(ideal, 32003), str(ideal)
     _announce(2, "lattice and Koszul engines agree on 100 random ideals over Q and GF(32003)")
 
 

@@ -14,17 +14,16 @@ from fiberlab import (
     MonomialIdeal,
     Ring,
     betti_table,
-    lcm_lattice,
     maxideal_power,
-    tor_dimensions,
-    upper_koszul,
+    tor_vanishing,
 )
 from fiberlab.errors import CapError
 from fiberlab.config import Caps
 
 import fiberlab.linalg as linalg
 
-from conftest import exact_rank, ideal_of, random_ideal, rank_mod_p_oracle, reduced_homology_dims
+from conftest import (exact_rank, ideal_of, koszul_tor, lcm_lattice, random_ideal,
+                      rank_mod_p_oracle, reduced_homology_dims, upper_koszul)
 
 
 def test_koszul_baseline(ring_xyz):
@@ -50,10 +49,10 @@ def test_square_generators_table():
 
 
 def test_lattice_examples(ring_xy):
-    assert set(lcm_lattice(ideal_of(ring_xy, "x", "y")).points) == {
+    assert set(lcm_lattice(ideal_of(ring_xy, "x", "y"))) == {
         (1, 0), (0, 1), (1, 1)
     }
-    pts = set(lcm_lattice(maxideal_power(ring_xy, None, 2)).points)
+    pts = set(lcm_lattice(maxideal_power(ring_xy, None, 2)))
     assert pts == {(2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2)}
 
 
@@ -64,7 +63,7 @@ def test_lattice_properties_random():
         ideal = random_ideal(rng, ring, max_gens=5, max_deg=3)
         if ideal.is_zero():
             continue
-        points = set(lcm_lattice(ideal).points)
+        points = set(lcm_lattice(ideal))
         assert len(points) >= len(ideal.gens)
         assert set(ideal.gens) <= points
         for a, b in itertools.combinations(points, 2):
@@ -100,7 +99,7 @@ def test_lattice_cap(ring_xy):
     with pytest.raises(CapError):
         lcm_lattice(maxideal_power(ring_xy, None, 4), Caps(lattice=3))
     # the cap bounds the lattice's size exactly
-    size = len(lcm_lattice(maxideal_power(ring_xy, None, 4)).points)
+    size = len(lcm_lattice(maxideal_power(ring_xy, None, 4)))
     lcm_lattice(maxideal_power(ring_xy, None, 4), Caps(lattice=size))
     with pytest.raises(CapError):
         lcm_lattice(maxideal_power(ring_xy, None, 4), Caps(lattice=size - 1))
@@ -129,7 +128,7 @@ def test_table_matches_independent_homology_oracle():
         if ideal.is_zero():
             continue
         table = betti_table(ideal, 0, threads=1).multigraded()
-        for point in lcm_lattice(ideal).points:
+        for point in lcm_lattice(ideal):
             cx = upper_koszul(ideal, point)
             faces = [
                 frozenset(v for j, v in enumerate(cx.vertices) if mask >> j & 1)
@@ -150,7 +149,7 @@ def test_vanishing_outside_lattice():
         ideal = random_ideal(rng, ring, max_gens=4, max_deg=3)
         if ideal.is_zero():
             continue
-        points = set(lcm_lattice(ideal).points)
+        points = set(lcm_lattice(ideal))
         for _ in range(10):
             b = tuple(rng.randint(0, 4) for _ in range(3))
             if b in points:
@@ -247,7 +246,7 @@ def test_characteristic_bound_rejects_overflowing_or_composite_fields(ring_xyz):
         with pytest.raises(DomainError):
             betti_table(mm, p, threads=1)
         with pytest.raises(DomainError):
-            tor_dimensions(mm, p)
+            tor_vanishing(mm, mm, p)
     table = betti_table(mm, 32003, threads=1)
     assert table.coarse() == {(0, 1): 3, (1, 2): 3, (2, 3): 1}
 
@@ -347,7 +346,7 @@ small_ideals = st.integers(1, 4).flatmap(
 @given(small_ideals)
 def test_walk_matches_koszul_engine(ideal):
     for char in (0, 32003):
-        assert betti_table(ideal, char, threads=1).coarse() == tor_dimensions(ideal, char).table()
+        assert betti_table(ideal, char, threads=1).coarse() == koszul_tor(ideal, char)
 
 
 @settings(max_examples=15, deadline=None)
@@ -357,7 +356,7 @@ def test_parallel_walk_matches_koszul_engine(ideal):
         patch.setattr(betti_mod, "_PARALLEL_MIN_POINTS", 1)
         for char in (0, 32003):
             table = betti_table(ideal, char, threads=2)
-            assert table.coarse() == tor_dimensions(ideal, char).table()
+            assert table.coarse() == koszul_tor(ideal, char)
 
 
 @settings(max_examples=60, deadline=None)
@@ -539,9 +538,41 @@ def test_walk_refuses_a_dense_matrix_over_the_limit_before_allocating(monkeypatc
     with pytest.raises(CapError, match=r"shape \(56, 70\) reached 3920 cells, over the fixed "
                                        r"limit of 3919 \(not a FIBERLAB_CAPS cap"):
         betti_table(ideal, 32003, threads=1)
-    assert (1, 35, 35) in stacks  # m = 7 was ranked
-    # nothing of m = 8 was laid out: its largest boundary went first and was refused
-    assert (1, 8, 28) not in stacks and all(r * c < 3920 for _, r, c in stacks)
+    # nothing was laid out: the walk met m = 8 first, and its largest boundary
+    # went first and was refused
+    assert stacks == []
     # over Q nothing is dense: the complete intersection of 8 quadrics
     table = betti_table(ideal, 0, threads=1)
     assert table.coarse() == {(i, 2 * i + 2): math.comb(8, i + 1) for i in range(8)}
+
+
+def test_walk_refuses_the_largest_complex_before_ranking_smaller_ones(monkeypatch):
+    # the walk of (x1^2, ..., x8^2) meets the points largest support first, and
+    # ranks a chunk's complexes largest m first: the m = 8 boundary over the
+    # dense limit is refused before the complexes of m = 2, ..., 7 are ranked
+    ring = Ring("R", tuple(f"x{i}" for i in range(1, 9)))
+    ideal = MonomialIdeal.from_exponents(
+        ring, [tuple(2 * (j == i) for j in range(8)) for i in range(8)])
+    ranked, walked = [], []
+    rank, walk = betti_mod.rank_mod_p, betti_mod._points_betti
+
+    def spy_rank(stack, p):
+        ranked.append(stack.shape)
+        return rank(stack, p)
+
+    def spy_walk(points, *rest):
+        walked.append((points > 0).sum(axis=1))
+        return walk(points, *rest)
+
+    monkeypatch.setattr(betti_mod, "rank_mod_p", spy_rank)
+    monkeypatch.setattr(betti_mod, "_points_betti", spy_walk)
+    monkeypatch.setattr(linalg, "DENSE_CELL_LIMIT", 3919)
+    with pytest.raises(CapError, match="reached 3920 cells, over the fixed limit of 3919"):
+        betti_table(ideal, 32003, threads=1)
+    assert ranked == []
+    assert [sizes[0] for sizes in walked] == [8] and (np.diff(walked[0]) <= 0).all()
+    # at the limit the same walk answers, and its first rank is the m = 8 boundary
+    monkeypatch.setattr(linalg, "DENSE_CELL_LIMIT", 3920)
+    table = betti_table(ideal, 32003, threads=1)
+    assert table.coarse() == {(i, 2 * i + 2): math.comb(8, i + 1) for i in range(8)}
+    assert ranked[0][1] * ranked[0][2] == 3920

@@ -1,4 +1,4 @@
-"""The Koszul-strand Tor engine and induced maps."""
+"""The Koszul-strand Tor engine: its Tor table, induced maps and Tor-vanishing."""
 
 import random
 from fractions import Fraction
@@ -14,25 +14,20 @@ from fiberlab import (
     betti_table,
     maxideal_power,
     star_derivative,
-    tor_dimensions,
-    tor_map,
     tor_vanishing,
 )
 from fiberlab.errors import CapError, InternalError
 from fiberlab.config import Caps
+from fiberlab.koszul import tor_map
 
-from conftest import ideal_of, random_ideal
+from conftest import ideal_of, koszul_tor, random_ideal
 
 
 def test_examples(ring_xy):
     mm = maxideal_power(ring_xy, None, 1)
-    assert tor_dimensions(mm, 0).table() == {(0, 1): 2, (1, 2): 1}
-    assert tor_dimensions(ideal_of(ring_xy, "x^2", "x*y"), 0).table() == {
-        (0, 2): 2, (1, 3): 1
-    }
-    assert tor_dimensions(maxideal_power(ring_xy, None, 3), 0).table() == {
-        (0, 3): 4, (1, 4): 3
-    }
+    assert koszul_tor(mm, 0) == {(0, 1): 2, (1, 2): 1}
+    assert koszul_tor(ideal_of(ring_xy, "x^2", "x*y"), 0) == {(0, 2): 2, (1, 3): 1}
+    assert koszul_tor(maxideal_power(ring_xy, None, 3), 0) == {(0, 3): 4, (1, 4): 3}
 
 
 def test_agreement_with_lattice_engine_random():
@@ -44,10 +39,7 @@ def test_agreement_with_lattice_engine_random():
             if ideal.is_zero():
                 continue
             for char in (0, 32003):
-                assert (
-                    tor_dimensions(ideal, char).table()
-                    == betti_table(ideal, char, threads=1).coarse()
-                )
+                assert koszul_tor(ideal, char) == betti_table(ideal, char, threads=1).coarse()
 
 
 def test_tor_vanishing_examples(ring_xy):
@@ -132,17 +124,13 @@ def test_escaped_cycle_is_an_internal_error(ring_xy, monkeypatch):
 
 
 def test_basis_cap(ring_xy):
-    with pytest.raises(CapError) as raised:
-        tor_dimensions(maxideal_power(ring_xy, None, 3), 0, caps=Caps(koszul_basis=3))
-    assert "over cap koszul_basis=3 (set FIBERLAB_CAPS=koszul_basis=<value>)" in str(raised.value)
-
-
-def test_json_shape(ring_xy):
-    payload = tor_dimensions(maxideal_power(ring_xy, None, 1), 0).to_json_dict()
-    assert payload == {
-        "char": 0,
-        "entries": [{"i": 0, "j": 1, "dim": 2}, {"i": 1, "j": 2, "dim": 1}],
-    }
+    m3 = maxideal_power(ring_xy, None, 3)
+    caps = Caps(koszul_basis=3)
+    for call in (lambda: koszul_tor(m3, 0, caps), lambda: tor_vanishing(m3, m3, 0, caps)):
+        with pytest.raises(CapError) as raised:
+            call()
+        message = str(raised.value)
+        assert "over cap koszul_basis=3 (set FIBERLAB_CAPS=koszul_basis=<value>)" in message
 
 
 @st.composite

@@ -19,9 +19,10 @@ from fiberlab import (
     betti_table,
     cli,
     component_ideal,
+    invariants,
     koszul,
     lang,
-    tor_dimensions,
+    tor_vanishing,
 )
 from fiberlab.lang import eval_expression, load_definitions
 from fiberlab.scenarios import run_scenario
@@ -168,6 +169,19 @@ def test_cli_invariants_json(pair_file):
     }
 
 
+def test_cli_invariants_build_one_table_of_the_ideal(monkeypatch):
+    # componentwise linearity reads invariants_of's regularity; the other
+    # tables are of the component ideals
+    ideal = load_definitions(R55).ideal("I")
+    subjects = []
+    table = invariants.betti_table
+    monkeypatch.setattr(invariants, "betti_table",
+                        lambda a, *rest: subjects.append(a) or table(a, *rest))
+    payload = cli._invariants_payload(ideal, 0, Caps(), 1)
+    assert (payload["reg"], payload["componentwiseLinear"]) == (8, False)
+    assert sum(a is ideal for a in subjects) == 1
+
+
 def test_cli_char_agreement(pair_file):
     a = run_cli("--json", "--char", "0", "betti", pair_file, "I")
     b = run_cli("--json", "--char", "32003", "betti", pair_file, "I")
@@ -180,6 +194,48 @@ def test_cli_torvanish_schema(pair_file):
     out = run_cli("torvanish", pair_file, "I", "I")
     payload = json.loads(out.stdout)
     assert payload == {"vanishing": False, "witness": {"i": 0, "j": 2}}
+
+
+def test_cli_tor_json_schema(tmp_path):
+    path = tmp_path / "m.fl"
+    path.write_text("ring A = [x,y];\nM = maxideal(A);\n")
+    out = run_cli("--json", "tor", str(path), "M")
+    assert out.returncode == 0
+    assert json.loads(out.stdout) == {
+        "char": 0,
+        "entries": [{"i": 0, "j": 1, "dim": 2}, {"i": 1, "j": 2, "dim": 1}],
+    }
+
+
+FIBER_SQUARE = """
+ring A = [x1,x2,x3];
+ring B = [u1,u2];
+tensor T = A (*) B;
+P = ideal(A; x1^2, x1*x2, x2*x3^2);
+Q = ideal(B; u1^2, u1*u2);
+G = fiber(P, Q)^2;
+"""
+
+
+def test_cli_tor_reads_the_lattice_engine(tmp_path):
+    # the Koszul strands take over 10 minutes on G = F^2, so the timeout
+    # checks that tor reads the lattice engine: the betti table without
+    # its multigraded entries
+    path = tmp_path / "fiber.fl"
+    path.write_text(FIBER_SQUARE)
+    tor = run_fiberlab("--json", "tor", str(path), "G", timeout=60)
+    betti = run_fiberlab("--json", "betti", str(path), "G", timeout=60)
+    assert (tor.returncode, betti.returncode) == (0, 0)
+    expected = json.loads(betti.stdout)
+    del expected["multigraded"]
+    assert json.loads(tor.stdout) == expected
+    # the text tables agree too, on criterion 15's definition file
+    r55 = tmp_path / "r55.fl"
+    r55.write_text(R55)
+    for name in ("I", "J"):
+        tor, betti = (run_cli(verb, str(r55), name) for verb in ("tor", "betti"))
+        assert tor.returncode == 0 and tor.stdout
+        assert (tor.stdout, tor.stderr) == (betti.stdout, betti.stderr)
 
 
 def test_cli_verify_exit_codes(pair_file):
@@ -311,7 +367,8 @@ def test_cli_component_past_its_fixed_limit_is_a_cap_error(tmp_path):
 
 @pytest.mark.parametrize("call, cap", [
     (lambda env, caps: component_ideal(env.ideal("I"), 3, caps), "component_degree"),
-    (lambda env, caps: tor_dimensions(env.ideal("I"), 0, caps=caps), "koszul_basis"),
+    (lambda env, caps: tor_vanishing(env.ideal("I"), env.ideal("I"), 0, caps=caps),
+     "koszul_basis"),
     (lambda env, caps: betti_table(env.ideal("I") ** 2, 0, caps, threads=1), "lattice"),
 ], ids=["component", "koszul", "lattice"])
 def test_cap_errors_name_cap_value_and_override(call, cap):
@@ -330,7 +387,7 @@ def test_cli_internal_error_exit_code(pair_file, monkeypatch, capsys):
         ideal = args[0]
         return koszul.tor_map(ideal, ideal, 0)
 
-    monkeypatch.setattr(cli, "tor_dimensions", broken)
+    monkeypatch.setattr(cli, "betti_table", broken)
     assert cli.main(["tor", pair_file, "I"]) == 4
     assert "internal error" in capsys.readouterr().err
 

@@ -22,23 +22,34 @@ Two consequences keep most points away from per-point work:
   position, and key the homology cache, so each distinct complex is
   computed once.
 
-The walk meets the points largest support first, collects each chunk's
-uncached complexes and computes their homology together, grouped by
-support size m, largest m first.  One (complexes x 2^m) boolean array
-holds a group's faces.  A complex's boundary from k- to (k-1)-faces is
-the full simplex's, restricted to the complex's own faces: every column
-keeps all its entries, since a complex holds the facets of its faces.
-The walk only computes where those entries go: ``linalg.rank_inputs``,
-which the Koszul engine uses too, lays out the boundaries of one k for
+The walk meets the points largest support first, in chunks, and works on
+a chunk in bulk: the dividing (point, generator) pairs by packed-word
+tests, their tight masks, the inclusion-minimal masks of every point, and
+one key row per point, whose distinct rows are the chunk's complexes.
+It computes the uncached ones together, grouped by support size m,
+largest m first.  One (complexes x 2^m) boolean array holds a group's
+faces.  A complex's boundary from k- to (k-1)-faces is the full
+simplex's, restricted to the complex's own faces: every column keeps all
+its entries, since a complex holds the facets of its faces.  The walk
+only computes where those entries go: ``linalg.rank_inputs``, which the
+Koszul engine uses too, lays out the boundaries of one k for
 ``rank_mod_p`` or ``rank_exact``, largest k first.  A fixed cell budget
 splits the face arrays and the stacks.  Large supports carry the large
 complexes, so a GF(p) boundary over the dense limit is met, and refused,
 before ranks are spent on the many small ones.
 
+Over Q the boundaries of a large batch are ranked over GF(2^31 - 1)
+first.  By the universal coefficient theorem the two homologies differ
+only where the GF(p) one is nonzero in two adjacent degrees, so
+``rank_exact`` ranks only the boundaries between such degrees, and those
+whose GF(p) matrix would pass the dense limit, which a walk over Q never
+raises.
+
 Boundary ranks are computed only for complexes that are not cones (a
-vertex in no minimal tight set lies in every facet).  The closure and the
-bulk prune run on the packed exponent rows of ``ideals`` (int64 words,
-deduplicated by sorting; ``_divisible`` for the prune).
+vertex in no minimal tight set lies in every facet).  The closure, the
+bulk prune and the walk's divisibility tests run on the packed exponent
+rows of ``ideals`` (int64 words, deduplicated by sorting; ``_divisible``
+for the prune).
 
 When the generating set is, after exact verification, a product of
 generating sets over disjoint variable blocks, the table is assembled as
@@ -63,12 +74,24 @@ from .ideals import MonomialIdeal, _divisible, _Packing, _row_keys, _sorted_uniq
 from . import linalg
 from .linalg import rank_exact, rank_inputs, rank_mod_p
 
-# surviving points from which the walk uses the process pool.  Serial : threads=2 on
-# 2 cores, Appendix A ideal, over GF(32003) | Q: I^2 (2,736 points) 0.13-0.39 : 0.19-0.29 s
-# | 1.2-1.4 : 1.2-1.5 s; I^3 (6,264) 0.28-0.50 : 0.25-0.50 s | 0.73-0.86 : 0.63-0.64 s;
-# m*I^2 (15,820) 1.2-1.6 : 0.91-1.09 s over GF(32003).  At 10,000, walking I^2 and I^3 in
-# the calling process raised the appendix-lattice benchmark's peak RSS from 210 to 283 MB
+# surviving points from which the walk uses the process pool.  betti_table, serial :
+# threads=2 on 2 cores, Appendix A ideal, over GF(32003) | Q: I^2 (2,736 points)
+# 0.11-0.13 : 0.11-0.13 s | 0.11-0.12 : 0.10-0.14 s; I^3 (6,264) 0.18-0.20 : 0.18-0.20 s
+# | 0.16-0.20 : 0.17-0.20 s; m*I^2 (15,820) 0.83-0.87 : 0.65-0.70 s | 1.18-1.21 :
+# 0.94-0.98 s.  At 10,000, walking I^2 and I^3 in the calling process raised the
+# appendix-lattice benchmark's peak RSS from 210 to 283 MB (measured with the per-point walk)
 _PARALLEL_MIN_POINTS = 1_000
+# points x generators x variables of one chunk of the walk: bounds its pair and key arrays
+_CHUNK_CELLS = 4_000_000
+# the field in which the walk ranks a complex over Q first (2^31 - 1, a prime whose
+# residues multiply inside int64); not 32003, so the Q and GF(32003) tables stay two
+# different computations
+_CERTIFYING_PRIME = 2**31 - 1
+# faces from which a batch over Q is ranked over GF(_CERTIFYING_PRIME) first; a smaller
+# one goes to rank_exact at once.  Batches of 1-32 complexes on 3-8 vertices, certified :
+# exact: 4 faces 195 : 118 us, 57 faces 472 : 326 us, 152 faces 788 : 894 us, 276 faces
+# 1.15 : 1.54 ms, 2,290 faces 7.3 : 27.5 ms
+_CERTIFY_MIN_FACES = 200
 
 
 # -- lcm lattice -------------------------------------------------------------
@@ -122,10 +145,11 @@ def _boundary_ranks(owner: np.ndarray, face: np.ndarray, index: np.ndarray,
                     nrows: np.ndarray, ncols: np.ndarray, k: int, char: int) -> np.ndarray:
     """Rank of each complex's boundary from its k-faces to its (k-1)-faces.
 
-    ``owner`` and ``face`` list the batch's k-faces by complex; complex b
-    has ``ncols[b]`` of them and ``nrows[b]`` (k-1)-faces, and face g is
-    row or column ``index[b, g]``.  The column of a k-face holds (-1)^t at
-    the facet that drops its t-th lowest vertex, as in the full simplex.
+    ``owner`` and ``face`` list the k-faces by complex; complex b has
+    ``ncols[b]`` of them and ``nrows[b]`` (k-1)-faces, and face g is row or
+    column ``index[b, g]``.  The column of a k-face holds (-1)^t at the
+    facet that drops its t-th lowest vertex, as in the full simplex.  A
+    complex without listed faces gets rank 0.
     """
     rows = np.empty((len(face), k), dtype=np.int32)
     rest = face
@@ -150,6 +174,14 @@ def _homology_from_masks(batch: list[np.ndarray], m: int, char: int) -> list[dic
     ``batch[b]``: the tight sets of the dividing generators, as bitmasks on
     the m support variables.  Returns, for each, {i: dim H-tilde_(i-1)}
     with zero entries omitted.
+
+    Over Q the boundaries of a batch of ``_CERTIFY_MIN_FACES`` faces or more
+    are first ranked over GF(_CERTIFYING_PRIME).  A rank over GF(p) is at
+    most the rank over Q, and the excess d_k of boundary k lowers the
+    homology at both its ends, which stays >= 0; so d_k > 0 only where the
+    GF(p) homology is nonzero at both ends.  Those boundaries, and those
+    whose dense GF(p) matrix would pass ``linalg.DENSE_CELL_LIMIT``, are
+    ranked by ``rank_exact``, as are all those of a smaller batch.
     """
     out: list[dict[int, int]] = [{} for _ in batch]
     todo = []
@@ -165,7 +197,7 @@ def _homology_from_masks(batch: list[np.ndarray], m: int, char: int) -> list[dic
     step = max(1, linalg._CELL_BUDGET >> m)
     for lo in range(0, len(todo), step):
         part = todo[lo : lo + step]
-        owner, face = np.nonzero(_faces([batch[b] for b in part], m))
+        owner, face = np.divmod(np.flatnonzero(_faces([batch[b] for b in part], m)), 1 << m)
         # the faces by cardinality, then complex, then bitmask; a face's
         # place among those of its complex and cardinality is its index
         group = _popcounts(m)[face].astype(np.int64) * len(part) + owner
@@ -176,14 +208,34 @@ def _homology_from_masks(batch: list[np.ndarray], m: int, char: int) -> list[dic
         index = np.zeros((len(part), 1 << m), dtype=np.int32)
         index[owner, face] = np.arange(len(face)) - np.repeat(starts, counts)
         counts, starts = counts.reshape(m + 1, len(part)), starts.reshape(m + 1, len(part))
+
+        def ranked(k: int, field: int, chosen: np.ndarray | None = None) -> np.ndarray:
+            """Ranks of boundary k over the field, of the complexes ``chosen`` marks."""
+            span = slice(starts[k, 0], starts[k, 0] + counts[k].sum())
+            mine = slice(None) if chosen is None else chosen[owner[span]]
+            return _boundary_ranks(owner[span][mine], face[span][mine], index,
+                                   counts[k - 1], counts[k], k, field)
+
+        cells = counts[:-1] * counts[1:]  # boundary k in row k - 1
+        exact = cells > linalg.DENSE_CELL_LIMIT  # over Q ranked sparse: never refused
         ranks = np.zeros((m + 2, len(part)), dtype=np.int64)
         # the largest boundary first: a batch over the dense limit is refused at once
-        cells = (counts[:-1] * counts[1:]).max(axis=1)
-        for k in np.argsort(-cells, kind="stable")[: np.count_nonzero(cells)] + 1:
-            span = slice(starts[k, 0], starts[k, 0] + counts[k].sum())
-            ranks[k] = _boundary_ranks(owner[span], face[span], index, counts[k - 1],
-                                       counts[k], k, char)
+        top = cells.max(axis=1)
+        steps = np.argsort(-top, kind="stable")[: np.count_nonzero(top)] + 1
+        certify = char == 0 and len(face) >= _CERTIFY_MIN_FACES
+        for k in steps:
+            if not certify or not exact[k - 1].any():
+                ranks[k] = ranked(k, _CERTIFYING_PRIME if certify else char)
+            else:
+                ranks[k] = ranked(k, _CERTIFYING_PRIME, ~exact[k - 1]) + ranked(k, 0, exact[k - 1])
         dims = counts - ranks[:-1] - ranks[1:]
+        if certify:
+            uncertified = (dims[:-1] > 0) & (dims[1:] > 0) & ~exact
+            for k in steps:
+                if uncertified[k - 1].any():
+                    again = ranked(k, 0, uncertified[k - 1])
+                    ranks[k] = np.where(uncertified[k - 1], again, ranks[k])
+            dims = counts - ranks[:-1] - ranks[1:]
         for b, column in zip(part, dims.T.tolist()):
             out[b] = {i: d for i, d in enumerate(column) if d}
     return out
@@ -202,23 +254,46 @@ def _contractible(points: np.ndarray, gens: np.ndarray) -> np.ndarray:
     return _divisible(gens, points - (points > 0)) & points.any(axis=1)
 
 
-def _minimal_masks(masks: np.ndarray) -> np.ndarray:
-    """The inclusion-minimal distinct masks, sorted.
+def _pairs_minimal(point: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Which (point, mask) pairs hold an inclusion-minimal mask of their point.
 
-    A face that avoids a mask also avoids every subset of it, so masks
-    containing another mask add no faces; dropping them makes complexes
-    that differ only in such masks share one cache key.
+    The pairs are distinct and sorted by point, then mask.  A mask inside
+    another is smaller as a number, so the first mask of a point is
+    minimal; each round keeps the first remaining mask of every point and
+    drops the masks that contain it, until no pair remains.
     """
-    masks = _sorted_unique(masks)
-    contains = (masks[:, None] & masks[None, :]) == masks[None, :]
-    return masks[contains.sum(axis=1) == 1]
+    keep = np.zeros(len(point), dtype=bool)
+    head = np.empty(point.max(initial=0) + 1, dtype=np.int64)
+    live = np.arange(len(point))
+    while len(live):
+        owner = point[live]
+        first = np.ones(len(live), dtype=bool)
+        first[1:] = owner[1:] != owner[:-1]
+        keep[live[first]] = True
+        head[owner[first]] = mask[live[first]]
+        under = head[owner]
+        live = live[(mask[live] & under) != under]
+    return keep
 
 
 def _points_betti(
     points: np.ndarray, gens: np.ndarray, char: int, cache: dict
 ) -> dict[tuple[int, Exponents], int]:
+    """Betti entries {(i, b): dim} at the given lattice points, in chunks.
+
+    Each chunk is array work up to its distinct complexes: the dividing
+    (point, generator) pairs by packed-word tests, their tight masks on
+    supp(b), deduplicated by one sort and cut to the inclusion-minimal
+    ones, and one key row per point, [m, masks..., -1 padding].  A cache
+    lookup is made per distinct row; Python visits a point only to record
+    its nonzero entries.
+    """
     entries: dict[tuple[int, Exponents], int] = {}
-    step = max(1, 4_000_000 // (gens.size + 1))
+    if len(points) == 0:
+        return entries
+    packing = _Packing(np.maximum(gens.max(axis=0), points.max(axis=0)))
+    packed_gens = packing.pack(gens)[None, :, :]
+    step = max(1, _CHUNK_CELLS // (gens.size + 1))
     for lo in range(0, len(points), step):
         chunk = points[lo : lo + step]
         supp = chunk > 0
@@ -228,16 +303,24 @@ def _points_betti(
                 f"a lattice point reached a support of {sizes.max()} variables, over the "
                 "walk's fixed limit of 24 (not a FIBERLAB_CAPS cap; it cannot be raised)"
             )
-        divides = (gens[None, :, :] <= chunk[:, None, :]).all(axis=2)
+        divides = packing.divides(packed_gens, packing.pack(chunk)[:, None, :])
+        point, gen = np.divmod(np.flatnonzero(divides), len(gens))  # 2-D nonzero is slower
         # tight bits {v : g_v = b_v} on supp(b), renumbered as 0..m-1
-        place = np.int64(1) << (np.cumsum(supp, axis=1) - supp)
-        tight = (gens[None, :, :] == chunk[:, None, :]) & supp[:, None, :]
-        local = (tight * place[:, None, :]).sum(axis=2)
+        place = np.where(supp, np.int64(1) << (np.cumsum(supp, axis=1) - supp), 0)
+        mask = ((gens[gen] == chunk[point]) * place[point]).sum(axis=1)
+        pair = _sorted_unique((point.astype(np.int64) << 24) | mask)
+        point, mask = pair >> 24, pair & ((1 << 24) - 1)
+        keep = _pairs_minimal(point, mask)
+        point, mask = point[keep], mask[keep]
+        count = np.bincount(point, minlength=len(chunk))
+        rows = np.full((len(chunk), count.max() + 1), -1, dtype=np.int64)
+        rows[:, 0] = sizes
+        rows[point, 1 + np.arange(len(point)) - np.searchsorted(point, point)] = mask
+        _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
         keys = []
         pending: dict[int, dict[bytes, np.ndarray]] = {}  # uncached complexes by size
-        for row in range(len(chunk)):
-            m = int(sizes[row])
-            masks = _minimal_masks(local[row][divides[row]])
+        for row in first.tolist():
+            m, masks = int(sizes[row]), rows[row, 1 : 1 + count[row]]
             key = (m, masks.tobytes())
             keys.append(key)
             if key not in cache:
@@ -245,12 +328,12 @@ def _points_betti(
         for m, group in sorted(pending.items(), reverse=True):
             for blob, dims in zip(group, _homology_from_masks(list(group.values()), m, char)):
                 cache[(m, blob)] = dims
-        for row, key in enumerate(keys):
-            dims = cache[key]
-            if dims:
-                bt = tuple(int(e) for e in chunk[row])
-                for i, d in dims.items():
-                    entries[(i, bt)] = d
+        found = [cache[key] for key in keys]
+        hit = np.flatnonzero(np.array([bool(dims) for dims in found])[inverse])
+        for b, u in zip(chunk[hit].tolist(), inverse[hit].tolist()):
+            bt = tuple(b)
+            for i, d in found[u].items():
+                entries[(i, bt)] = d
     return entries
 
 

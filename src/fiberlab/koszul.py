@@ -211,6 +211,7 @@ def tor_vanishing(
     dim(B_i(big) & C_i(small)), the cycles of small that die in big, and
     that intersection has dimension rank D - rank PD, where D is big's
     boundary into position i and P deletes the rows of small's basis.
+    A witness with i = 0 is the least there can be: no later strand is built.
     """
     char, strands = _strands(small, big, characteristic, caps)
     witness = None
@@ -222,4 +223,6 @@ def tor_vanishing(
             killed = s_big.boundary_rank(i + 1, char) - s_big.boundary_rank(i + 1, char, outside)
             if cycles > killed:
                 witness = (i, j)
+        if witness is not None and witness[0] == 0:
+            break
     return witness is None, witness

@@ -4,8 +4,8 @@ Most oracles here are deliberately self-contained (plain fractions, brute
 enumeration) so that engine results are checked against code that shares
 nothing with the production paths.  The last section holds the oracles
 built on engine internals that no production path calls: the Koszul
-strands' Tor table, the full lcm lattice and the upper Koszul complex of
-one point.
+strands' Tor table, the full lcm lattice, the upper Koszul complex of
+one point, and the lattice walk one point at a time.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fiberlab import DEFAULT_CAPS, Caps, DomainError, MonomialIdeal, Ring, parse_monomial
 from fiberlab import betti, koszul
+from fiberlab.ideals import _sorted_unique
 from fiberlab.linalg import rank_exact, rank_inputs
 
 
@@ -247,3 +249,45 @@ def upper_koszul(ideal: MonomialIdeal, b: tuple[int, ...]) -> UpperKoszul:
         if ideal.member(tuple(probe)):
             faces.append(mask)
     return UpperKoszul(tuple(ideal.ring.variables[i] for i in supp), tuple(faces))
+
+
+def minimal_masks(masks: np.ndarray) -> np.ndarray:
+    """The inclusion-minimal distinct masks, sorted, by an all-pairs comparison."""
+    masks = _sorted_unique(masks)
+    contains = (masks[:, None] & masks[None, :]) == masks[None, :]
+    return masks[contains.sum(axis=1) == 1]
+
+
+def walk_per_point(points: np.ndarray, gens: np.ndarray, char: int,
+                   cache: dict) -> dict[tuple[int, tuple[int, ...]], int]:
+    """The lattice walk one point at a time, as ``betti._points_betti`` did before
+    its bulk version: divisors and tight sets by points x generators x variables
+    broadcasts, ``minimal_masks`` and a cache lookup per point.  The homology of
+    each chunk's uncached complexes comes from ``betti._homology_from_masks``.
+    """
+    entries: dict[tuple[int, tuple[int, ...]], int] = {}
+    step = max(1, betti._CHUNK_CELLS // (gens.size + 1))
+    for lo in range(0, len(points), step):
+        chunk = points[lo : lo + step]
+        supp = chunk > 0
+        sizes = supp.sum(axis=1)
+        divides = (gens[None, :, :] <= chunk[:, None, :]).all(axis=2)
+        place = np.int64(1) << (np.cumsum(supp, axis=1) - supp)
+        tight = (gens[None, :, :] == chunk[:, None, :]) & supp[:, None, :]
+        local = (tight * place[:, None, :]).sum(axis=2)
+        keys = []
+        pending: dict[int, dict[bytes, np.ndarray]] = {}
+        for row in range(len(chunk)):
+            m = int(sizes[row])
+            masks = minimal_masks(local[row][divides[row]])
+            key = (m, masks.tobytes())
+            keys.append(key)
+            if key not in cache:
+                pending.setdefault(m, {})[key[1]] = masks
+        for m, group in sorted(pending.items(), reverse=True):
+            for blob, dims in zip(group, betti._homology_from_masks(list(group.values()), m, char)):
+                cache[(m, blob)] = dims
+        for row, key in enumerate(keys):
+            for i, d in cache[key].items():
+                entries[(i, tuple(int(e) for e in chunk[row]))] = d
+    return entries

@@ -22,8 +22,9 @@ from fiberlab.config import Caps
 
 import fiberlab.linalg as linalg
 
-from conftest import (exact_rank, ideal_of, koszul_tor, lcm_lattice, random_ideal,
-                      rank_mod_p_oracle, reduced_homology_dims, upper_koszul)
+from conftest import (exact_rank, ideal_of, koszul_tor, lcm_lattice, minimal_masks,
+                      random_ideal, rank_mod_p_oracle, reduced_homology_dims, upper_koszul,
+                      walk_per_point)
 
 
 def test_koszul_baseline(ring_xyz):
@@ -299,11 +300,11 @@ def test_masks_with_one_minimal_antichain_share_a_cache_key():
     gens = np.array([(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1)], dtype=np.int32)
     raw_a = np.array([0b001, 0b010], dtype=np.int64)
     raw_b = np.array([0b110, 0b010, 0b001, 0b010], dtype=np.int64)
-    assert betti_mod._minimal_masks(raw_a).tobytes() == betti_mod._minimal_masks(raw_b).tobytes()
+    assert minimal_masks(raw_a).tobytes() == minimal_masks(raw_b).tobytes()
     cache: dict = {}
     points = np.array([(2, 1, 2), (2, 1, 1)], dtype=np.int32)
     betti_mod._points_betti(points, gens, 0, cache)
-    assert list(cache) == [(3, betti_mod._minimal_masks(raw_a).tobytes())]
+    assert list(cache) == [(3, minimal_masks(raw_a).tobytes())]
 
 
 def test_minimal_masks_keep_the_faces():
@@ -311,7 +312,7 @@ def test_minimal_masks_keep_the_faces():
     for _ in range(200):
         m = int(rng.integers(1, 9))
         raw = rng.integers(1, 1 << m, size=int(rng.integers(1, 12))).astype(np.int64)
-        minimal = betti_mod._minimal_masks(raw)
+        minimal = minimal_masks(raw)
         assert set(minimal.tolist()) <= set(raw.tolist())
         assert not any(a != b and a & b == a for a in minimal for b in minimal)
         faces_raw, faces_minimal = betti_mod._faces([raw, minimal], m)
@@ -328,10 +329,67 @@ def test_face_indicator_equals_broadcast_formula():
     for _ in range(300):
         m = int(rng.integers(1, 13))
         raw = rng.integers(0, 1 << m, size=int(rng.integers(1, 10))).astype(np.int64)
-        for masks in (raw, betti_mod._minimal_masks(raw)):
+        for masks in (raw, minimal_masks(raw)):
             idx = np.arange(1 << m, dtype=np.int64)
             expected = ((idx[:, None] & masks[None, :]) == 0).any(axis=1)
             assert (betti_mod._faces([masks], m)[0] == expected).all()
+
+
+walk_inputs = st.tuples(
+    st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(0, 3)] * n).filter(any), min_size=1, max_size=6)),
+    # the exponents' scale: scaled by 2^16, 4 or more variables pack into two words
+    st.sampled_from([1, 1 << 16]),
+    st.sampled_from([0, 32003]),
+    st.sampled_from([None, 1, 200]),  # the walk's chunk cells: 1 walks a point a chunk
+    st.sampled_from([None, 64]),  # the homology's cell budget
+)
+
+
+def _raise_on_homology(*_args):
+    raise AssertionError("a cached complex reached the homology")
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_inputs)
+def test_bulk_walk_matches_the_per_point_walk(drawn):
+    gens, scale, char, chunk_cells, budget = drawn
+    ring = Ring("R", tuple(f"v{i}" for i in range(len(gens[0]))))
+    ideal = MonomialIdeal.from_exponents(ring, [tuple(e * scale for e in g) for g in gens])
+    array = ideal.array()
+    points = betti_mod._closure(array, 10_000)  # contractible points included
+    points = points[np.argsort(-(points > 0).sum(axis=1), kind="stable")]
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_cells is not None:
+            patch.setattr(betti_mod, "_CHUNK_CELLS", chunk_cells)
+        if budget is not None:
+            patch.setattr(linalg, "_CELL_BUDGET", budget)
+        bulk_cache, oracle_cache = {}, {}
+        bulk = betti_mod._points_betti(points, array, char, bulk_cache)
+        assert bulk == walk_per_point(points, array, char, oracle_cache)
+        assert bulk_cache == oracle_cache
+        # a second walk over the same cache reads it: no homology is computed
+        patch.setattr(betti_mod, "_homology_from_masks", _raise_on_homology)
+        assert betti_mod._points_betti(points, array, char, bulk_cache) == bulk
+
+
+def test_bulk_walk_on_several_packed_words_and_one_point_chunks():
+    # the Appendix A ideal's square with its exponents scaled by 2^16: 8 fields
+    # of 20 bits with their guards need three words; chunks of one point and of
+    # the default size
+    ring = Ring("R", tuple("abcdxyzt"))
+    base = ideal_of(ring, "a^2", "b^2", "c^2", "d^2", "a*b*x", "c*d*x", "a*c*y", "b*d*y",
+                    "a*d*z", "b*c*z", "c*d*y*z*t") ** 2
+    array = base.array() << 16
+    assert betti_mod._Packing(array.max(axis=0)).nwords > 1
+    points = betti_mod._closure(array, 100_000)
+    points = points[~betti_mod._contractible(points, array)][:400]
+    want = walk_per_point(points, array, 32003, {})
+    assert want
+    for chunk_cells in (1, betti_mod._CHUNK_CELLS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(betti_mod, "_CHUNK_CELLS", chunk_cells)
+            assert betti_mod._points_betti(points, array, 32003, {}) == want
 
 
 small_ideals = st.integers(1, 4).flatmap(
@@ -461,6 +519,90 @@ def test_rp2_homology_depends_on_the_field():
     assert reference_homology(masks, 6, 2) == {2: 1, 3: 1}
 
 
+def test_q_homology_falls_back_to_exact_ranks_where_the_prime_cannot_certify(monkeypatch):
+    # RP^2 has 2-torsion: over GF(2) its homology is nonzero in two adjacent
+    # degrees, so a certifying prime of 2 settles nothing there and the
+    # boundary between them is ranked again by rank_exact
+    masks = rp2_masks()
+    exact_calls = []
+    rank_exact = betti_mod.rank_exact
+
+    def spy(rows):
+        exact_calls.append(len(rows))
+        return rank_exact(rows)
+
+    monkeypatch.setattr(betti_mod, "rank_exact", spy)
+    monkeypatch.setattr(betti_mod, "_CERTIFY_MIN_FACES", 0)  # RP^2 has 32 faces
+    assert betti_mod._homology_from_masks([masks], 6, 0) == [{}]
+    assert exact_calls == []  # over GF(2^31 - 1) RP^2 is acyclic: certified at once
+    monkeypatch.setattr(betti_mod, "_CERTIFYING_PRIME", 2)
+    assert betti_mod._homology_from_masks([masks], 6, 0) == [{}]
+    assert exact_calls  # the fallback fired
+    assert betti_mod._homology_from_masks([masks], 6, 2) == [{2: 1, 3: 1}]
+
+
+def rp2_ideal() -> MonomialIdeal:
+    """The squarefree ideal whose upper Koszul complex at (1, ..., 1) is RP^2:
+    x^(b - tau) lies in it iff tau is inside a triangle."""
+    ring = Ring("R", tuple(f"x{v}" for v in range(6)))
+    return MonomialIdeal.from_exponents(
+        ring, [tuple(int(mask) >> v & 1 for v in range(6)) for mask in rp2_masks()])
+
+
+def test_rp2_ideal_q_table_does_not_depend_on_the_certifying_prime():
+    ideal = rp2_ideal()
+    assert upper_koszul(ideal, (1,) * 6).faces == tuple(
+        f for f in range(64) if any(f & int(mask) == 0 for mask in rp2_masks()))
+    q = betti_table(ideal, 0, threads=1)
+    gf2 = betti_table(ideal, 2, threads=1)
+    primes = []
+    rank = betti_mod.rank_mod_p
+
+    def spy(stack, p):
+        primes.append(p)
+        return rank(stack, p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(betti_mod, "rank_mod_p", spy)
+        patch.setattr(betti_mod, "_CERTIFY_MIN_FACES", 0)
+        assert betti_table(ideal, 0, threads=1).entries == q.entries
+        assert set(primes) == {2**31 - 1}
+        patch.setattr(betti_mod, "_CERTIFYING_PRIME", 2)
+        assert betti_table(ideal, 0, threads=1).entries == q.entries
+        assert 2 in primes
+    assert gf2.entries != q.entries
+    assert gf2.coarse() != q.coarse()
+
+
+def test_only_a_batch_of_enough_faces_is_certified(monkeypatch):
+    # RP^2 alone has 32 faces and is ranked by rank_exact at once; eight copies
+    # have 256 and are ranked over GF(2^31 - 1) first
+    primes = []
+    rank = betti_mod.rank_mod_p
+    monkeypatch.setattr(betti_mod, "rank_mod_p", lambda stack, p: primes.append(p) or rank(stack, p))
+    assert betti_mod._homology_from_masks([rp2_masks()], 6, 0) == [{}]
+    assert primes == []
+    assert betti_mod._homology_from_masks([rp2_masks()] * 8, 6, 0) == [{}] * 8
+    assert set(primes) == {2**31 - 1}
+
+
+@settings(max_examples=80, deadline=None)
+@given(mask_batches, st.sampled_from([2, 3, 5, 2**31 - 1]))
+def test_certified_q_homology_matches_exact_ranks(drawn, prime):
+    # with a small certifying prime many boundaries need the exact fallback
+    m, batch = drawn
+    if m:
+        batch = batch + [_covering(masks, m) for masks in batch]
+    batch = [np.array(sorted(set(masks)), dtype=np.int64) for masks in batch]
+    if m == 6:
+        batch.append(rp2_masks())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(betti_mod, "_CERTIFYING_PRIME", prime)
+        patch.setattr(betti_mod, "_CERTIFY_MIN_FACES", 0)
+        got = betti_mod._homology_from_masks(batch, m, 0)
+    assert got == [reference_homology(masks, m, 0) for masks in batch]
+
+
 def test_answer_does_not_depend_on_the_batch():
     # one complex alone, among others in either order, and with a cell
     # budget that puts four complexes in a face array (2^6 cells each) and
@@ -470,7 +612,7 @@ def test_answer_does_not_depend_on_the_batch():
     batch = [rp2_masks()]
     for _ in range(40):
         raw = rng.integers(1, 1 << 6, size=int(rng.integers(1, 7))).astype(np.int64)
-        batch.append(betti_mod._minimal_masks(raw))
+        batch.append(minimal_masks(raw))
     for char in (0, 32003, 2):
         alone = [betti_mod._homology_from_masks([masks], 6, char)[0] for masks in batch]
         assert betti_mod._homology_from_masks(batch, 6, char) == alone

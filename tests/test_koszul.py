@@ -55,6 +55,25 @@ def test_tor_vanishing_examples(ring_xy):
     assert tor_vanishing(small, big, 32003) == (True, None)
 
 
+def test_tor_vanishing_stops_at_a_witness_in_homological_degree_zero(monkeypatch):
+    # (a,b,c,d)^3 into itself: the identity on Tor_0 in degree 3 is the least
+    # witness there can be, so the strands of degree 4 up to the top lattice
+    # degree 12 are never built
+    ring = Ring("R", ("a", "b", "c", "d"))
+    cube = maxideal_power(ring, None, 3)
+    built = []
+    init = koszul._StrandComplex.__init__
+
+    def spy(self, ideal, j, *rest):
+        built.append(j)
+        init(self, ideal, j, *rest)
+
+    monkeypatch.setattr(koszul._StrandComplex, "__init__", spy)
+    assert tor_vanishing(cube, cube, 0) == (False, (0, 3))
+    assert max(built) == 3
+    assert koszul.max_lattice_degree(cube) == 12
+
+
 def test_identity_maps_are_identities(ring_xy):
     ideal = ideal_of(ring_xy, "x^2", "x*y")
     maps = tor_map(ideal, ideal, 0)

@@ -21,8 +21,11 @@ pairs, comma-separated), read once per run; an unknown name or a value
 that is not a positive integer is a usage error.
 
 Output is deterministic for fixed inputs and flags; timings are omitted
-from JSON when --stable-json is given (or FIBERLAB_STABLE_JSON=1), so
-reruns are byte-identical regardless of --threads.
+from JSON when --stable-json is given, so reruns are byte-identical
+regardless of --threads.
+
+``verify`` reads its claims from the table ``_CLAIMS``; a flag the claim
+does not take is a usage error.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 
 from .config import Caps
 from .errors import CapError, FiberlabError, GrammarError, InternalError
@@ -48,7 +52,7 @@ from .fiber import (
 )
 from .invariants import _componentwise_linear, invariants_of
 from .koszul import tor_vanishing
-from .lang import Environment, eval_expression, load_file
+from .lang import eval_expression, load_file
 from .reports import Report
 from .scenarios import run_scenario, scenario_names
 
@@ -57,6 +61,25 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
+
+# claim id -> (check, its parameter flag, the value it runs at without that flag,
+# the flag's least value).  A check is called as check(subject, value, char, caps,
+# threads) on the fiber product of --I and --J; verify_tor_vanishing_lemma, on the
+# --I ideal and --mode instead.
+_CLAIMS = {
+    "thm-5.1": (check_reg_formula, "--s", 1, 1),
+    "cor-5.2": (check_reg_formula_equigenerated, "--s", 1, 1),
+    "prop-3.4": (check_depth_formula, None, 1, None),
+    "thm-6.1": (check_depth_formula, "--s", 2, 2),
+    "cor-7.2": (check_componentwise, "--s", 1, 1),
+    "thm-3.6": (lambda setup, _, *run: verify_betti_splitting(
+        setup.F, setup.H, setup.J, *run, claim="thm-3.6", params={}), None, None, None),
+    "lemma-4.1": (verify_tor_vanishing_lemma, "--s", 1, 1),
+    "cor-8.1": (partial(check_reg_increasing, claim="cor-8.1"), "--scap", 3, 2),
+    "cor-8.2": (partial(check_reg_increasing, claim="cor-8.2"), "--scap", 3, 2),
+}
+# verify's flags that some claims do not take, with their argparse dests
+_CLAIM_FLAGS = {"--J": "right", "--s": "s", "--scap": "s_cap", "--mode": "mode"}
 
 
 def _positive_int(text: str) -> int:
@@ -126,33 +149,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("small")
     p.add_argument("big")
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="verify one claim on ideals from a file")
-    p.add_argument("claim", help="thm-5.1 | cor-5.2 | prop-3.4 | thm-6.1 | cor-7.2 | "
-                                 "thm-3.6 | lemma-4.1 | cor-8.1 | cor-8.2")
-    p.add_argument("--input", metavar="FILE", help="definition file")
-    p.add_argument("--I", dest="left", metavar="NAME", help="left factor ideal")
-    p.add_argument("--J", dest="right", metavar="NAME", help="right factor ideal")
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--scap", type=int, default=3, help="power bound for cor-8.1 and cor-8.2")
-    p.add_argument("--mode", default="certificate", choices=("certificate", "exact"),
-                   help="lemma-4.1 mode")
+    claims = [f"  {claim:<10} " + (f"{flag} K, default {value}, least {least}" if flag
+                                   else "no parameter flag")
+              for claim, (_, flag, value, least) in _CLAIMS.items()]
+    p = sub.add_parser("verify", parents=[common], help="verify one claim on ideals from a file",
+                       formatter_class=argparse.RawDescriptionHelpFormatter,
+                       epilog="claims and the one parameter flag each takes:\n"
+                              + "\n".join(claims))
+    p.add_argument("claim", choices=_CLAIMS, metavar="CLAIM", help="one of the claims below")
+    p.add_argument("--input", required=True, metavar="FILE", help="definition file")
+    p.add_argument("--I", dest="left", required=True, metavar="NAME",
+                   help="left factor ideal, or the one ideal")
+    p.add_argument("--J", dest="right", metavar="NAME", help="right factor, in its own ring")
+    p.add_argument("--s", type=int, metavar="K", help="power s")
+    p.add_argument("--scap", dest="s_cap", type=int, metavar="K", help="power bound")
+    p.add_argument("--mode", choices=("certificate", "exact"), help="default certificate")
 
     p = sub.add_parser("scenario", parents=[common],
                        help="run a scenario from the claim registry")
     p.add_argument("name", help=" | ".join(scenario_names()))
     p.add_argument("--n", type=int, default=None, help="parameter for remark-5.9")
     return top
-
-
-def _resolve(env: Environment, name: str, path: str):
-    if ":" in name:
-        stem, _, bare = name.partition(":")
-        base = os.path.splitext(os.path.basename(path))[0]
-        if stem != base:
-            raise GrammarError(f"qualifier {stem!r} does not match input file {base!r}")
-        name = bare
-    return env.ideal(name)
 
 
 def _invariants_payload(ideal, char, caps, threads) -> dict:
@@ -183,12 +200,8 @@ def _emit(args, text: str) -> None:
             os.close(devnull)
 
 
-def _stable(args) -> bool:
-    return args.stable_json or os.environ.get("FIBERLAB_STABLE_JSON") == "1"
-
-
 def _emit_reports(args, reports: list[Report]) -> int:
-    include_timing = not _stable(args)
+    include_timing = not args.stable_json
     lines = [json.dumps(r.to_json_dict(include_timing), sort_keys=True) for r in reports]
     _emit(args, "\n".join(lines))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
@@ -206,7 +219,7 @@ def _run(args, caps: Caps) -> int:
 
     if args.verb in ("betti", "invariants", "tor"):
         env = load_file(args.file, char, caps)
-        ideal = _resolve(env, args.name, args.file)
+        ideal = env.ideal(args.name)
         if args.verb == "invariants":
             payload = _invariants_payload(ideal, char, caps, threads)
             if args.json:
@@ -227,8 +240,8 @@ def _run(args, caps: Caps) -> int:
 
     if args.verb == "torvanish":
         env = load_file(args.file, char, caps)
-        small = _resolve(env, args.small, args.file)
-        big = _resolve(env, args.big, args.file)
+        small = env.ideal(args.small)
+        big = env.ideal(args.big)
         ok, witness = tor_vanishing(small, big, char, caps=caps)
         if ok:
             payload = {"vanishing": True, "maxNonzero": None}
@@ -241,9 +254,7 @@ def _run(args, caps: Caps) -> int:
         return _run_verify(args, caps, char, threads)
 
     if args.verb == "scenario":
-        params = {}
-        if args.n is not None:
-            params["n"] = args.n
+        params = {} if args.n is None else {"n": args.n}
         reports = run_scenario(args.name, characteristic=args.char,
                                caps=caps, threads=threads, **params)
         return _emit_reports(args, reports)
@@ -252,42 +263,28 @@ def _run(args, caps: Caps) -> int:
 
 
 def _run_verify(args, caps, char, threads) -> int:
-    claim = args.claim
-    if claim == "lemma-4.1":
-        if not args.input or not args.left:
-            raise GrammarError("lemma-4.1 needs --input and --I")
-        env = load_file(args.input, char, caps)
-        ideal = _resolve(env, args.left, args.input)
-        rep = verify_tor_vanishing_lemma(ideal, args.s, args.mode, char, caps)
-        return _emit_reports(args, [rep])
-    if not args.input or not args.left or not args.right:
-        raise GrammarError(f"claim {claim!r} needs --input, --I, and --J")
+    check, flag, value, least = _CLAIMS[args.claim]
+    one_ideal = check is verify_tor_vanishing_lemma  # no fiber product, and a --mode
+    takes = (flag, "--mode" if one_ideal else "--J")
+    for other, dest in _CLAIM_FLAGS.items():
+        if getattr(args, dest) is not None and other not in takes:
+            raise GrammarError(f"verify {args.claim} takes no {other}")
+    if flag and getattr(args, _CLAIM_FLAGS[flag]) is not None:
+        value = getattr(args, _CLAIM_FLAGS[flag])
+        if value < least:
+            raise GrammarError(f"verify {args.claim}: {_CLAIM_FLAGS[flag]} must be at least "
+                               f"{least}, got {value}")
+    if not one_ideal and args.right is None:
+        raise GrammarError(f"verify {args.claim} needs --J")
     env = load_file(args.input, char, caps)
-    left = _resolve(env, args.left, args.input)
-    right = _resolve(env, args.right, args.input)
-    from .ideals import project_to_block
-
-    if left.ring == right.ring and len(left.ring.blocks) == 2:
-        blocks = left.ring.block_names()
-        left = project_to_block(left, blocks[0])
-        right = project_to_block(right, blocks[1])
-    setup = fiber_product(left, right)
-    if claim == "thm-5.1":
-        rep = check_reg_formula(setup, args.s, char, caps, threads)
-    elif claim == "cor-5.2":
-        rep = check_reg_formula_equigenerated(setup, args.s, char, caps, threads)
-    elif claim in ("thm-6.1", "prop-3.4"):
-        rep = check_depth_formula(setup, args.s, char, caps, threads)
-    elif claim == "cor-7.2":
-        rep = check_componentwise(setup, args.s, char, caps, threads)
-    elif claim == "thm-3.6":
-        rep = verify_betti_splitting(setup.F, setup.H, setup.J, char, caps, threads,
-                                     claim="thm-3.6", params={})
-    elif claim in ("cor-8.1", "cor-8.2"):
-        rep = check_reg_increasing(setup, args.scap, char, caps, threads, claim=claim)
-    else:
-        raise GrammarError(f"unknown claim {claim!r}")
-    return _emit_reports(args, [rep])
+    left = env.ideal(args.left)
+    if one_ideal:
+        return _emit_reports(args, [check(left, value, args.mode or "certificate", char, caps)])
+    right = env.ideal(args.right)
+    if left.ring == right.ring:
+        raise GrammarError(f"--I and --J are both over ring {left.ring.name!r}; "
+                           "give each factor in its own ring")
+    return _emit_reports(args, [check(fiber_product(left, right), value, char, caps, threads)])
 
 
 _FLAG_DEFAULTS = {

@@ -396,5 +396,5 @@ def check_reg_increasing(
         computed={"regs": regs, "strictlyIncreasing": increasing},
         expected={"strictlyIncreasing": True},
         ms=sw.ms,
-        provenance="corollary 8.1",
+        provenance=claim.replace("cor-", "corollary ", 1),
     )

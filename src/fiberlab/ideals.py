@@ -471,13 +471,3 @@ def tensor_embed(ideal: MonomialIdeal, target: Ring) -> MonomialIdeal:
             return MonomialIdeal(target, tuple(gens))  # zero columns keep the order
     raise DomainError(f"ring {src.name!r} is not a block of {target.name!r}")
 
-
-def project_to_block(ideal: MonomialIdeal, block: str) -> MonomialIdeal:
-    """Restrict an ideal supported inside one block back to a standalone ring."""
-    blk = ideal.ring.block(block)
-    subring = Ring(block, ideal.ring.variables[blk.start : blk.stop],
-                   characteristic=ideal.ring.characteristic)
-    for g in ideal.gens:
-        if any(e > 0 for i, e in enumerate(g) if not (blk.start <= i < blk.stop)):
-            raise DomainError("ideal is not supported inside the block")
-    return MonomialIdeal(subring, tuple(g[blk.start : blk.stop] for g in ideal.gens))

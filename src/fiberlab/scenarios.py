@@ -469,26 +469,14 @@ def scenario_names() -> list[str]:
 def run_scenario(name: str, characteristic: int | None = None,
                  caps: Caps = DEFAULT_CAPS, threads: int | None = None,
                  **params) -> list[Report]:
-    """Run a named scenario; 'remark-5.9(8)' style names carry its parameter n.
+    """Run a named scenario; ``params`` are its parameters, as n of remark-5.9.
 
-    A parameter the scenario does not take, or an n in the name that
-    disagrees with the one in ``params``, is a DomainError.
+    An unknown name, or a parameter the scenario does not take, is a
+    DomainError.
     """
-    base = name
-    if "(" in name and name.endswith(")"):
-        base, _, arg = name[:-1].partition("(")
-        try:
-            n = int(arg)
-        except ValueError:
-            raise DomainError(
-                f"scenario {name!r}: the parameter {arg!r} is not an integer"
-            ) from None
-        if params.setdefault("n", n) != n:
-            raise DomainError(f"scenario {name!r}: the name's n = {n} disagrees with "
-                              f"n = {params['n']}")
-    if base not in SCENARIOS:
+    if name not in SCENARIOS:
         raise DomainError(f"unknown scenario {name!r}; known: {', '.join(scenario_names())}")
-    unknown = sorted(set(params) - set(inspect.signature(SCENARIOS[base]).parameters))
+    unknown = sorted(set(params) - set(inspect.signature(SCENARIOS[name]).parameters))
     if unknown:
         raise DomainError(f"scenario {name!r} takes no parameter {', '.join(unknown)}")
-    return SCENARIOS[base](characteristic=characteristic, caps=caps, threads=threads, **params)
+    return SCENARIOS[name](characteristic=characteristic, caps=caps, threads=threads, **params)

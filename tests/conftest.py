@@ -5,7 +5,8 @@ enumeration) so that engine results are checked against code that shares
 nothing with the production paths.  The last section holds the oracles
 built on engine internals that no production path calls: the Koszul
 strands' Tor table, the full lcm lattice, the upper Koszul complex of
-one point, and the lattice walk one point at a time.
+one point, the lattice walk one point at a time, and componentwise
+linearity checked at every degree up to the regularity.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fiberlab import DEFAULT_CAPS, Caps, DomainError, MonomialIdeal, Ring, parse_monomial
+from fiberlab import (DEFAULT_CAPS, Caps, DomainError, MonomialIdeal, Ring, component_ideal,
+                      parse_monomial, reg_of)
 from fiberlab import betti, koszul
 from fiberlab.ideals import _sorted_unique
 from fiberlab.linalg import rank_exact, rank_inputs
@@ -291,3 +293,14 @@ def walk_per_point(points: np.ndarray, gens: np.ndarray, char: int,
             for i, d in cache[key].items():
                 entries[(i, tuple(int(e) for e in chunk[row]))] = d
     return entries
+
+
+def componentwise_linear_every_degree(ideal: MonomialIdeal, char: int,
+                                      caps: Caps = DEFAULT_CAPS) -> bool:
+    """Componentwise linearity as ``invariants._componentwise_linear`` checked it
+    before it stopped below t0: the component ideal at every d from the initial
+    degree to the regularity has regularity d."""
+    for d in range(ideal.indeg(), reg_of(ideal, char, caps, threads=1) + 1):
+        if reg_of(component_ideal(ideal, d, caps), char, caps, threads=1) != d:
+            return False
+    return True

@@ -161,7 +161,7 @@ def test_criterion_08_two_block_family():
     assert all(r.passed for r in small), [
         (r.claim, r.params, r.computed) for r in small if not r.passed
     ]
-    witness = run_scenario("remark-5.9(8)", characteristic=0, threads=2)
+    witness = run_scenario("remark-5.9", characteristic=0, threads=2, n=8)
     assert all(r.passed for r in witness), [
         (r.claim, r.params, r.computed) for r in witness if not r.passed
     ]
@@ -300,7 +300,7 @@ def test_criterion_14_edge_ideals():
 
 
 def _cli(*argv: str) -> bytes:
-    return run_fiberlab(*argv, env={"FIBERLAB_STABLE_JSON": "1"}, text=False).stdout
+    return run_fiberlab(*argv, "--stable-json", text=False).stdout
 
 
 def test_criterion_15_determinism(tmp_path):

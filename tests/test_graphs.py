@@ -86,4 +86,7 @@ def test_k22_power_regularity():
     setup = join_fiber_setup(k22)
     regs = [reg_of(setup.F ** s, 0, threads=1) for s in (1, 2, 3)]
     assert regs == [2, 4, 6]
-    assert check_reg_increasing(setup, 3, 0, threads=1, claim="cor-8.2").passed
+    report = check_reg_increasing(setup, 3, 0, threads=1, claim="cor-8.2")
+    assert report.passed
+    assert report.expected["provenance"] == "corollary 8.2"
+    assert check_reg_increasing(setup, 3, 0, threads=1).expected["provenance"] == "corollary 8.1"

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fiberlab import (
     DomainError,
@@ -17,7 +18,7 @@ from fiberlab import (
 from fiberlab.invariants import reg_maxideal_power_formula
 from fiberlab.scenarios import appendix_ideals, remark_55_setup
 
-from conftest import ideal_of, random_ideal
+from conftest import componentwise_linear_every_degree, ideal_of, random_ideal
 
 
 def test_maximal_ideal_invariants(ring_xyz):
@@ -75,6 +76,29 @@ def test_componentwise_nonequigenerated():
     ring = Ring("R", ("x", "y"))
     ideal = ideal_of(ring, "x^2", "x*y", "y^3")
     assert is_componentwise_linear(ideal, 0, threads=1)
+
+
+def test_componentwise_linearity_stops_below_t0():
+    # the components up to reg = 129 of (x^65, y^65) are past the component_degree
+    # cap of 64; reg > t0 answers first, and (x^65) needs no component at all
+    ring = Ring("R", ("x", "y"))
+    assert is_componentwise_linear(ideal_of(ring, "x^65"), 0, threads=1)
+    assert not is_componentwise_linear(ideal_of(ring, "x^65", "y^65"), 0, threads=1)
+    # reg = t0 = 3, and only the component below t0, (x^2, y^2), is not linear
+    ideal = ideal_of(Ring("R", ("x", "y", "z")), "x^2", "y^2", "x*y*z")
+    assert reg_of(ideal, 0, threads=1) == ideal.t0() == 3
+    assert not is_componentwise_linear(ideal, 0, threads=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(0, 3)] * n).filter(any), min_size=1, max_size=5
+    ).map(lambda gens: MonomialIdeal.from_exponents(Ring("R", tuple("xyzw"[:n])), gens))
+), st.sampled_from([0, 32003]))
+def test_componentwise_linearity_matches_every_degree_check(ideal, char):
+    assert is_componentwise_linear(ideal, char, threads=1) == \
+        componentwise_linear_every_degree(ideal, char)
 
 
 def test_tensor_additivity_random():

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,6 @@ from fiberlab import (
     tor_vanishing,
 )
 from fiberlab.lang import eval_expression, load_definitions
-from fiberlab.scenarios import run_scenario
 
 from conftest import run_fiberlab
 
@@ -169,6 +169,16 @@ def test_cli_invariants_json(pair_file):
     }
 
 
+def test_cli_invariants_past_the_component_cap(tmp_path):
+    # componentwise linearity used to build the components up to reg = 65,
+    # one past the component_degree cap, and exit 3
+    path = tmp_path / "x65.fl"
+    path.write_text("ring R = [x, y];\nA = ideal(R; x^65);\n")
+    out = run_cli("invariants", str(path), "A")
+    assert out.returncode == 0
+    assert "componentwiseLinear = True" in out.stdout.splitlines()
+
+
 def test_cli_invariants_build_one_table_of_the_ideal(monkeypatch):
     # componentwise linearity reads invariants_of's regularity; the other
     # tables are of the component ideals
@@ -245,10 +255,11 @@ def test_cli_verify_exit_codes(pair_file):
     report = json.loads(ok.stdout)
     assert report["verdict"] == "pass"
     assert report["computed"]["depthFs"] == 1
-    # qualified names are accepted
-    ok2 = run_cli("verify", "thm-5.1", "--input", pair_file, "--I", "pair:I",
-                  "--J", "pair:J", "--s", "2", "--stable-json")
-    assert ok2.returncode == 0
+    # a name is spelled one way: the file:name qualifier is gone
+    qualified = run_cli("verify", "thm-5.1", "--input", pair_file, "--I", "pair:I",
+                        "--J", "pair:J", "--s", "2", "--stable-json")
+    assert qualified.returncode == 2
+    assert "unknown ideal 'pair:I'" in qualified.stderr
 
 
 def test_cli_verify_negative_case(tmp_path):
@@ -452,7 +463,7 @@ def test_cli_malformed_setting_is_usage_error(pair_file, argv, env, named):
     ("cor-5.2", ("--s", "0"), "s must be at least 1"),
     ("lemma-4.1", ("--s", "0"), "s must be at least 1"),
     ("cor-8.1", ("--scap", "1"), "s_cap must be at least 2"),
-    ("thm-6.1", ("--s", "0"), "s must be at least 1"),
+    ("thm-6.1", ("--s", "0"), "s must be at least 2"),
     ("cor-7.2", ("--s", "0"), "s must be at least 1"),
 ], ids=["thm-5.1", "cor-5.2", "lemma-4.1", "cor-8.1", "thm-6.1", "cor-7.2"])
 def test_cli_claim_parameter_out_of_range_is_usage_error(pair_file, claim, flags, named):
@@ -464,6 +475,99 @@ def test_cli_claim_parameter_out_of_range_is_usage_error(pair_file, claim, flags
     assert named in out.stderr
     assert "Traceback" not in out.stderr
     assert out.stdout == ""
+
+
+_FLAG_VALUES = {"--J": "J", "--s": "2", "--scap": "3", "--mode": "exact"}
+
+
+def _flags_not_taken():
+    for claim, (_, flag, _, _) in cli._CLAIMS.items():
+        own = "--mode" if claim == "lemma-4.1" else "--J"
+        for other in _FLAG_VALUES:
+            if other not in (flag, own):
+                yield claim, other
+
+
+@pytest.mark.parametrize("claim, flag", list(_flags_not_taken()))
+def test_cli_verify_flag_the_claim_does_not_take_is_usage_error(pair_file, capsys, claim, flag):
+    # thm-3.6 --s 3, cor-5.2 --mode exact and lemma-4.1 --J J used to run and exit 0
+    argv = ["verify", claim, "--input", pair_file, "--I", "I", flag, _FLAG_VALUES[flag]]
+    if claim != "lemma-4.1" and flag != "--J":
+        argv += ["--J", "J"]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert f"verify {claim} takes no {flag}" in out.err
+    assert out.out == ""
+
+
+def test_cli_verify_reports_the_claim_asked_for(pair_file):
+    # thm-6.1 at its default s = 1 used to report prop-3.4
+    args = ("--input", pair_file, "--I", "I", "--J", "J", "--stable-json")
+    default = run_cli("verify", "thm-6.1", *args)
+    assert default.returncode == 0
+    report = json.loads(default.stdout)
+    assert (report["claim"], report["params"]) == ("thm-6.1", {"s": 2})
+    assert default.stdout == run_cli("verify", "thm-6.1", *args, "--s", "2").stdout
+    prop = run_cli("verify", "prop-3.4", *args)
+    assert prop.returncode == 0
+    assert (json.loads(prop.stdout)["claim"], json.loads(prop.stdout)["params"]) == (
+        "prop-3.4", {"s": 1})
+    out = run_cli("verify", "prop-3.4", *args, "--s", "2")
+    assert out.returncode == 2
+    assert "verify prop-3.4 takes no --s" in out.stderr
+    assert out.stdout == ""
+
+
+def test_cli_verify_cor_82_reports_corollary_82(pair_file):
+    out = run_cli("verify", "cor-8.2", "--input", pair_file, "--I", "I", "--J", "J",
+                  "--stable-json")
+    assert out.returncode == 0
+    report = json.loads(out.stdout)
+    assert report["claim"] == "cor-8.2"
+    assert report["expected"]["provenance"] == "corollary 8.2"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm-9.9", "--input", "{pair}", "--I", "I", "--J", "J"),
+    ("verify", "thm-5.1", "--I", "I", "--J", "J"),
+    ("verify", "lemma-4.1", "--input", "{pair}"),
+], ids=["unknown-claim", "no-input", "no-I"])
+def test_cli_verify_argument_errors_get_the_usage_message(pair_file, argv):
+    out = run_cli(*(a.format(pair=pair_file) for a in argv))
+    assert out.returncode == 2
+    assert out.stderr.startswith("usage: fiberlab verify")
+    assert out.stdout == ""
+
+
+def test_cli_verify_needs_each_factor_in_its_own_ring(tmp_path, pair_file):
+    # a pair in one tensor ring used to be projected onto its two blocks
+    path = tmp_path / "tensor.fl"
+    path.write_text(PAIR + "tensor T = A (*) B;\nIT = I + J;\nJT = J + I;\n")
+    out = run_cli("verify", "thm-5.1", "--input", str(path), "--I", "IT", "--J", "JT")
+    assert out.returncode == 2
+    assert "give each factor in its own ring" in out.stderr
+    assert "Traceback" not in out.stderr
+    out = run_cli("verify", "thm-5.1", "--input", pair_file, "--I", "I")
+    assert out.returncode == 2
+    assert "verify thm-5.1 needs --J" in out.stderr
+
+
+def test_verify_claims_in_readme_and_help_match_the_table(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Verify claims:", 1)[1].split("```")[1]
+    listed = [line.split()[0] for line in block.strip().splitlines()]
+    assert cli.main(["verify", "--help"]) == 0
+    helped = capsys.readouterr().out.split("claims and the one parameter flag each takes:")[1]
+    assert listed == [line.split()[0] for line in helped.strip().splitlines()]
+    assert listed == list(cli._CLAIMS)
+    assert block.strip() == helped.strip()
+
+
+def test_cli_stable_json_is_a_flag_only(pair_file):
+    out = run_cli("verify", "thm-3.6", "--input", pair_file, "--I", "I", "--J", "J",
+                  FIBERLAB_STABLE_JSON="1")
+    assert out.returncode == 0
+    assert "elapsedMs" in json.loads(out.stdout)
 
 
 def test_cli_scenario_runs(pair_file):
@@ -488,22 +592,19 @@ def test_cli_scenario_parameter_must_be_an_integer():
 
 @pytest.mark.parametrize("argv, named", [
     (("lemma-5.4", "--n", "5"), "takes no parameter n"),
-    (("remark-5.6(4)",), "takes no parameter n"),
-    (("remark-5.9(2)", "--n", "3"), "disagrees with n = 3"),
-], ids=["flag-not-taken", "name-parameter-not-taken", "name-and-flag-disagree"])
+    (("remark-5.6(4)",), "unknown scenario"),
+    (("remark-5.9(2)", "--n", "3"), "unknown scenario"),
+    (("remark-5.9(8)",), "unknown scenario"),
+], ids=["flag-not-taken", "name-parameter-not-taken", "name-and-flag-disagree",
+        "name-parameter"])
 def test_cli_scenario_parameter_not_taken_is_usage_error(argv, named):
-    # each of these used to run with exit 0 and drop a parameter value
+    # the first used to run with exit 0 and drop a parameter value; a parameter
+    # is spelled --n only, so a name with one in parentheses is no scenario
     out = run_cli("scenario", *argv)
     assert out.returncode == 2
     assert argv[0] in out.stderr and named in out.stderr
     assert "Traceback" not in out.stderr
     assert out.stdout == ""
-
-
-def test_scenario_parameter_in_the_name_may_repeat_the_argument():
-    named = run_scenario("remark-5.9(2)", n=2)
-    plain = run_scenario("remark-5.9", n=2)
-    assert [r.to_json_dict(False) for r in named] == [r.to_json_dict(False) for r in plain]
 
 
 # -- path errors, the nesting limit and token soups: never a traceback ---------

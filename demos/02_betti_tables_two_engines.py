@@ -1,11 +1,12 @@
-"""Betti tables from the lattice engine, Tor maps from the Koszul engine.
+"""Betti tables and Tor-vanishing from the lattice engine.
 
 The lattice engine computes reduced homology of upper Koszul complexes at
 the join-closure of the generator degrees; regularity, projective
-dimension, and depth then fall out of the coarse table.  The Koszul engine
-tensors an ideal with the Koszul complex on all ring variables; it gives
-the maps on Tor that an inclusion of ideals induces, and decides whether
-they all vanish.
+dimension, and depth then fall out of the coarse table.  The same
+complexes give the maps on Tor that an inclusion of ideals induces, and
+``tor_vanishing`` decides whether they all vanish.  The Koszul engine
+(``fiberlab.koszul.tor_map``), which tensors an ideal with the Koszul
+complex on all ring variables, builds the matrices of those maps.
 """
 
 from fiberlab import (
@@ -34,7 +35,7 @@ taylor = MonomialIdeal.from_monomials(
 print("multigraded table of (x^2, xy):", betti_table(taylor, 0).multigraded())
 print("(the generators at their own degrees, one syzygy at their join x^2*y)")
 
-print("\n== the Koszul engine: induced maps on Tor ==")
+print("\n== induced maps on Tor: Tor-vanishing ==")
 plane = Ring("P", ("x", "y"))
 m1 = maxideal_power(plane, None, 1)
 m2 = maxideal_power(plane, None, 2)

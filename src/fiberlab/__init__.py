@@ -18,8 +18,7 @@ from .ideals import (
     star_derivative,
     tensor_embed,
 )
-from .betti import BettiTable, betti_table
-from .koszul import tor_vanishing
+from .betti import BettiTable, betti_table, tor_vanishing
 from .invariants import (
     Invariants,
     has_linear_resolution,

@@ -51,6 +51,15 @@ bulk prune and the walk's divisibility tests run on the packed exponent
 rows of ``ideals`` (int64 words, deduplicated by sorting; ``_divisible``
 for the prune).
 
+The same complexes decide Tor-vanishing (``tor_vanishing``): for an
+inclusion small <= big, the map Tor_i(small)_b -> Tor_i(big)_b is the map
+on H-tilde_(i-1) that K^b(small) <= K^b(big) induces, since the upper
+Koszul complex computes Tor naturally in the ideal (Miller-Sturmfels,
+Thm 1.34).  At small's Betti points, which the walk gives, both complexes
+come from tight masks, and ``_ranks`` ranks the boundaries that decide
+the map.  One of them is relative: the boundary of big's faces outside
+small, whose columns drop their entries at small's faces.
+
 When the generating set is, after exact verification, a product of
 generating sets over disjoint variable blocks, the table is assembled as
 the convolution of the factors' tables (a minimal free resolution of a
@@ -149,7 +158,9 @@ def _boundary_ranks(owner: np.ndarray, face: np.ndarray, index: np.ndarray,
     ``ncols[b]`` of them and ``nrows[b]`` (k-1)-faces, and face g is row or
     column ``index[b, g]``.  The column of a k-face holds (-1)^t at the
     facet that drops its t-th lowest vertex, as in the full simplex.  A
-    complex without listed faces gets rank 0.
+    facet whose index is negative is no row, and its entry is left out: a
+    relative boundary, into the faces outside a subcomplex.  A complex
+    without listed faces gets rank 0.
     """
     rows = np.empty((len(face), k), dtype=np.int32)
     rest = face
@@ -159,12 +170,89 @@ def _boundary_ranks(owner: np.ndarray, face: np.ndarray, index: np.ndarray,
         rest = rest ^ low
     sign = np.ones((len(face), k), dtype=np.int8)
     sign[:, 1::2] = -1
+    entries = [np.repeat(owner, k), rows.ravel(), np.repeat(index[owner, face], k), sign.ravel()]
+    kept = entries[1] >= 0
+    if not kept.all():
+        entries = [a[kept] for a in entries]
     ranks = np.zeros(len(ncols), dtype=np.int64)
-    for members, matrix in rank_inputs(np.repeat(owner, k), rows.ravel(),
-                                       np.repeat(index[owner, face], k), sign.ravel(),
-                                       nrows, ncols, char):
+    for members, matrix in rank_inputs(*entries, nrows, ncols, char):
         ranks[members] = rank_exact(matrix) if char == 0 else rank_mod_p(matrix, char)
     return ranks
+
+
+def _ranks(faces: np.ndarray, m: int, char: int,
+           wanted: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Face counts and boundary ranks of chain complexes of faces on m vertices.
+
+    Complex b has the faces that row b of ``faces`` marks, and the full
+    simplex's boundary, restricted to them.  Returns counts[k, b], its faces
+    of cardinality k, and ranks[k, b], the rank of its boundary from those
+    to the (k-1)-faces (0 for k = 0 and k = m + 1).  ``wanted[k - 1, b]``
+    marks the boundaries to rank, all by default; the others get rank 0.
+
+    Over Q the boundaries of a batch of ``_CERTIFY_MIN_FACES`` faces or more
+    are first ranked over GF(_CERTIFYING_PRIME).  A rank over GF(p) is at
+    most the rank over Q, and the excess d_k of boundary k lowers the
+    homology at both its ends, which stays >= 0; so d_k > 0 only where the
+    GF(p) homology is nonzero at both ends.  Those boundaries, and those
+    whose dense GF(p) matrix would pass ``linalg.DENSE_CELL_LIMIT``, are
+    ranked by ``rank_exact``, as are all those of a smaller batch.  So a
+    wanted boundary's neighbours are ranked over GF(p) too, unless past the
+    dense limit; a neighbour left out counts as rank 0, which can only
+    leave more boundaries to ``rank_exact``.
+    """
+    owner, face = np.divmod(np.flatnonzero(faces), 1 << m)
+    # the faces by cardinality, then complex, then bitmask; a face's place
+    # among those of its complex and cardinality is its index, -1 a non-face's
+    group = _popcounts(m)[face].astype(np.int64) * len(faces) + owner
+    order = np.argsort(group, kind="stable")
+    owner, face = owner[order], face[order]
+    counts = np.bincount(group, minlength=(m + 1) * len(faces))
+    starts = np.cumsum(counts) - counts
+    index = np.full(faces.shape, -1, dtype=np.int32)
+    index[owner, face] = np.arange(len(face)) - np.repeat(starts, counts)
+    counts, starts = counts.reshape(m + 1, len(faces)), starts.reshape(m + 1, len(faces))
+
+    def ranked(k: int, field: int, chosen: np.ndarray | None = None) -> np.ndarray:
+        """Ranks of boundary k over the field, of the complexes ``chosen`` marks."""
+        span = slice(starts[k, 0], starts[k, 0] + counts[k].sum())
+        mine = slice(None) if chosen is None else chosen[owner[span]]
+        return _boundary_ranks(owner[span][mine], face[span][mine], index,
+                               counts[k - 1], counts[k], k, field)
+
+    cells = counts[:-1] * counts[1:]  # boundary k in row k - 1
+    exact = cells > linalg.DENSE_CELL_LIMIT  # over Q ranked sparse: never refused
+    certify = char == 0 and len(face) >= _CERTIFY_MIN_FACES
+    near = wanted
+    if wanted is not None:
+        if certify:
+            near = wanted.copy()
+            near[1:] |= wanted[:-1]
+            near[:-1] |= wanted[1:]
+            near &= wanted | ~exact
+        exact &= wanted
+        cells = np.where(near, cells, 0)
+    ranks = np.zeros((m + 2, len(faces)), dtype=np.int64)
+    # the largest boundary first: a batch over the dense limit is refused at once
+    top = cells.max(axis=1)
+    steps = np.argsort(-top, kind="stable")[: np.count_nonzero(top)] + 1
+    for k in steps:
+        chosen = None if near is None else near[k - 1]
+        if not certify or not exact[k - 1].any():
+            ranks[k] = ranked(k, _CERTIFYING_PRIME if certify else char, chosen)
+        else:
+            inexact = ~exact[k - 1] if chosen is None else chosen & ~exact[k - 1]
+            ranks[k] = ranked(k, _CERTIFYING_PRIME, inexact) + ranked(k, 0, exact[k - 1])
+    if certify:
+        dims = counts - ranks[:-1] - ranks[1:]
+        uncertified = (dims[:-1] > 0) & (dims[1:] > 0) & ~exact
+        if wanted is not None:
+            uncertified &= wanted
+        for k in steps:
+            if uncertified[k - 1].any():
+                again = ranked(k, 0, uncertified[k - 1])
+                ranks[k] = np.where(uncertified[k - 1], again, ranks[k])
+    return counts, ranks
 
 
 def _homology_from_masks(batch: list[np.ndarray], m: int, char: int) -> list[dict[int, int]]:
@@ -173,15 +261,7 @@ def _homology_from_masks(batch: list[np.ndarray], m: int, char: int) -> list[dic
     Complex b is the union of the simplices comp(mask) for the masks in
     ``batch[b]``: the tight sets of the dividing generators, as bitmasks on
     the m support variables.  Returns, for each, {i: dim H-tilde_(i-1)}
-    with zero entries omitted.
-
-    Over Q the boundaries of a batch of ``_CERTIFY_MIN_FACES`` faces or more
-    are first ranked over GF(_CERTIFYING_PRIME).  A rank over GF(p) is at
-    most the rank over Q, and the excess d_k of boundary k lowers the
-    homology at both its ends, which stays >= 0; so d_k > 0 only where the
-    GF(p) homology is nonzero at both ends.  Those boundaries, and those
-    whose dense GF(p) matrix would pass ``linalg.DENSE_CELL_LIMIT``, are
-    ranked by ``rank_exact``, as are all those of a smaller batch.
+    with zero entries omitted.  The ranks come from ``_ranks``.
     """
     out: list[dict[int, int]] = [{} for _ in batch]
     todo = []
@@ -197,45 +277,8 @@ def _homology_from_masks(batch: list[np.ndarray], m: int, char: int) -> list[dic
     step = max(1, linalg._CELL_BUDGET >> m)
     for lo in range(0, len(todo), step):
         part = todo[lo : lo + step]
-        owner, face = np.divmod(np.flatnonzero(_faces([batch[b] for b in part], m)), 1 << m)
-        # the faces by cardinality, then complex, then bitmask; a face's
-        # place among those of its complex and cardinality is its index
-        group = _popcounts(m)[face].astype(np.int64) * len(part) + owner
-        order = np.argsort(group, kind="stable")
-        owner, face = owner[order], face[order]
-        counts = np.bincount(group, minlength=(m + 1) * len(part))
-        starts = np.cumsum(counts) - counts
-        index = np.zeros((len(part), 1 << m), dtype=np.int32)
-        index[owner, face] = np.arange(len(face)) - np.repeat(starts, counts)
-        counts, starts = counts.reshape(m + 1, len(part)), starts.reshape(m + 1, len(part))
-
-        def ranked(k: int, field: int, chosen: np.ndarray | None = None) -> np.ndarray:
-            """Ranks of boundary k over the field, of the complexes ``chosen`` marks."""
-            span = slice(starts[k, 0], starts[k, 0] + counts[k].sum())
-            mine = slice(None) if chosen is None else chosen[owner[span]]
-            return _boundary_ranks(owner[span][mine], face[span][mine], index,
-                                   counts[k - 1], counts[k], k, field)
-
-        cells = counts[:-1] * counts[1:]  # boundary k in row k - 1
-        exact = cells > linalg.DENSE_CELL_LIMIT  # over Q ranked sparse: never refused
-        ranks = np.zeros((m + 2, len(part)), dtype=np.int64)
-        # the largest boundary first: a batch over the dense limit is refused at once
-        top = cells.max(axis=1)
-        steps = np.argsort(-top, kind="stable")[: np.count_nonzero(top)] + 1
-        certify = char == 0 and len(face) >= _CERTIFY_MIN_FACES
-        for k in steps:
-            if not certify or not exact[k - 1].any():
-                ranks[k] = ranked(k, _CERTIFYING_PRIME if certify else char)
-            else:
-                ranks[k] = ranked(k, _CERTIFYING_PRIME, ~exact[k - 1]) + ranked(k, 0, exact[k - 1])
+        counts, ranks = _ranks(_faces([batch[b] for b in part], m), m, char)
         dims = counts - ranks[:-1] - ranks[1:]
-        if certify:
-            uncertified = (dims[:-1] > 0) & (dims[1:] > 0) & ~exact
-            for k in steps:
-                if uncertified[k - 1].any():
-                    again = ranked(k, 0, uncertified[k - 1])
-                    ranks[k] = np.where(uncertified[k - 1], again, ranks[k])
-            dims = counts - ranks[:-1] - ranks[1:]
         for b, column in zip(part, dims.T.tolist()):
             out[b] = {i: d for i, d in enumerate(column) if d}
     return out
@@ -276,6 +319,25 @@ def _pairs_minimal(point: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _tight_masks(chunk: np.ndarray, supp: np.ndarray, gens: np.ndarray, packing: _Packing,
+                 packed_gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inclusion-minimal tight masks of every point of ``chunk``, in bulk.
+
+    A generator g dividing b has the tight set {v : g_v = b_v} on supp(b),
+    a bitmask over supp(b)'s variables renumbered as 0..m-1.  Returns the
+    (point, mask) pairs that are minimal, sorted by point, then mask;
+    ``packed_gens`` is ``packing.pack(gens)[None]``.
+    """
+    divides = packing.divides(packed_gens, packing.pack(chunk)[:, None, :])
+    point, gen = np.divmod(np.flatnonzero(divides), len(gens))  # 2-D nonzero is slower
+    place = np.where(supp, np.int64(1) << (np.cumsum(supp, axis=1) - supp), 0)
+    mask = ((gens[gen] == chunk[point]) * place[point]).sum(axis=1)
+    pair = _sorted_unique((point.astype(np.int64) << 24) | mask)
+    point, mask = pair >> 24, pair & ((1 << 24) - 1)
+    keep = _pairs_minimal(point, mask)
+    return point[keep], mask[keep]
+
+
 def _points_betti(
     points: np.ndarray, gens: np.ndarray, char: int, cache: dict
 ) -> dict[tuple[int, Exponents], int]:
@@ -303,15 +365,7 @@ def _points_betti(
                 f"a lattice point reached a support of {sizes.max()} variables, over the "
                 "walk's fixed limit of 24 (not a FIBERLAB_CAPS cap; it cannot be raised)"
             )
-        divides = packing.divides(packed_gens, packing.pack(chunk)[:, None, :])
-        point, gen = np.divmod(np.flatnonzero(divides), len(gens))  # 2-D nonzero is slower
-        # tight bits {v : g_v = b_v} on supp(b), renumbered as 0..m-1
-        place = np.where(supp, np.int64(1) << (np.cumsum(supp, axis=1) - supp), 0)
-        mask = ((gens[gen] == chunk[point]) * place[point]).sum(axis=1)
-        pair = _sorted_unique((point.astype(np.int64) << 24) | mask)
-        point, mask = pair >> 24, pair & ((1 << 24) - 1)
-        keep = _pairs_minimal(point, mask)
-        point, mask = point[keep], mask[keep]
+        point, mask = _tight_masks(chunk, supp, gens, packing, packed_gens)
         count = np.bincount(point, minlength=len(chunk))
         rows = np.full((len(chunk), count.max() + 1), -1, dtype=np.int64)
         rows[:, 0] = sizes
@@ -404,7 +458,7 @@ def _product_split(gens: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | No
         return x
 
     cols = {i: gens[:, i] for i in active}
-    uniq = {i: len(np.unique(cols[i])) for i in active}
+    uniq = {i: len(_sorted_unique(cols[i])) for i in active}
     for a_pos in range(len(active)):
         for b_pos in range(a_pos + 1, len(active)):
             a, b = active[a_pos], active[b_pos]
@@ -504,3 +558,104 @@ def betti_table(
     entries = _multigraded(ideal.array(), char, caps, threads)
     packed = tuple(sorted((i, b, d) for (i, b), d in entries.items()))
     return BettiTable(ideal, char, packed)
+
+
+# -- induced Tor maps ----------------------------------------------------------
+
+
+def _inclusion_field(small: MonomialIdeal, big: MonomialIdeal, characteristic: int | None) -> int:
+    """The field of an inclusion small -> big of ideals, once the inclusion is checked."""
+    if small.is_zero():
+        raise DomainError("Tor map from the zero ideal")
+    if not big.contains(small):
+        raise DomainError("tor_map requires an inclusion of ideals")
+    return resolve_characteristic(small.ring, characteristic)
+
+
+def _maps_nonzero(pairs: list[tuple[np.ndarray, np.ndarray]], m: int, i: int,
+                  char: int) -> np.ndarray:
+    """Whether K(small) <= K(big) induces a nonzero map on H-tilde_(i-1), for each pair.
+
+    A pair holds the minimal tight masks of small and of big at one point,
+    on its m support variables, where small has a Betti number in Tor_i
+    with 0 < i < m (one in Tor_m needs a face on all m vertices, and so a
+    full simplex, which has no homology).  The map has rank dim Z_i(small)
+    minus the dimension of the boundaries of big that are chains of small.
+    Those are the image of big's boundary D into its i-faces, cut by the
+    kernel of P, which deletes the rows of small's i-faces; so their
+    dimension is rank D - rank PD.  PD has the rank of the relative
+    boundary: the chain complex of big's faces outside small, from its
+    (i+1)-faces.
+    """
+    out = []
+    step = max(1, (linalg._CELL_BUDGET >> m) // 3)
+    for lo in range(0, len(pairs), step):
+        faces = _faces([masks for pair in pairs[lo : lo + step] for masks in pair], m)
+        small, big = faces[0::2], faces[1::2]
+        n = len(small)
+        wanted = np.zeros((m, 3 * n), dtype=bool)  # boundary k in row k - 1
+        wanted[i - 1, :n] = True  # small's boundary i
+        wanted[i, n:] = True  # big's and the relative boundary i + 1
+        counts, ranks = _ranks(np.concatenate([small, big, big & ~small]), m, char, wanted)
+        cycles = counts[i, :n] - ranks[i, :n]
+        out.append(cycles > ranks[i + 1, n : 2 * n] - ranks[i + 1, 2 * n :])
+    return np.concatenate(out)
+
+
+def tor_vanishing(
+    small: MonomialIdeal,
+    big: MonomialIdeal,
+    characteristic: int | None = None,
+    caps: Caps = DEFAULT_CAPS,
+) -> tuple[bool, tuple[int, int] | None]:
+    """True iff every induced map Tor_i(k, small)_j -> Tor_i(k, big)_j is zero.
+
+    Returns (vanishing, witness); the witness is the least (i, j), by i
+    and then j, carrying a nonzero induced map, when one exists.  At a
+    multidegree b the map is the one that K^b(small) <= K^b(big) induces
+    on H-tilde_(i-1), since the upper Koszul complex computes Tor naturally
+    in the ideal (Miller-Sturmfels, Thm 1.34).  So it can be nonzero only
+    at small's Betti points.  In Tor_0 they are small's generators, and
+    the map is the identity on those that big shares; the walk finds the
+    others (under the ``lattice`` cap).  They are taken by i, all of one i
+    together, and each map is decided by ranks alone (``_maps_nonzero``),
+    once per i and distinct pair of complexes, keyed as the walk keys one.
+    """
+    char = _inclusion_field(small, big, characteristic)
+    # Tor_0 is spanned by the minimal generators, so the map on it is nonzero
+    # exactly at small's generators that are big's too
+    shared = set(small.gens).intersection(big.gens)
+    if shared:
+        return False, (0, min(map(sum, shared)))
+    if len(small.gens) == 1:  # a principal ideal is free: it has no Tor above Tor_0
+        return True, None
+    gens, big_gens = small.array(), big.array()
+    entries = [key for key in _multigraded(gens, char, caps, 1) if key[0] > 0]
+    points = np.array(sorted({b for _, b in entries}), dtype=np.int64)
+    packing = _Packing(np.maximum(big_gens.max(axis=0), points.max(axis=0)))
+    pairs = {}  # point -> (key, (small's masks, big's masks))
+    step = max(1, _CHUNK_CELLS // (gens.size + big_gens.size))
+    for lo in range(0, len(points), step):
+        chunk = points[lo : lo + step]
+        supp = chunk > 0
+        sides = []
+        for side in (gens, big_gens):
+            point, mask = _tight_masks(chunk, supp, side, packing, packing.pack(side)[None])
+            sides.append(np.split(mask, np.searchsorted(point, np.arange(1, len(chunk)))))
+        for b, m, *pair in zip(chunk.tolist(), supp.sum(axis=1).tolist(), *sides):
+            pairs[tuple(b)] = ((m, *(masks.tobytes() for masks in pair)), pair)
+    by_degree: dict[int, list[tuple[int, Exponents]]] = {}
+    for i, b in entries:
+        by_degree.setdefault(i, []).append((sum(b), b))
+    for i, level in sorted(by_degree.items()):
+        distinct: dict[int, dict] = {}  # by support size, {key: pair}
+        for _, b in level:
+            key, pair = pairs[b]
+            distinct.setdefault(key[0], {})[key] = pair
+        nonzero = {}
+        for m, group in distinct.items():
+            nonzero.update(zip(group, _maps_nonzero(list(group.values()), m, i, char).tolist()))
+        witnesses = [j for j, b in level if nonzero[pairs[b][0]]]
+        if witnesses:
+            return False, (i, min(witnesses))
+    return True, None

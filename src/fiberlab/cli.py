@@ -39,7 +39,7 @@ from functools import partial
 
 from .config import Caps
 from .errors import CapError, FiberlabError, GrammarError, InternalError
-from .betti import betti_table
+from .betti import betti_table, tor_vanishing
 from .fiber import (
     check_componentwise,
     check_depth_formula,
@@ -51,7 +51,6 @@ from .fiber import (
     verify_tor_vanishing_lemma,
 )
 from .invariants import _componentwise_linear, invariants_of
-from .koszul import tor_vanishing
 from .lang import eval_expression, load_file
 from .reports import Report
 from .scenarios import run_scenario, scenario_names

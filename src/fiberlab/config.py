@@ -2,7 +2,8 @@
 
 Caps are hard limits: exceeding one raises CapError instead of degrading
 the answer.  There are three, one per computation that can grow without
-bound on small input: the lcm-lattice closure, a Koszul strand and a
+bound on small input: the lcm-lattice closure (every Betti table and
+Tor-vanishing verdict), a Koszul strand (``koszul.tor_map`` only) and a
 degree-d component ideal.  Library calls take them as a ``caps=`` argument
 (a definition file's ``component(A, d)`` reads ``Environment.caps``) and
 default to ``DEFAULT_CAPS``.  The command line reads overrides from the

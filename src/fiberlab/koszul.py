@@ -1,19 +1,18 @@
-"""Induced Tor maps and Tor-vanishing via the Koszul complex.
+"""Induced Tor maps via the Koszul complex.
 
 Tensoring an ideal with the Koszul complex on all ring variables computes
 the same graded Tor spaces as the lattice engine, but through an entirely
 different enumeration: the (i, j) strand has one basis element per pair
 (monomial u in the ideal of degree j - i, i-subset S of the variables),
 with differential (u, S) -> sum of +-(x_s * u, S minus s).  This engine is
-exponentially heavier in the ring size.  It exists because a chain-level
-inclusion of ideals induces maps on homology, which the lattice engine
-cannot provide; every Betti table, the CLI's ``tor`` included, comes from
-the lattice engine, and the tests keep these strands as its independent
-cross-check.
-
-Tor-vanishing verdicts come from strand ranks alone.  ``tor_map`` builds
-the induced matrices themselves with the dense toolkit of ``linalg``; it
-is the API for those maps and the oracle the verdicts are tested against.
+exponentially heavier in the ring size.  In the package it does one
+thing: ``tor_map`` builds the matrices of the maps on Tor that an
+inclusion of ideals induces, with the dense toolkit of ``linalg``.  Every
+Betti table, the CLI's ``tor`` included, and every Tor-vanishing verdict
+come from the lattice engine (``betti.tor_vanishing``, which this module
+re-exports); the tests keep the strands' Tor table and their
+Tor-vanishing verdicts as its independent cross-checks, and ``tor_map``
+as the oracle the verdicts are tested against.
 """
 
 from __future__ import annotations
@@ -23,8 +22,9 @@ from math import comb
 
 import numpy as np
 
+from .betti import _inclusion_field, tor_vanishing  # noqa: F401 (re-exported)
 from .config import DEFAULT_CAPS, Caps
-from .core import Exponents, resolve_characteristic
+from .core import Exponents
 from .errors import CapError, DomainError, InternalError
 from .ideals import (MonomialIdeal, _canonical_rows, _canonical_tuple, _divisible,
                      monomials_of_degree)
@@ -93,17 +93,14 @@ class _StrandComplex:
                 out.append((target[key], col, -1 if pos % 2 else 1))
         return out
 
-    def boundary_rank(self, i: int, char: int, rows: list[int] | None = None) -> int:
-        """Rank of the map from strand i to strand i-1, or of its ``rows`` only."""
-        trips, nrows = self.boundary_triplets(i), self.dim(i - 1)
-        if rows is not None:
-            renumber = {r: k for k, r in enumerate(rows)}
-            trips = [(renumber[r], c, s) for r, c, s in trips if r in renumber]
-            nrows = len(rows)
+    def boundary_rank(self, i: int, char: int) -> int:
+        """Rank of the map from strand i to strand i-1."""
+        trips = self.boundary_triplets(i)
         if not trips:
             return 0
         # one matrix, which has entries
-        (_, matrix), = rank_inputs([0] * len(trips), *zip(*trips), [nrows], [self.dim(i)], char)
+        (_, matrix), = rank_inputs([0] * len(trips), *zip(*trips), [self.dim(i - 1)],
+                                   [self.dim(i)], char)
         return int(rank_exact(matrix) if char == 0 else rank_mod_p(matrix, char)[0])
 
     def homology(self, characteristic: int):
@@ -126,11 +123,7 @@ def _strands(small: MonomialIdeal, big: MonomialIdeal, characteristic: int | Non
     The strands come as (j, of small, of big) for each degree j up to the
     top lattice degree, above which Tor vanishes.
     """
-    if small.is_zero():
-        raise DomainError("Tor map from the zero ideal")
-    if not big.contains(small):
-        raise DomainError("tor_map requires an inclusion of ideals")
-    char = resolve_characteristic(small.ring, characteristic)
+    char = _inclusion_field(small, big, characteristic)
     top = max(max_lattice_degree(small), max_lattice_degree(big))
     members: tuple[dict, dict] = ({}, {})
 
@@ -195,34 +188,3 @@ def tor_map(
                 matrix_cols.append(coords[len(bnd_big) :])
             out[(i, j)] = [list(row) for row in zip(*matrix_cols)]
     return out
-
-
-def tor_vanishing(
-    small: MonomialIdeal,
-    big: MonomialIdeal,
-    characteristic: int | None = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> tuple[bool, tuple[int, int] | None]:
-    """True iff every induced Tor map of the inclusion is zero.
-
-    Returns (vanishing, witness); the witness is the least (i, j) carrying
-    a nonzero induced map, when one exists.  Ranks decide it, with no basis
-    built: the map on H_i of strand j has rank dim Z_i(small) minus
-    dim(B_i(big) & C_i(small)), the cycles of small that die in big, and
-    that intersection has dimension rank D - rank PD, where D is big's
-    boundary into position i and P deletes the rows of small's basis.
-    A witness with i = 0 is the least there can be: no later strand is built.
-    """
-    char, strands = _strands(small, big, characteristic, caps)
-    witness = None
-    for j, s_small, s_big in strands:
-        for i, cycles, dim in s_small.homology(char):
-            if not dim or (witness is not None and i >= witness[0]):
-                continue
-            outside = [r for r, elt in enumerate(s_big.basis[i]) if elt not in s_small.index[i]]
-            killed = s_big.boundary_rank(i + 1, char) - s_big.boundary_rank(i + 1, char, outside)
-            if cycles > killed:
-                witness = (i, j)
-        if witness is not None and witness[0] == 0:
-            break
-    return witness is None, witness

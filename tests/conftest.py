@@ -4,9 +4,9 @@ Most oracles here are deliberately self-contained (plain fractions, brute
 enumeration) so that engine results are checked against code that shares
 nothing with the production paths.  The last section holds the oracles
 built on engine internals that no production path calls: the Koszul
-strands' Tor table, the full lcm lattice, the upper Koszul complex of
-one point, the lattice walk one point at a time, and componentwise
-linearity checked at every degree up to the regularity.
+strands' Tor table and Tor-vanishing verdicts, the full lcm lattice, the
+upper Koszul complex of one point, the lattice walk one point at a time,
+and componentwise linearity checked at every degree up to the regularity.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fiberlab import (DEFAULT_CAPS, Caps, DomainError, MonomialIdeal, Ring, comp
                       parse_monomial, reg_of)
 from fiberlab import betti, koszul
 from fiberlab.ideals import _sorted_unique
-from fiberlab.linalg import rank_exact, rank_inputs
+from fiberlab.linalg import rank_exact, rank_inputs, rank_mod_p
 
 
 @pytest.fixture
@@ -217,6 +217,44 @@ def koszul_tor(ideal: MonomialIdeal, char: int,
             if dim:
                 table[(i, j)] = dim
     return table
+
+
+def _strand_rank(strand, i: int, char: int, rows: list[int]) -> int:
+    """Rank of the strand's boundary from position i, cut to the ``rows`` of position i-1."""
+    renumber = {r: k for k, r in enumerate(rows)}
+    trips = [(renumber[r], c, s) for r, c, s in strand.boundary_triplets(i) if r in renumber]
+    if not trips:
+        return 0
+    (_, matrix), = rank_inputs([0] * len(trips), *zip(*trips), [len(rows)], [strand.dim(i)], char)
+    return int(rank_exact(matrix) if char == 0 else rank_mod_p(matrix, char)[0])
+
+
+def tor_vanishing_by_strands(small: MonomialIdeal, big: MonomialIdeal, char: int | None = None,
+                             caps: Caps = DEFAULT_CAPS) -> tuple[bool, tuple[int, int] | None]:
+    """``tor_vanishing`` on the Koszul strands, as the package computed it before the
+    lattice engine took it over: the least (i, j) whose strand map is nonzero.
+
+    Ranks decide it, with no basis built: the map on H_i of strand j has
+    rank dim Z_i(small) minus dim(B_i(big) & C_i(small)), the cycles of
+    small that die in big, and that intersection has dimension
+    rank D - rank PD, where D is big's boundary into position i and P
+    deletes the rows of small's basis.  A witness with i = 0 is the least
+    there can be: no later strand is built.
+    """
+    char, strands = koszul._strands(small, big, char, caps)
+    witness = None
+    for j, s_small, s_big in strands:
+        for i, cycles, dim in s_small.homology(char):
+            if not dim or (witness is not None and i >= witness[0]):
+                continue
+            outside = [r for r, elt in enumerate(s_big.basis[i]) if elt not in s_small.index[i]]
+            killed = (s_big.boundary_rank(i + 1, char)
+                      - _strand_rank(s_big, i + 1, char, outside))
+            if cycles > killed:
+                witness = (i, j)
+        if witness is not None and witness[0] == 0:
+            break
+    return witness is None, witness
 
 
 def lcm_lattice(ideal: MonomialIdeal, caps: Caps = DEFAULT_CAPS) -> tuple[tuple[int, ...], ...]:

@@ -122,6 +122,16 @@ def test_tor_vanishing_lemma_modes(ring_xy):
         verify_tor_vanishing_lemma(ideal_of(ring_xy, "x"), 2, "certificate")
 
 
+def test_tor_vanishing_lemma_exact_on_the_appendix_ideal(appendix_ring):
+    # lemma 4.1 at the paper's scale, decided on the lattice engine over Q: the
+    # Koszul strands ran past 120 s here, and over GF(32003) passed the dense limit
+    ideal = ideal_of(appendix_ring, "a^2", "b^2", "c^2", "d^2", "a*b*x", "c*d*x",
+                     "a*c*y", "b*d*y", "a*d*z", "b*c*z", "c*d*y*z*t")
+    report = verify_tor_vanishing_lemma(ideal, 2, "exact", 0)
+    assert report.passed
+    assert report.computed == {"allVanishing": True, "perStep": {"t=1": True, "t=2": True}}
+
+
 def test_reg_formula_square_example():
     setup = _setup_squares()
     report = check_reg_formula(setup, 2, 0, threads=1)

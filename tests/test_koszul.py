@@ -1,4 +1,5 @@
-"""The Koszul-strand Tor engine: its Tor table, induced maps and Tor-vanishing."""
+"""The Koszul-strand Tor engine: its Tor table, induced maps and Tor-vanishing verdicts,
+and the lattice engine's Tor-vanishing checked against them."""
 
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fiberlab import koszul, linalg
+from fiberlab import betti, fiber, koszul, linalg
 from fiberlab import (
     DomainError,
     MonomialIdeal,
@@ -20,7 +21,7 @@ from fiberlab.errors import CapError, InternalError
 from fiberlab.config import Caps
 from fiberlab.koszul import tor_map
 
-from conftest import ideal_of, koszul_tor, random_ideal
+from conftest import ideal_of, koszul_tor, random_ideal, tor_vanishing_by_strands
 
 
 def test_examples(ring_xy):
@@ -69,7 +70,7 @@ def test_tor_vanishing_stops_at_a_witness_in_homological_degree_zero(monkeypatch
         init(self, ideal, j, *rest)
 
     monkeypatch.setattr(koszul._StrandComplex, "__init__", spy)
-    assert tor_vanishing(cube, cube, 0) == (False, (0, 3))
+    assert tor_vanishing_by_strands(cube, cube, 0) == (False, (0, 3))
     assert max(built) == 3
     assert koszul.max_lattice_degree(cube) == 12
 
@@ -145,7 +146,9 @@ def test_escaped_cycle_is_an_internal_error(ring_xy, monkeypatch):
 def test_basis_cap(ring_xy):
     m3 = maxideal_power(ring_xy, None, 3)
     caps = Caps(koszul_basis=3)
-    for call in (lambda: koszul_tor(m3, 0, caps), lambda: tor_vanishing(m3, m3, 0, caps)):
+    for call in (lambda: koszul_tor(m3, 0, caps),
+                 lambda: tor_vanishing_by_strands(m3, m3, 0, caps),
+                 lambda: tor_map(m3, m3, 0, caps)):
         with pytest.raises(CapError) as raised:
             call()
         message = str(raised.value)
@@ -183,3 +186,98 @@ def test_tor_vanishing_matches_tor_map(inclusion, char):
     nonzero = [key for key, mat in tor_map(small, big, char).items()
                if any(v for row in mat for v in row)]
     assert verdict == (not nonzero, min(nonzero, default=None))
+
+
+def rp2_loop_inclusion() -> tuple[MonomialIdeal, MonomialIdeal]:
+    """small <= big in six variables whose complexes at (1, ..., 1) are the loop
+    0-1-3 inside the 6-vertex RP^2: x^(b - tau) lies in small iff tau is inside
+    an edge of the loop, and in big iff tau is inside a triangle of RP^2.  The
+    loop is not a boundary, but twice it is, so the map on H-tilde_1 is zero over
+    Q and nonzero over GF(2)."""
+    ring = Ring("R", tuple(f"x{v}" for v in range(6)))
+    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                 (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+
+    def outside(face):
+        return tuple(int(v not in face) for v in range(6))
+
+    small = MonomialIdeal.from_exponents(ring, [outside(e) for e in ((0, 1), (1, 3), (0, 3))])
+    return small, MonomialIdeal.from_exponents(ring, [outside(t) for t in triangles])
+
+
+def test_tor_vanishing_sees_torsion_in_the_map():
+    small, big = rp2_loop_inclusion()
+    assert tor_vanishing(small, big, 0) == (True, None)
+    assert tor_vanishing(small, big, 2) == (False, (2, 6))
+    assert tor_vanishing(small, big, 3) == (True, None)
+    assert tor_vanishing_by_strands(small, big, 2) == (False, (2, 6))
+
+
+@settings(max_examples=120, deadline=None)
+@given(inclusions(), st.sampled_from([0, 2, 32003]), st.booleans())
+@example(rp2_loop_inclusion(), 0, True)
+@example(rp2_loop_inclusion(), 2, False)
+@example((ideal_of(Ring("R", ("x", "y")), "x^2", "y"),) * 2, 2, False)  # witness (0, 1)
+@example((ideal_of(Ring("R", ("x", "y")), "x*y^3", "x^2*y"),  # witness (1, 5)
+          ideal_of(Ring("R", ("x", "y")), "y^3", "x^2")), 0, False)
+@example((ideal_of(Ring("R", ("x", "y", "z")), "x*y^2*z", "x*y*z^2", "x^2*y"),  # nonzero at
+          ideal_of(Ring("R", ("x", "y", "z")), "x*z^2", "y^2*z", "x^2")), 0, False)  # (1, 5), (2, 6)
+@example((ideal_of(Ring("R", ("x", "y", "z")), "x*y*z^2", "x^2*y", "x*y^2"),  # nonzero at
+          ideal_of(Ring("R", ("x", "y", "z")), "y*z^2", "x^2", "y^2")), 0, False)  # (1, 4), (1, 5)
+def test_tor_vanishing_matches_the_strands(inclusion, char, certify):
+    # the lattice verdict and witness equal the Koszul strands', with the ranks
+    # over Q certified over GF(2^31 - 1) or over GF(2) from the first face on,
+    # where they would be left to rank_exact at once
+    small, big = inclusion
+    with pytest.MonkeyPatch.context() as patch:
+        if certify:
+            patch.setattr(betti, "_CERTIFY_MIN_FACES", 0)
+            if char == 0:
+                patch.setattr(betti, "_CERTIFYING_PRIME", 2)
+        verdict = tor_vanishing(small, big, char)
+    assert verdict == tor_vanishing_by_strands(small, big, char)
+
+
+def test_tor_vanishing_stops_at_the_least_homological_degree(monkeypatch):
+    # (x^2, y) into itself is the identity, nonzero already on Tor_0, which the
+    # generators decide: no lattice is walked
+    walked, decided = [], []
+    multigraded, maps = betti._multigraded, betti._maps_nonzero
+    monkeypatch.setattr(betti, "_multigraded", lambda *a: walked.append(a) or multigraded(*a))
+    monkeypatch.setattr(betti, "_maps_nonzero",
+                        lambda pairs, m, i, char: decided.append(i) or maps(pairs, m, i, char))
+    ring = Ring("R", ("x", "y"))
+    same = ideal_of(ring, "x^2", "y")
+    assert tor_vanishing(same, same, 0) == (False, (0, 1))
+    assert walked == [] and decided == []
+    # small has Tor_1 and Tor_2, shares no generator with big, and its first
+    # nonzero map is at i = 1, so no map at i = 2 is decided
+    ring = Ring("R", ("a", "b", "c"))
+    small = ideal_of(ring, "a^2*c", "a*b*c", "a*c^2", "b^2")
+    big = ideal_of(ring, "a^2", "c^2", "b")
+    assert betti_table(small, 0, threads=1).coarse() == {(0, 2): 1, (0, 3): 3, (1, 4): 4,
+                                                          (2, 5): 1}
+    assert tor_vanishing(small, big, 0) == tor_vanishing_by_strands(small, big, 0) == (False, (1, 4))
+    assert set(decided) == {1}
+
+
+def test_tor_vanishing_obeys_the_lattice_cap(ring_xy):
+    # the lattice engine walks small's lcm lattice: the lattice cap bounds it, and
+    # koszul_basis no longer does
+    small = ideal_of(ring_xy, "x^2", "x*y", "y^2")
+    big = maxideal_power(ring_xy, None, 1)
+    with pytest.raises(CapError, match=r"over cap lattice=2 \(set FIBERLAB_CAPS=lattice=<value>\)"):
+        tor_vanishing(small, big, 0, Caps(lattice=2))
+    assert tor_vanishing(small, big, 0, Caps(koszul_basis=1)) == (True, None)
+
+
+def test_tor_map_refuses_a_dense_strand_over_the_limit(ring_xy, monkeypatch):
+    # the fixed dense-cell limit guards tor_map's GF(p) strand matrices
+    monkeypatch.setattr(linalg, "DENSE_CELL_LIMIT", 3)
+    m2 = maxideal_power(ring_xy, None, 2)
+    with pytest.raises(CapError, match=r"a dense GF\(p\) matrix of shape .* \(not a FIBERLAB_CAPS cap"):
+        tor_map(m2, m2, 32003)
+
+
+def test_tor_vanishing_is_one_function_under_every_name():
+    assert koszul.tor_vanishing is betti.tor_vanishing is fiber.tor_vanishing is tor_vanishing

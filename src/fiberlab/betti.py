@@ -71,6 +71,7 @@ two blocks within reach without ever enumerating the product lattice.
 from __future__ import annotations
 
 import functools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -319,6 +320,19 @@ def _pairs_minimal(point: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _within_support_limit(size: int) -> None:
+    """Refuse a lattice point on more than the walk's fixed limit of 24 variables.
+
+    A tight mask packs into the low 24 bits of a (point, mask) key, and a
+    complex on m vertices takes arrays of 2^m entries.
+    """
+    if size > 24:
+        raise CapError(
+            f"a lattice point reached a support of {size} variables, over the "
+            "walk's fixed limit of 24 (not a FIBERLAB_CAPS cap; it cannot be raised)"
+        )
+
+
 def _tight_masks(chunk: np.ndarray, supp: np.ndarray, gens: np.ndarray, packing: _Packing,
                  packed_gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The inclusion-minimal tight masks of every point of ``chunk``, in bulk.
@@ -360,11 +374,7 @@ def _points_betti(
         chunk = points[lo : lo + step]
         supp = chunk > 0
         sizes = supp.sum(axis=1)
-        if sizes.max(initial=0) > 24:
-            raise CapError(
-                f"a lattice point reached a support of {sizes.max()} variables, over the "
-                "walk's fixed limit of 24 (not a FIBERLAB_CAPS cap; it cannot be raised)"
-            )
+        _within_support_limit(int(sizes.max(initial=0)))
         point, mask = _tight_masks(chunk, supp, gens, packing, packed_gens)
         count = np.bincount(point, minlength=len(chunk))
         rows = np.full((len(chunk), count.max() + 1), -1, dtype=np.int64)
@@ -404,15 +414,30 @@ def _worker_run(pts: np.ndarray):
 
 
 def _multigraded(
-    gens: np.ndarray, char: int, caps: Caps, threads: int
+    gens: np.ndarray, char: int, caps: Caps, threads: int, bounded: bool = False
 ) -> dict[tuple[int, Exponents], int]:
-    """Multigraded Betti numbers of the ideal generated by ``gens`` (minimal)."""
+    """Multigraded Betti numbers of the ideal generated by ``gens`` (minimal).
+
+    ``bounded`` holds a product's points to the walk's limits, before the
+    factors' tables are convolved: the ``lattice`` cap on their number
+    (the product's lattice has at least as many points) and the support
+    limit.  ``tor_vanishing``, which decides a map at each point, asks
+    for it; ``betti_table`` only convolves, and takes any product.
+    """
     factors = _product_split(gens)
     if factors is not None:
         tables = []
         for cols, sub in factors:
-            local = _multigraded(sub, char, caps, threads)
+            local = _multigraded(sub, char, caps, threads, bounded)
             tables.append((cols, sub.shape[1], local))
+        if bounded:
+            points = [{b for _, b in local} for _, _, local in tables]
+            count = math.prod(map(len, points))
+            if count > caps.lattice:
+                raise CapError.over(
+                    "lattice", f"a product over disjoint variable blocks has {count} Betti points",
+                    caps.lattice)
+            _within_support_limit(sum(max(len(b) - b.count(0) for b in block) for block in points))
         return _convolve(tables, gens.shape[1])
     points = _closure(gens, caps.lattice)
     points = points[~_contractible(points, gens)]
@@ -617,9 +642,11 @@ def tor_vanishing(
     in the ideal (Miller-Sturmfels, Thm 1.34).  So it can be nonzero only
     at small's Betti points.  In Tor_0 they are small's generators, and
     the map is the identity on those that big shares; the walk finds the
-    others (under the ``lattice`` cap).  They are taken by i, all of one i
-    together, and each map is decided by ranks alone (``_maps_nonzero``),
-    once per i and distinct pair of complexes, keyed as the walk keys one.
+    others, under the ``lattice`` cap and the support limit of 24
+    variables, which a product's convolved points obey too.  They are
+    taken by i, all of one i together, and each map is decided by ranks
+    alone (``_maps_nonzero``), once per i and distinct pair of complexes,
+    keyed as the walk keys one.
     """
     char = _inclusion_field(small, big, characteristic)
     # Tor_0 is spanned by the minimal generators, so the map on it is nonzero
@@ -630,7 +657,7 @@ def tor_vanishing(
     if len(small.gens) == 1:  # a principal ideal is free: it has no Tor above Tor_0
         return True, None
     gens, big_gens = small.array(), big.array()
-    entries = [key for key in _multigraded(gens, char, caps, 1) if key[0] > 0]
+    entries = [key for key in _multigraded(gens, char, caps, 1, bounded=True) if key[0] > 0]
     points = np.array(sorted({b for _, b in entries}), dtype=np.int64)
     packing = _Packing(np.maximum(big_gens.max(axis=0), points.max(axis=0)))
     pairs = {}  # point -> (key, (small's masks, big's masks))

@@ -243,7 +243,7 @@ def test_tor_vanishing_stops_at_the_least_homological_degree(monkeypatch):
     # generators decide: no lattice is walked
     walked, decided = [], []
     multigraded, maps = betti._multigraded, betti._maps_nonzero
-    monkeypatch.setattr(betti, "_multigraded", lambda *a: walked.append(a) or multigraded(*a))
+    monkeypatch.setattr(betti, "_multigraded", lambda *a, **k: walked.append(a) or multigraded(*a, **k))
     monkeypatch.setattr(betti, "_maps_nonzero",
                         lambda pairs, m, i, char: decided.append(i) or maps(pairs, m, i, char))
     ring = Ring("R", ("x", "y"))
@@ -269,6 +269,39 @@ def test_tor_vanishing_obeys_the_lattice_cap(ring_xy):
     with pytest.raises(CapError, match=r"over cap lattice=2 \(set FIBERLAB_CAPS=lattice=<value>\)"):
         tor_vanishing(small, big, 0, Caps(lattice=2))
     assert tor_vanishing(small, big, 0, Caps(koszul_basis=1)) == (True, None)
+
+
+def _blocks_product(n: int) -> tuple[MonomialIdeal, MonomialIdeal]:
+    """(x1..xn) * (y1..yn) inside (x1..xn): a product over two disjoint blocks."""
+    ring = Ring("R", tuple(f"{v}{k}" for v in "xy" for k in range(1, n + 1)))
+    unit = [tuple(int(j == k) for j in range(2 * n)) for k in range(2 * n)]
+    small = MonomialIdeal.from_exponents(
+        ring, [tuple(map(sum, zip(unit[a], unit[n + b]))) for a in range(n) for b in range(n)])
+    return small, MonomialIdeal.from_exponents(ring, unit[:n])
+
+
+def test_tor_vanishing_holds_a_product_to_the_walks_limits():
+    # a small ideal that splits over disjoint blocks gets its points convolved from
+    # the factors' tables, unwalked; they obey the walk's limits all the same
+    small, big = _blocks_product(3)
+    assert tor_vanishing(small, big, 0) == tor_vanishing_by_strands(small, big, 0) == (True, None)
+    with pytest.raises(CapError, match=r"a product over disjoint variable blocks has 49 Betti "
+                                       r"points, over cap lattice=48 \(set FIBERLAB_CAPS"):
+        tor_vanishing(small, big, 0, Caps(lattice=48))
+    assert tor_vanishing(small, big, 0, Caps(lattice=49)) == (True, None)
+    small, big = _blocks_product(11)  # 2,047^2 points: refused before any is built
+    with pytest.raises(CapError, match=r"has 4190209 Betti points, over cap lattice=2000000"):
+        tor_vanishing(small, big, 0)
+    # one point on 26 variables, from x1..x7 * y1..y7, x1..x7 * y8..y13, ...: its
+    # tight masks would overflow the 24 bits the walk packs them in
+    ring = Ring("R", tuple(f"{v}{k}" for v in "xy" for k in range(1, 14)))
+    halves = [ideal_of(ring, "*".join(f"{v}{k}" for k in part)).gens[0]
+              for v in "xy" for part in (range(1, 8), range(8, 14))]
+    small = MonomialIdeal.from_exponents(
+        ring, [tuple(map(sum, zip(a, b))) for a in halves[:2] for b in halves[2:]])
+    with pytest.raises(CapError, match=r"a lattice point reached a support of 26 variables, over "
+                                       r"the walk's fixed limit of 24 \(not a FIBERLAB_CAPS cap"):
+        tor_vanishing(small, MonomialIdeal.from_exponents(ring, halves[:2]), 0)
 
 
 def test_tor_map_refuses_a_dense_strand_over_the_limit(ring_xy, monkeypatch):

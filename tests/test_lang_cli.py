@@ -317,6 +317,23 @@ def test_cli_torvanish_answers_on_the_appendix_ideal(tmp_path):
         assert json.loads(out.stdout) == {"vanishing": True, "maxNonzero": None}
 
 
+def test_cli_torvanish_of_a_product_past_the_support_limit_is_a_cap_error(tmp_path):
+    # a product over the blocks x1..x13 and y1..y13 has a point on all 26 variables;
+    # it is refused at the walk's fixed limit, where packing its tight masks in 24
+    # bits would have attached them to the wrong points
+    xs, ys = ([f"{v}{k}" for k in range(1, 14)] for v in "xy")
+    halves = ["*".join(names[:7]) for names in (xs, ys)] + ["*".join(names[7:]) for names in (xs, ys)]
+    path = tmp_path / "blocks.fl"
+    path.write_text(f"ring R = [{', '.join(xs + ys)}];\n"
+                    f"A = ideal(R; {halves[0]}, {halves[2]});\n"
+                    f"B = ideal(R; {halves[1]}, {halves[3]});\nC = A * B;\n")
+    out = run_fiberlab("torvanish", str(path), "C", "A", address_space_kib=3_000_000, timeout=120)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert "a lattice point reached a support of 26 variables, over the walk's fixed limit" in out.stderr
+
+
 _PAST_THE_LIMIT = "ring R = [x];\nA = ideal(R; x^1073741824);\nC = A^2;\n"
 
 

@@ -66,6 +66,8 @@ the convolution of the factors' tables (a minimal free resolution of a
 tensor product over disjoint variables is the tensor product of minimal
 resolutions).  This keeps products such as powers of maximal ideals of
 two blocks within reach without ever enumerating the product lattice.
+Its Betti points count against the ``lattice`` cap for tables and verdicts
+alike; only ``tor_vanishing`` builds complexes there, under the 24-variable limit.
 """
 
 from __future__ import annotations
@@ -352,6 +354,25 @@ def _tight_masks(chunk: np.ndarray, supp: np.ndarray, gens: np.ndarray, packing:
     return point[keep], mask[keep]
 
 
+def _point_masks(points: np.ndarray, sides: tuple[np.ndarray, ...]):
+    """The walk's chunks of ``points``, with the tight masks of each generator array of ``sides``.
+
+    Yields (chunk, support sizes, [``_tight_masks`` pairs, one per side]),
+    each chunk held to the support limit before its masks are packed.
+    """
+    top = functools.reduce(np.maximum, (side.max(axis=0) for side in sides), points.max(axis=0))
+    packing = _Packing(top)
+    packed = [packing.pack(side)[None] for side in sides]
+    step = max(1, _CHUNK_CELLS // (sum(side.size for side in sides) + 1))
+    for lo in range(0, len(points), step):
+        chunk = points[lo : lo + step]
+        supp = chunk > 0
+        sizes = supp.sum(axis=1)
+        _within_support_limit(int(sizes.max(initial=0)))
+        yield chunk, sizes, [_tight_masks(chunk, supp, side, packing, packed_side)
+                             for side, packed_side in zip(sides, packed)]
+
+
 def _points_betti(
     points: np.ndarray, gens: np.ndarray, char: int, cache: dict
 ) -> dict[tuple[int, Exponents], int]:
@@ -367,15 +388,7 @@ def _points_betti(
     entries: dict[tuple[int, Exponents], int] = {}
     if len(points) == 0:
         return entries
-    packing = _Packing(np.maximum(gens.max(axis=0), points.max(axis=0)))
-    packed_gens = packing.pack(gens)[None, :, :]
-    step = max(1, _CHUNK_CELLS // (gens.size + 1))
-    for lo in range(0, len(points), step):
-        chunk = points[lo : lo + step]
-        supp = chunk > 0
-        sizes = supp.sum(axis=1)
-        _within_support_limit(int(sizes.max(initial=0)))
-        point, mask = _tight_masks(chunk, supp, gens, packing, packed_gens)
+    for chunk, sizes, [(point, mask)] in _point_masks(points, (gens,)):
         count = np.bincount(point, minlength=len(chunk))
         rows = np.full((len(chunk), count.max() + 1), -1, dtype=np.int64)
         rows[:, 0] = sizes
@@ -413,31 +426,22 @@ def _worker_run(pts: np.ndarray):
     return _points_betti(pts, _WORKER_CTX["gens"], _WORKER_CTX["char"], _WORKER_CTX["cache"])
 
 
-def _multigraded(
-    gens: np.ndarray, char: int, caps: Caps, threads: int, bounded: bool = False
-) -> dict[tuple[int, Exponents], int]:
+def _multigraded(gens: np.ndarray, char: int, caps: Caps,
+                 threads: int) -> dict[tuple[int, Exponents], int]:
     """Multigraded Betti numbers of the ideal generated by ``gens`` (minimal).
 
-    ``bounded`` holds a product's points to the walk's limits, before the
-    factors' tables are convolved: the ``lattice`` cap on their number
-    (the product's lattice has at least as many points) and the support
-    limit.  ``tor_vanishing``, which decides a map at each point, asks
-    for it; ``betti_table`` only convolves, and takes any product.
+    A product's Betti points, as many as the product of its factors'
+    counts, are held to the ``lattice`` cap (the product's lattice has at
+    least as many points) before the factors' tables are convolved.
     """
     factors = _product_split(gens)
     if factors is not None:
-        tables = []
-        for cols, sub in factors:
-            local = _multigraded(sub, char, caps, threads, bounded)
-            tables.append((cols, sub.shape[1], local))
-        if bounded:
-            points = [{b for _, b in local} for _, _, local in tables]
-            count = math.prod(map(len, points))
-            if count > caps.lattice:
-                raise CapError.over(
-                    "lattice", f"a product over disjoint variable blocks has {count} Betti points",
-                    caps.lattice)
-            _within_support_limit(sum(max(len(b) - b.count(0) for b in block) for block in points))
+        tables = [(cols, _multigraded(sub, char, caps, threads)) for cols, sub in factors]
+        count = math.prod(len({b for _, b in local}) for _, local in tables)
+        if count > caps.lattice:
+            raise CapError.over(
+                "lattice", f"a product over disjoint variable blocks has {count} Betti points",
+                caps.lattice)
         return _convolve(tables, gens.shape[1])
     points = _closure(gens, caps.lattice)
     points = points[~_contractible(points, gens)]
@@ -511,10 +515,10 @@ def _product_split(gens: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | No
 
 
 def _convolve(
-    tables: list[tuple[np.ndarray, int, dict[tuple[int, Exponents], int]]], nvars: int
+    tables: list[tuple[np.ndarray, dict[tuple[int, Exponents], int]]], nvars: int
 ) -> dict[tuple[int, Exponents], int]:
     acc: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * nvars): 1}
-    for cols, _, local in tables:
+    for cols, local in tables:
         nxt: dict[tuple[int, tuple[int, ...]], int] = {}
         for (i1, b1), d1 in acc.items():
             for (i2, b2), d2 in local.items():
@@ -657,19 +661,14 @@ def tor_vanishing(
     if len(small.gens) == 1:  # a principal ideal is free: it has no Tor above Tor_0
         return True, None
     gens, big_gens = small.array(), big.array()
-    entries = [key for key in _multigraded(gens, char, caps, 1, bounded=True) if key[0] > 0]
-    points = np.array(sorted({b for _, b in entries}), dtype=np.int64)
-    packing = _Packing(np.maximum(big_gens.max(axis=0), points.max(axis=0)))
+    entries = [key for key in _multigraded(gens, char, caps, 1) if key[0] > 0]
+    # largest support first: a point past the support limit is refused in the first chunk
+    points = np.array(sorted({b for _, b in entries}, key=lambda b: b.count(0)), dtype=np.int64)
     pairs = {}  # point -> (key, (small's masks, big's masks))
-    step = max(1, _CHUNK_CELLS // (gens.size + big_gens.size))
-    for lo in range(0, len(points), step):
-        chunk = points[lo : lo + step]
-        supp = chunk > 0
-        sides = []
-        for side in (gens, big_gens):
-            point, mask = _tight_masks(chunk, supp, side, packing, packing.pack(side)[None])
-            sides.append(np.split(mask, np.searchsorted(point, np.arange(1, len(chunk)))))
-        for b, m, *pair in zip(chunk.tolist(), supp.sum(axis=1).tolist(), *sides):
+    for chunk, sizes, sides in _point_masks(points, (gens, big_gens)):
+        cuts = [np.split(mask, np.searchsorted(point, np.arange(1, len(chunk))))
+                for point, mask in sides]
+        for b, m, *pair in zip(chunk.tolist(), sizes.tolist(), *cuts):
             pairs[tuple(b)] = ((m, *(masks.tobytes() for masks in pair)), pair)
     by_degree: dict[int, list[tuple[int, Exponents]]] = {}
     for i, b in entries:

@@ -16,6 +16,9 @@ int64 words: ``_unique_rows`` sorts one key per row, and ``_divisible``
 marks the rows that some generator divides.  ``component_ideal`` refuses,
 with ``CapError``, to enumerate more than ``COMPONENT_LIMIT`` = 2^22
 generators, another fixed limit: it keeps the enumeration inside memory.
+Products and intersections, and so powers and colons by an ideal, lay out
+one row per pair of generators; past ``PAIRWISE_LIMIT`` = 2^28 cells that
+layout is refused with ``CapError`` too.
 """
 
 from __future__ import annotations
@@ -33,12 +36,26 @@ from .errors import CapError, DomainError, RingMismatchError
 _INT = np.int32
 EXPONENT_LIMIT = 2**31 - 1
 COMPONENT_LIMIT = 1 << 22
+# cells of one pairwise layout: 2^28 int32 cells take 1 GiB.  The largest layout of the
+# benchmark, scenarios and acceptance criteria has 580,720 cells; the last product of
+# maxideal(R)^26 in 8 variables, about 2.2 * 10^8, still answers under a 3 GB address space
+PAIRWISE_LIMIT = 1 << 28
 
 
 def _check_exponent(top: int) -> None:
     if top > EXPONENT_LIMIT:
         raise DomainError(f"exponent {top} is over the fixed limit of 2^31 - 1 "
                           "(not a FIBERLAB_CAPS cap; it cannot be raised)")
+
+
+def _pairwise_rows(op: np.ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``op`` of every row of ``a`` with every row of ``b``, row-major by ``a``."""
+    cells = len(a) * len(b) * a.shape[1]
+    if cells > PAIRWISE_LIMIT:
+        raise CapError(f"pairing {len(a)} with {len(b)} generators in {a.shape[1]} variables "
+                       f"would lay out {cells} cells, over the fixed limit of {PAIRWISE_LIMIT} "
+                       "(not a FIBERLAB_CAPS cap; it cannot be raised)")
+    return op(a[:, None, :], b[None, :, :]).reshape(-1, a.shape[1])
 
 
 def _as_array(vectors, nvars: int) -> np.ndarray:
@@ -275,7 +292,7 @@ class MonomialIdeal:
             return MonomialIdeal.zero(self.ring)
         a, b = self.array(), other.array()
         _check_exponent(int((a.max(axis=0).astype(np.int64) + b.max(axis=0)).max()))
-        prods = (a[:, None, :] + b[None, :, :]).reshape(-1, self.ring.nvars)
+        prods = _pairwise_rows(np.add, a, b)
         # products of minimal sets over disjoint supports are distinct and minimal
         if (a.any(axis=0) & b.any(axis=0)).any():
             prods = _minimal_rows(prods)
@@ -302,7 +319,7 @@ class MonomialIdeal:
         if self.is_zero() or other.is_zero():
             return MonomialIdeal.zero(self.ring)
         a, b = self.array(), other.array()
-        joins = np.maximum(a[:, None, :], b[None, :, :]).reshape(-1, self.ring.nvars)
+        joins = _pairwise_rows(np.maximum, a, b)
         return MonomialIdeal(self.ring, _canonical_tuple(_minimal_rows(joins)))
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":

@@ -282,13 +282,18 @@ def _blocks_product(n: int) -> tuple[MonomialIdeal, MonomialIdeal]:
 
 def test_tor_vanishing_holds_a_product_to_the_walks_limits():
     # a small ideal that splits over disjoint blocks gets its points convolved from
-    # the factors' tables, unwalked; they obey the walk's limits all the same
+    # the factors' tables, unwalked; they obey the walk's limits all the same, and
+    # a Betti table's points the lattice cap
     small, big = _blocks_product(3)
     assert tor_vanishing(small, big, 0) == tor_vanishing_by_strands(small, big, 0) == (True, None)
     with pytest.raises(CapError, match=r"a product over disjoint variable blocks has 49 Betti "
                                        r"points, over cap lattice=48 \(set FIBERLAB_CAPS"):
         tor_vanishing(small, big, 0, Caps(lattice=48))
+    with pytest.raises(CapError, match=r"a product over disjoint variable blocks has 49 Betti "
+                                       r"points, over cap lattice=48 \(set FIBERLAB_CAPS"):
+        betti_table(small, 0, Caps(lattice=48), threads=1)
     assert tor_vanishing(small, big, 0, Caps(lattice=49)) == (True, None)
+    assert betti_table(small, 0, Caps(lattice=49), threads=1) == betti_table(small, 0, threads=1)
     small, big = _blocks_product(11)  # 2,047^2 points: refused before any is built
     with pytest.raises(CapError, match=r"has 4190209 Betti points, over cap lattice=2000000"):
         tor_vanishing(small, big, 0)
@@ -302,6 +307,9 @@ def test_tor_vanishing_holds_a_product_to_the_walks_limits():
     with pytest.raises(CapError, match=r"a lattice point reached a support of 26 variables, over "
                                        r"the walk's fixed limit of 24 \(not a FIBERLAB_CAPS cap"):
         tor_vanishing(small, MonomialIdeal.from_exponents(ring, halves[:2]), 0)
+    # a table builds no complex at the convolved points, so it takes no support limit
+    table = betti_table(small, 0, threads=1).multigraded()
+    assert len(table) == 9 and table[(2, (1,) * 26)] == 1
 
 
 def test_tor_map_refuses_a_dense_strand_over_the_limit(ring_xy, monkeypatch):

@@ -334,6 +334,34 @@ def test_cli_torvanish_of_a_product_past_the_support_limit_is_a_cap_error(tmp_pa
     assert "a lattice point reached a support of 26 variables, over the walk's fixed limit" in out.stderr
 
 
+def test_cli_betti_of_a_product_past_the_lattice_cap_is_a_cap_error(tmp_path):
+    # (x1..x12) * (y1..y12) has 4,095^2 Betti points: convolving the factors' tables
+    # ran out of memory after 58 s; the count is refused before the convolution
+    xs, ys = ([f"{v}{k}" for k in range(1, 13)] for v in "xy")
+    path = tmp_path / "xy.fl"
+    path.write_text(f"ring R = [{', '.join(xs + ys)}];\nX = ideal(R; {', '.join(xs)});\n"
+                    f"Y = ideal(R; {', '.join(ys)});\nC = X * Y;\n")
+    out = run_fiberlab("--char", "32003", "--threads", "1", "betti", str(path), "C",
+                       address_space_kib=3_000_000, timeout=60)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert "a product over disjoint variable blocks has 16769025 Betti points" in out.stderr
+
+
+def test_cli_pairwise_layout_past_its_fixed_limit_is_a_cap_error(tmp_path):
+    # M * M with M = maxideal(R)^10 in 8 variables lays out 19,448^2 * 8 cells:
+    # allocating them (11.3 GiB) ended in a NumPy traceback
+    path = tmp_path / "mm.fl"
+    path.write_text("ring R = [a, b, c, d, x, y, z, t];\nM = maxideal(R)^10;\n")
+    out = run_fiberlab("eval", str(path), "M * M", address_space_kib=3_000_000)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert ("pairing 19448 with 19448 generators in 8 variables would lay out 3025797632 cells, "
+            "over the fixed limit of 268435456 (not a FIBERLAB_CAPS cap") in out.stderr
+
+
 _PAST_THE_LIMIT = "ring R = [x];\nA = ideal(R; x^1073741824);\nC = A^2;\n"
 
 

@@ -19,8 +19,12 @@ Two consequences keep most points away from per-point work:
 * Antichain key.  A face that avoids a tight set also avoids every subset
   of it, so each surviving point keeps only its inclusion-minimal tight
   sets.  They determine the complex up to relabelling of supp(b) by
-  position, and key the homology cache, so each distinct complex is
-  computed once.
+  position, and with the support size m they key the homology cache.  The
+  complex's homology depends only on that key and the field, so the cache
+  is one per process and field, shared by every table and verdict the process
+  computes, and each distinct complex is computed once until the cache
+  fills (``_CACHE_ENTRIES``) and is emptied.  A principal ideal is free:
+  its table is beta_0 at the generator, with no closure or walk.
 
 The walk meets the points largest support first, in chunks, and works on
 a chunk in bulk: the dividing (point, generator) pairs by packed-word
@@ -104,6 +108,14 @@ _CERTIFYING_PRIME = 2**31 - 1
 # exact: 4 faces 195 : 118 us, 57 faces 472 : 326 us, 152 faces 788 : 894 us, 276 faces
 # 1.15 : 1.54 ms, 2,290 faces 7.3 : 27.5 ms
 _CERTIFY_MIN_FACES = 200
+# distinct complexes one field's homology cache holds; a chunk of the walk whose new
+# complexes would pass it empties the cache first.  The largest a benchmark round fills
+# is 4,542 (appendix-lattice, serial, GF(32003)); claim-loop's is 56.  An entry takes about
+# 200 bytes plus 8 per minimal tight mask of its key (at most 33 masks in those rounds), so a
+# full cache takes about 16,384 x (200 + 8k) bytes for keys of k masks: 7.6 MB at k = 33
+_CACHE_ENTRIES = 1 << 14
+# the process's homology caches, one per characteristic: {(m, minimal masks' bytes): dims}
+_CACHES: dict[int, dict[tuple[int, bytes], dict[int, int]]] = {}
 
 
 # -- lcm lattice -------------------------------------------------------------
@@ -383,7 +395,8 @@ def _points_betti(
     supp(b), deduplicated by one sort and cut to the inclusion-minimal
     ones, and one key row per point, [m, masks..., -1 padding].  A cache
     lookup is made per distinct row; Python visits a point only to record
-    its nonzero entries.
+    its nonzero entries.  The chunk's new complexes go into ``cache``,
+    which is emptied first if they would take it past ``_CACHE_ENTRIES``.
     """
     entries: dict[tuple[int, Exponents], int] = {}
     if len(points) == 0:
@@ -402,10 +415,15 @@ def _points_betti(
             keys.append(key)
             if key not in cache:
                 pending.setdefault(m, {})[key[1]] = masks
+        new = {}
         for m, group in sorted(pending.items(), reverse=True):
-            for blob, dims in zip(group, _homology_from_masks(list(group.values()), m, char)):
-                cache[(m, blob)] = dims
-        found = [cache[key] for key in keys]
+            new.update(zip([(m, blob) for blob in group],
+                           _homology_from_masks(list(group.values()), m, char)))
+        found = [new[key] if key in new else cache[key] for key in keys]
+        if len(cache) + len(new) > _CACHE_ENTRIES:
+            cache.clear()
+        if len(new) <= _CACHE_ENTRIES:
+            cache.update(new)
         hit = np.flatnonzero(np.array([bool(dims) for dims in found])[inverse])
         for b, u in zip(chunk[hit].tolist(), inverse[hit].tolist()):
             bt = tuple(b)
@@ -418,12 +436,13 @@ _WORKER_CTX: dict = {}
 
 
 def _worker_init(gens: np.ndarray, char: int):
-    # one homology cache per worker, shared by the slices it walks
-    _WORKER_CTX.update(gens=gens, char=char, cache={})
+    _WORKER_CTX.update(gens=gens, char=char)
 
 
 def _worker_run(pts: np.ndarray):
-    return _points_betti(pts, _WORKER_CTX["gens"], _WORKER_CTX["char"], _WORKER_CTX["cache"])
+    # a worker's slices share its own process's cache of the field
+    char = _WORKER_CTX["char"]
+    return _points_betti(pts, _WORKER_CTX["gens"], char, _CACHES.setdefault(char, {}))
 
 
 def _multigraded(gens: np.ndarray, char: int, caps: Caps,
@@ -432,8 +451,15 @@ def _multigraded(gens: np.ndarray, char: int, caps: Caps,
 
     A product's Betti points, as many as the product of its factors'
     counts, are held to the ``lattice`` cap (the product's lattice has at
-    least as many points) before the factors' tables are convolved.
+    least as many points) before the factors' tables are convolved.  A
+    principal ideal is answered without a closure or a walk, unless its one
+    lattice point is over the cap, where ``_closure`` refuses it as it
+    refuses any lattice.  The walk reads and fills the process's homology
+    cache of the field.
     """
+    if len(gens) == 1 and caps.lattice >= 1:
+        # a principal ideal is free, on a one-point lattice: beta_0 at the generator
+        return {(0, tuple(gens[0].tolist())): 1}
     factors = _product_split(gens)
     if factors is not None:
         tables = [(cols, _multigraded(sub, char, caps, threads)) for cols, sub in factors]
@@ -458,7 +484,7 @@ def _multigraded(gens: np.ndarray, char: int, caps: Caps,
             for part in pool.map(_worker_run, slices):
                 entries.update(part)
         return entries
-    return _points_betti(points, gens, char, {})
+    return _points_betti(points, gens, char, _CACHES.setdefault(char, {}))
 
 
 # -- exact product factorization --------------------------------------------
@@ -658,10 +684,11 @@ def tor_vanishing(
     shared = set(small.gens).intersection(big.gens)
     if shared:
         return False, (0, min(map(sum, shared)))
-    if len(small.gens) == 1:  # a principal ideal is free: it has no Tor above Tor_0
-        return True, None
-    gens, big_gens = small.array(), big.array()
+    gens = small.array()
     entries = [key for key in _multigraded(gens, char, caps, 1) if key[0] > 0]
+    if not entries:  # small is free, as a principal ideal is: no Tor above Tor_0
+        return True, None
+    big_gens = big.array()
     # largest support first: a point past the support limit is refused in the first chunk
     points = np.array(sorted({b for _, b in entries}, key=lambda b: b.count(0)), dtype=np.int64)
     pairs = {}  # point -> (key, (small's masks, big's masks))

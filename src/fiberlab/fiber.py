@@ -250,8 +250,11 @@ def reg_power_formula_terms(
             power = power * factor_ideal
             reg_power = reg_of(power, characteristic, caps, threads)
             eq_terms.append(reg_power + s - i)
-            shifted = maxideal_power(ring, None, s - i) * power
-            terms.append(reg_of(shifted, characteristic, caps, threads) + s - i)
+            reg_shifted = reg_power  # at i = s, m^0 * I^s is I^s
+            if i < s:
+                shifted = maxideal_power(ring, None, s - i) * power
+                reg_shifted = reg_of(shifted, characteristic, caps, threads)
+            terms.append(reg_shifted + s - i)
     return {
         "general": max(terms),
         "equigenerated": max(eq_terms),

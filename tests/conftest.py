@@ -29,6 +29,16 @@ from fiberlab.ideals import _sorted_unique
 from fiberlab.linalg import rank_exact, rank_inputs, rank_mod_p
 
 
+@pytest.fixture(autouse=True)
+def cold_homology_cache():
+    """Each test starts with the process's homology caches empty.
+
+    A complex cached by an earlier test would skip the ranks, refusals and
+    spies that a test watches.
+    """
+    betti._CACHES.clear()
+
+
 @pytest.fixture
 def ring_xy():
     return Ring("R", ("x", "y"))

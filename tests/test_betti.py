@@ -565,13 +565,126 @@ def test_rp2_ideal_q_table_does_not_depend_on_the_certifying_prime():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(betti_mod, "rank_mod_p", spy)
         patch.setattr(betti_mod, "_CERTIFY_MIN_FACES", 0)
+        betti_mod._CACHES.clear()  # each table is computed afresh, not read from the cache
         assert betti_table(ideal, 0, threads=1).entries == q.entries
         assert set(primes) == {2**31 - 1}
         patch.setattr(betti_mod, "_CERTIFYING_PRIME", 2)
+        betti_mod._CACHES.clear()
         assert betti_table(ideal, 0, threads=1).entries == q.entries
         assert 2 in primes
     assert gf2.entries != q.entries
     assert gf2.coarse() != q.coarse()
+
+
+def _computed_complexes(monkeypatch) -> list[tuple[int, bytes]]:
+    """The (m, masks) keys of every complex that reaches the homology from now on."""
+    computed = []
+    homology = betti_mod._homology_from_masks
+
+    def spy(batch, m, char):
+        computed.extend((m, masks.tobytes()) for masks in batch)
+        return homology(batch, m, char)
+
+    monkeypatch.setattr(betti_mod, "_homology_from_masks", spy)
+    return computed
+
+
+def _cold_table(ideal, char):
+    betti_mod._CACHES.clear()
+    return betti_table(ideal, char, threads=1)
+
+
+def test_warm_answers_equal_cold_ones():
+    # the process's cache is keyed by field: the RP^2 complex has homology over
+    # GF(2) only, and the Q table computed after the GF(2) one must not read it
+    rp2 = rp2_ideal()
+    gf2 = betti_table(rp2, 2, threads=1)
+    q = betti_table(rp2, 0, threads=1)
+    assert q.entries == _cold_table(rp2, 0).entries != gf2.entries
+    rng = random.Random(17)
+    ring = Ring("R", tuple("xyzw"))
+    ideals = [random_ideal(rng, ring, max_gens=6, max_deg=4) for _ in range(30)]
+    ideals += [rp2, ideal_of(ring, "x^2", "x*y", "y^2") ** 2]
+    for char in (0, 2, 32003):
+        cold = [_cold_table(ideal, char).entries for ideal in ideals]
+        betti_mod._CACHES.clear()
+        for _ in range(2):  # a warm pass, then one that finds every complex cached
+            assert [betti_table(ideal, char, threads=1).entries for ideal in ideals] == cold
+
+
+def test_a_second_ideal_computes_none_of_the_complexes_the_first_cached(ring_xyz, monkeypatch):
+    # every complex of (x^2, xy, y^2) is one of (x^2, xz, z^2, y^3)'s, on other variables
+    first = ideal_of(ring_xyz, "x^2", "x*y", "y^2")
+    second = ideal_of(ring_xyz, "x^2", "x*z", "z^2", "y^3")
+    computed = _computed_complexes(monkeypatch)
+    want = _cold_table(second, 0).entries
+    all_of_second = set(computed)
+    computed.clear()
+    betti_mod._CACHES.clear()
+    betti_table(first, 0, threads=1)
+    cached = set(computed)
+    assert cached < all_of_second
+    computed.clear()
+    assert betti_table(second, 0, threads=1).entries == want
+    assert sorted(computed) == sorted(all_of_second - cached)
+
+
+def test_the_homology_cache_stays_within_its_bound(monkeypatch):
+    # a full cache is emptied before a chunk's new complexes go in; a chunk with
+    # more new complexes than the bound leaves them out
+    rng = random.Random(23)
+    ring = Ring("R", tuple("xyzw"))
+    ideals = [random_ideal(rng, ring, max_gens=6, max_deg=4) for _ in range(20)]
+    cold = [_cold_table(ideal, 0).entries for ideal in ideals]
+    for bound in (1, 3, 8):
+        monkeypatch.setattr(betti_mod, "_CACHE_ENTRIES", bound)
+        betti_mod._CACHES.clear()
+        for ideal, want in zip(ideals, cold):
+            assert betti_table(ideal, 0, threads=1).entries == want
+            assert len(betti_mod._CACHES.get(0, {})) <= bound
+    # a dict handed to the walk is held to the bound as well
+    cache: dict = {}
+    gens = (ideal_of(ring, "x^2", "x*y", "y^2", "z^3", "x*z*w") ** 2).array()
+    computed = _computed_complexes(monkeypatch)
+    betti_mod._points_betti(betti_mod._closure(gens, 10_000), gens, 0, cache)
+    assert len(set(computed)) > 8 >= len(cache)
+
+
+def _no_walk(*_args):
+    raise AssertionError("a principal ideal was walked")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(*[st.integers(0, 3)] * n)),
+       st.sampled_from([0, 2, 32003]))
+def test_principal_ideals_take_no_walk_and_match_it(gen, char):
+    # beta_0 at the generator, the unit ideal's 0 included, as the walk finds it
+    gens = np.array([gen], dtype=np.int64)
+    walked = betti_mod._points_betti(betti_mod._closure(gens, 10), gens, char, {})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(betti_mod, "_points_betti", _no_walk)
+        assert betti_mod._multigraded(gens, char, Caps(), 2) == walked == {(0, gen): 1}
+        ring = Ring("R", tuple(f"v{i}" for i in range(len(gen))))
+        ideal = MonomialIdeal.from_exponents(ring, [gen])
+        assert betti_table(ideal, char, threads=1).multigraded() == walked
+        # Tor-vanishing from a principal ideal finds no Betti point above Tor_0: into
+        # (x_v) the map is zero unless the generator is x_v, where Tor_0 is shared
+        for v in np.flatnonzero(gens[0]).tolist():
+            x_v = tuple(int(i == v) for i in range(len(gen)))
+            big = MonomialIdeal.from_exponents(ring, [x_v])
+            want = (False, (0, 1)) if gen == x_v else (True, None)
+            assert tor_vanishing(ideal, big, char) == want
+    # a lattice cap below its one point still reaches the closure, which refuses it
+    with pytest.raises(CapError, match="lcm lattice reached 1 points, over cap lattice=0"):
+        betti_mod._multigraded(gens, char, Caps(lattice=0), 1)
+
+
+def test_a_principal_ideal_past_the_support_limit_answers():
+    # it builds no complex, as a product's convolved points build none, so the
+    # walk's 24-variable limit does not apply
+    ring = Ring("R", tuple(f"x{i}" for i in range(26)))
+    ideal = MonomialIdeal.from_exponents(ring, [(1,) * 26])
+    assert betti_table(ideal, 0, threads=1).multigraded() == {(0, (1,) * 26): 1}
 
 
 def test_only_a_batch_of_enough_faces_is_certified(monkeypatch):

@@ -31,7 +31,7 @@ for report in run_scenario("lemma-A5", characteristic=32003):
     print(f"  s={s} i={i}: reg = {report.computed['reg']} [{report.verdict}]")
 
 print("\n== the desk slice: reg I^3 and reg(m^s I^2) ==")
-for report in run_scenario("appendix-A1", threads=2):
+for report in run_scenario("appendix-A1"):
     print(f"  {report.claim:24s} {str(report.params):24s} "
           f"reg = {report.computed['reg']} [{report.verdict}]")
 
@@ -39,5 +39,5 @@ print("\n== a two-block family whose regularity dips at the square ==")
 setup = remark_59_setup(8, characteristic=0)
 I8 = setup.I_left
 print("n = 8:", len(I8.gens), "generators in", I8.ring.nvars, "variables")
-print("reg I   =", reg_of(I8, 0, threads=2), "(expected 13)")
-print("reg I^2 =", reg_of(I8 ** 2, 0, threads=2), "(expected 12: strictly smaller)")
+print("reg I   =", reg_of(I8, 0), "(expected 13)")
+print("reg I^2 =", reg_of(I8 ** 2, 0), "(expected 12: strictly smaller)")

@@ -14,8 +14,8 @@ Two consequences keep most points away from per-point work:
 * Bulk prune.  When some divisor g has g_v < b_v on all of supp(b), its
   tight set on supp(b) is empty and the complex is the full simplex, which
   has no homology.  One vectorised divisibility test drops these points
-  right after the closure, before the walk or the process pool sees them;
-  they are most of a large lattice.
+  right after the closure, before the walk sees them; they are most of a
+  large lattice.
 * Antichain key.  A face that avoids a tight set also avoids every subset
   of it, so each surviving point keeps only its inclusion-minimal tight
   sets.  They determine the complex up to relabelling of supp(b) by
@@ -23,8 +23,10 @@ Two consequences keep most points away from per-point work:
   complex's homology depends only on that key and the field, so the cache
   is one per process and field, shared by every table and verdict the process
   computes, and each distinct complex is computed once until the cache
-  fills (``_CACHE_ENTRIES``) and is emptied.  A principal ideal is free:
-  its table is beta_0 at the generator, with no closure or walk.
+  fills (``_CACHE_ENTRIES``) and is emptied.  Every walk runs in the
+  calling process, so every table reads and fills that cache.  A principal
+  ideal is free: its table is beta_0 at the generator, with no closure or
+  walk.
 
 The walk meets the points largest support first, in chunks, and works on
 a chunk in bulk: the dividing (point, generator) pairs by packed-word
@@ -78,25 +80,17 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CAPS, Caps, default_threads
+from .config import DEFAULT_CAPS, Caps
 from .core import Exponents, resolve_characteristic
 from .errors import CapError, DomainError
 from .ideals import MonomialIdeal, _divisible, _Packing, _row_keys, _sorted_unique, _unique_rows
 from . import linalg
 from .linalg import rank_exact, rank_inputs, rank_mod_p
 
-# surviving points from which the walk uses the process pool.  betti_table, serial :
-# threads=2 on 2 cores, Appendix A ideal, over GF(32003) | Q: I^2 (2,736 points)
-# 0.11-0.13 : 0.11-0.13 s | 0.11-0.12 : 0.10-0.14 s; I^3 (6,264) 0.18-0.20 : 0.18-0.20 s
-# | 0.16-0.20 : 0.17-0.20 s; m*I^2 (15,820) 0.83-0.87 : 0.65-0.70 s | 1.18-1.21 :
-# 0.94-0.98 s.  At 10,000, walking I^2 and I^3 in the calling process raised the
-# appendix-lattice benchmark's peak RSS from 210 to 283 MB (measured with the per-point walk)
-_PARALLEL_MIN_POINTS = 1_000
 # points x generators x variables of one chunk of the walk: bounds its pair and key arrays
 _CHUNK_CELLS = 4_000_000
 # the field in which the walk ranks a complex over Q first (2^31 - 1, a prime whose
@@ -109,10 +103,11 @@ _CERTIFYING_PRIME = 2**31 - 1
 # 1.15 : 1.54 ms, 2,290 faces 7.3 : 27.5 ms
 _CERTIFY_MIN_FACES = 200
 # distinct complexes one field's homology cache holds; a chunk of the walk whose new
-# complexes would pass it empties the cache first.  The largest a benchmark round fills
-# is 4,542 (appendix-lattice, serial, GF(32003)); claim-loop's is 56.  An entry takes about
-# 200 bytes plus 8 per minimal tight mask of its key (at most 33 masks in those rounds), so a
-# full cache takes about 16,384 x (200 + 8k) bytes for keys of k masks: 7.6 MB at k = 33
+# complexes would pass it empties the cache first.  One process fills 5,274 over GF(32003)
+# and 1,071 over Q in scenario appendix-A1, 4,542 and 1,227 in an appendix-lattice round,
+# and 56 in a claim-loop round.  An entry takes about 200 bytes plus 8 per minimal tight
+# mask of its key (at most 51 masks in those runs), so a full cache takes about
+# 16,384 x (200 + 8k) bytes for keys of k masks: 10.0 MB at k = 51
 _CACHE_ENTRIES = 1 << 14
 # the process's homology caches, one per characteristic: {(m, minimal masks' bytes): dims}
 _CACHES: dict[int, dict[tuple[int, bytes], dict[int, int]]] = {}
@@ -432,21 +427,7 @@ def _points_betti(
     return entries
 
 
-_WORKER_CTX: dict = {}
-
-
-def _worker_init(gens: np.ndarray, char: int):
-    _WORKER_CTX.update(gens=gens, char=char)
-
-
-def _worker_run(pts: np.ndarray):
-    # a worker's slices share its own process's cache of the field
-    char = _WORKER_CTX["char"]
-    return _points_betti(pts, _WORKER_CTX["gens"], char, _CACHES.setdefault(char, {}))
-
-
-def _multigraded(gens: np.ndarray, char: int, caps: Caps,
-                 threads: int) -> dict[tuple[int, Exponents], int]:
+def _multigraded(gens: np.ndarray, char: int, caps: Caps) -> dict[tuple[int, Exponents], int]:
     """Multigraded Betti numbers of the ideal generated by ``gens`` (minimal).
 
     A product's Betti points, as many as the product of its factors'
@@ -454,15 +435,15 @@ def _multigraded(gens: np.ndarray, char: int, caps: Caps,
     least as many points) before the factors' tables are convolved.  A
     principal ideal is answered without a closure or a walk, unless its one
     lattice point is over the cap, where ``_closure`` refuses it as it
-    refuses any lattice.  The walk reads and fills the process's homology
-    cache of the field.
+    refuses any lattice.  The walk runs in the calling process, and reads
+    and fills its homology cache of the field.
     """
     if len(gens) == 1 and caps.lattice >= 1:
         # a principal ideal is free, on a one-point lattice: beta_0 at the generator
         return {(0, tuple(gens[0].tolist())): 1}
     factors = _product_split(gens)
     if factors is not None:
-        tables = [(cols, _multigraded(sub, char, caps, threads)) for cols, sub in factors]
+        tables = [(cols, _multigraded(sub, char, caps)) for cols, sub in factors]
         count = math.prod(len({b for _, b in local}) for _, local in tables)
         if count > caps.lattice:
             raise CapError.over(
@@ -473,17 +454,6 @@ def _multigraded(gens: np.ndarray, char: int, caps: Caps,
     points = points[~_contractible(points, gens)]
     # largest support first: the largest complexes meet the dense limit before any rank
     points = points[np.argsort(-(points > 0).sum(axis=1), kind="stable")]
-    if threads > 1 and len(points) >= _PARALLEL_MIN_POINTS:
-        slices = [s for s in np.array_split(points, threads * 4) if len(s)]
-        entries: dict[tuple[int, Exponents], int] = {}
-        with ProcessPoolExecutor(
-            max_workers=threads,
-            initializer=_worker_init,
-            initargs=(gens, char),
-        ) as pool:
-            for part in pool.map(_worker_run, slices):
-                entries.update(part)
-        return entries
     return _points_betti(points, gens, char, _CACHES.setdefault(char, {}))
 
 
@@ -605,12 +575,14 @@ def betti_table(
     caps: Caps = DEFAULT_CAPS,
     threads: int | None = None,
 ) -> BettiTable:
-    """Multigraded Betti numbers of a nonzero monomial ideal."""
+    """Multigraded Betti numbers of a nonzero monomial ideal.
+
+    ``threads`` is accepted and ignored: every walk runs in the calling process.
+    """
     if ideal.is_zero():
         raise DomainError("Betti table of the zero ideal")
     char = resolve_characteristic(ideal.ring, characteristic)
-    threads = default_threads() if threads is None else max(1, threads)
-    entries = _multigraded(ideal.array(), char, caps, threads)
+    entries = _multigraded(ideal.array(), char, caps)
     packed = tuple(sorted((i, b, d) for (i, b), d in entries.items()))
     return BettiTable(ideal, char, packed)
 
@@ -685,7 +657,7 @@ def tor_vanishing(
     if shared:
         return False, (0, min(map(sum, shared)))
     gens = small.array()
-    entries = [key for key in _multigraded(gens, char, caps, 1) if key[0] > 0]
+    entries = [key for key in _multigraded(gens, char, caps) if key[0] > 0]
     if not entries:  # small is free, as a principal ideal is: no Tor above Tor_0
         return True, None
     big_gens = big.array()

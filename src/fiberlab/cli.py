@@ -21,8 +21,7 @@ pairs, comma-separated), read once per run; an unknown name or a value
 that is not a positive integer is a usage error.
 
 Output is deterministic for fixed inputs and flags; timings are omitted
-from JSON when --stable-json is given, so reruns are byte-identical
-regardless of --threads.
+from JSON when --stable-json is given, so reruns are byte-identical.
 
 ``verify`` reads its claims from the table ``_CLAIMS``; a flag the claim
 does not take is a usage error.
@@ -62,9 +61,9 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 # claim id -> (check, its parameter flag, the value it runs at without that flag,
-# the flag's least value).  A check is called as check(subject, value, char, caps,
-# threads) on the fiber product of --I and --J; verify_tor_vanishing_lemma, on the
-# --I ideal and --mode instead.
+# the flag's least value).  A check is called as check(subject, value, char, caps) on
+# the fiber product of --I and --J; verify_tor_vanishing_lemma, on the --I ideal and
+# --mode instead.
 _CLAIMS = {
     "thm-5.1": (check_reg_formula, "--s", 1, 1),
     "cor-5.2": (check_reg_formula_equigenerated, "--s", 1, 1),
@@ -117,8 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="coefficient field characteristic (0 or a prime p with "
                              "(p-1)^2 < 2^63; default 0, "
                              "except scenarios with a documented fast-prime default)")
-    common.add_argument("--threads", type=_positive_int, default=argparse.SUPPRESS, metavar="N",
-                        help="worker cap for the Betti engine (default: all cores)")
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit JSON instead of text")
     common.add_argument("--stable-json", action="store_true", default=argparse.SUPPRESS,
@@ -171,14 +168,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _invariants_payload(ideal, char, caps, threads) -> dict:
-    inv = invariants_of(ideal, char, caps, threads)
+def _invariants_payload(ideal, char, caps) -> dict:
+    inv = invariants_of(ideal, char, caps)
     return {
         "reg": inv.reg,
         "pdim": inv.pdim,
         "depth": inv.depth,
         "t0": inv.t0,
-        "componentwiseLinear": _componentwise_linear(ideal, inv.reg, char, caps, threads),
+        "componentwiseLinear": _componentwise_linear(ideal, inv.reg, char, caps),
     }
 
 
@@ -208,7 +205,6 @@ def _emit_reports(args, reports: list[Report]) -> int:
 
 def _run(args, caps: Caps) -> int:
     char = 0 if args.char is None else args.char
-    threads = args.threads
 
     if args.verb == "eval":
         env = load_file(args.file, char, caps)
@@ -220,13 +216,13 @@ def _run(args, caps: Caps) -> int:
         env = load_file(args.file, char, caps)
         ideal = env.ideal(args.name)
         if args.verb == "invariants":
-            payload = _invariants_payload(ideal, char, caps, threads)
+            payload = _invariants_payload(ideal, char, caps)
             if args.json:
                 _emit(args, json.dumps(payload, sort_keys=True))
             else:
                 _emit(args, "\n".join(f"{k} = {v}" for k, v in sorted(payload.items())))
             return EXIT_OK
-        table = betti_table(ideal, char, caps, threads)
+        table = betti_table(ideal, char, caps)
         if args.json:
             payload = table.to_json_dict()
             if args.verb == "tor":  # the coarse table only
@@ -250,18 +246,17 @@ def _run(args, caps: Caps) -> int:
         return EXIT_OK
 
     if args.verb == "verify":
-        return _run_verify(args, caps, char, threads)
+        return _run_verify(args, caps, char)
 
     if args.verb == "scenario":
         params = {} if args.n is None else {"n": args.n}
-        reports = run_scenario(args.name, characteristic=args.char,
-                               caps=caps, threads=threads, **params)
+        reports = run_scenario(args.name, characteristic=args.char, caps=caps, **params)
         return _emit_reports(args, reports)
 
     raise GrammarError(f"unknown verb {args.verb!r}")
 
 
-def _run_verify(args, caps, char, threads) -> int:
+def _run_verify(args, caps, char) -> int:
     check, flag, value, least = _CLAIMS[args.claim]
     one_ideal = check is verify_tor_vanishing_lemma  # no fiber product, and a --mode
     takes = (flag, "--mode" if one_ideal else "--J")
@@ -283,11 +278,11 @@ def _run_verify(args, caps, char, threads) -> int:
     if left.ring == right.ring:
         raise GrammarError(f"--I and --J are both over ring {left.ring.name!r}; "
                            "give each factor in its own ring")
-    return _emit_reports(args, [check(fiber_product(left, right), value, char, caps, threads)])
+    return _emit_reports(args, [check(fiber_product(left, right), value, char, caps)])
 
 
 _FLAG_DEFAULTS = {
-    "char": None, "threads": None, "json": False, "stable_json": False, "output": None,
+    "char": None, "json": False, "stable_json": False, "output": None,
 }
 
 

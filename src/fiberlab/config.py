@@ -16,7 +16,6 @@ and passes them down; importing this package reads no environment.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 DEFAULT_PRIME = 32003
@@ -30,7 +29,3 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
-
-
-def default_threads() -> int:
-    return os.cpu_count() or 1

@@ -123,7 +123,10 @@ def verify_betti_splitting(
     claim: str = "betti-splitting",
     params: dict | None = None,
 ) -> Report:
-    """Check beta_i,b(P) = beta_i,b(A) + beta_i,b(B) + beta_(i-1),b(A&B)."""
+    """Check beta_i,b(P) = beta_i,b(A) + beta_i,b(B) + beta_(i-1),b(A&B).
+
+    ``threads`` is accepted and ignored: every walk runs in the calling process.
+    """
     if total != part_a + part_b:
         raise DomainError("decomposition does not sum to the total ideal")
     with Stopwatch() as sw:
@@ -132,7 +135,7 @@ def verify_betti_splitting(
         for key, ideal in (("P", total), ("A", part_a), ("B", part_b), ("C", meet)):
             tables[key] = (
                 {} if ideal.is_zero()
-                else betti_table(ideal, characteristic, caps, threads).multigraded()
+                else betti_table(ideal, characteristic, caps).multigraded()
             )
         mismatches = []
         keys = set(tables["P"]) | set(tables["A"]) | set(tables["B"])
@@ -211,10 +214,10 @@ def verify_tor_vanishing_lemma(
 # -- regularity / depth / linearity checks -----------------------------------
 
 
-def _depth(ideal: MonomialIdeal, characteristic, caps, threads):
+def _depth(ideal: MonomialIdeal, characteristic, caps):
     if ideal.is_zero():
         return INFINITE_DEPTH
-    return invariants_of(ideal, characteristic, caps=caps, threads=threads).depth
+    return invariants_of(ideal, characteristic, caps=caps).depth
 
 
 def _min_depth(*values: int | None) -> int:
@@ -223,8 +226,7 @@ def _min_depth(*values: int | None) -> int:
 
 
 def reg_power_formula_terms(
-    setup: FiberSetup, s: int, characteristic: int | None,
-    caps: Caps = DEFAULT_CAPS, threads: int | None = None,
+    setup: FiberSetup, s: int, characteristic: int | None, caps: Caps = DEFAULT_CAPS,
 ) -> dict:
     """Right-hand sides of the power regularity formulas.
 
@@ -248,12 +250,12 @@ def reg_power_formula_terms(
         power = MonomialIdeal.unit(ring)
         for i in range(1, s + 1):
             power = power * factor_ideal
-            reg_power = reg_of(power, characteristic, caps, threads)
+            reg_power = reg_of(power, characteristic, caps)
             eq_terms.append(reg_power + s - i)
             reg_shifted = reg_power  # at i = s, m^0 * I^s is I^s
             if i < s:
                 shifted = maxideal_power(ring, None, s - i) * power
-                reg_shifted = reg_of(shifted, characteristic, caps, threads)
+                reg_shifted = reg_of(shifted, characteristic, caps)
             terms.append(reg_shifted + s - i)
     return {
         "general": max(terms),
@@ -266,11 +268,14 @@ def check_reg_formula(
     setup: FiberSetup, s: int, characteristic: int | None = None,
     caps: Caps = DEFAULT_CAPS, threads: int | None = None,
 ) -> Report:
-    """Direct reg F^s against the general power regularity formula."""
+    """Direct reg F^s against the general power regularity formula.
+
+    ``threads`` is accepted and ignored: every walk runs in the calling process.
+    """
     _at_least("s", s, 1)
     with Stopwatch() as sw:
-        direct = reg_of(setup.F ** s, characteristic, caps, threads)
-        rhs = reg_power_formula_terms(setup, s, characteristic, caps, threads)
+        direct = reg_of(setup.F ** s, characteristic, caps)
+        rhs = reg_power_formula_terms(setup, s, characteristic, caps)
         computed = {"regFs": direct, "formula": rhs["general"]}
         expected = {"regFs": rhs["general"]}
         if rhs["bothEquigenerated"]:
@@ -289,12 +294,13 @@ def check_reg_formula_equigenerated(
     """Equigenerated shortcut reg F^s = max(reg I^i + s - i, reg J^i + s - i).
 
     This equality can genuinely fail when a factor is not equigenerated;
-    the verdict reports whether it held.
+    the verdict reports whether it held.  ``threads`` is accepted and ignored:
+    every walk runs in the calling process.
     """
     _at_least("s", s, 1)
     with Stopwatch() as sw:
-        direct = reg_of(setup.F ** s, characteristic, caps, threads)
-        rhs = reg_power_formula_terms(setup, s, characteristic, caps, threads)
+        direct = reg_of(setup.F ** s, characteristic, caps)
+        rhs = reg_power_formula_terms(setup, s, characteristic, caps)
     return make_report(
         "cor-5.2", {"s": s},
         computed={"regFs": direct, "formula": rhs["equigenerated"]},
@@ -308,15 +314,18 @@ def check_depth_formula(
     setup: FiberSetup, s: int, characteristic: int | None = None,
     caps: Caps = DEFAULT_CAPS, threads: int | None = None,
 ) -> Report:
-    """Depth of F^s: the fiber-product formula at s = 1, depth 1 for s >= 2."""
+    """Depth of F^s: the fiber-product formula at s = 1, depth 1 for s >= 2.
+
+    ``threads`` is accepted and ignored: every walk runs in the calling process.
+    """
     _at_least("s", s, 1)
     both_zero = setup.I_left.is_zero() and setup.J_right.is_zero()
     with Stopwatch() as sw:
         fs = setup.F ** s
-        inv = invariants_of(fs, characteristic, caps=caps, threads=threads)
+        inv = invariants_of(fs, characteristic, caps=caps)
         if s == 1:
-            depth_i = _depth(setup.I_left, characteristic, caps, threads)
-            depth_j = _depth(setup.J_right, characteristic, caps, threads)
+            depth_i = _depth(setup.I_left, characteristic, caps)
+            depth_j = _depth(setup.J_right, characteristic, caps)
             expected_depth = _min_depth(2, depth_i, depth_j)
             quotient_rhs = _min_depth(
                 1,
@@ -342,8 +351,7 @@ def check_depth_formula(
 
 
 def check_componentwise(
-    setup: FiberSetup, s: int, characteristic: int | None = None,
-    caps: Caps = DEFAULT_CAPS, threads: int | None = None,
+    setup: FiberSetup, s: int, characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
 ) -> Report:
     """Componentwise linearity transfers between F^i and the pair (I^i, J^i).
 
@@ -362,11 +370,11 @@ def check_componentwise(
                 if factor_ideal.is_zero():
                     continue
                 lin_i = lin_i and is_componentwise_linear(
-                    factor_ideal ** i, characteristic, caps, threads
+                    factor_ideal ** i, characteristic, caps
                 )
             factor_lin.append(lin_i)
             fiber_lin.append(
-                is_componentwise_linear(setup.F ** i, characteristic, caps, threads)
+                is_componentwise_linear(setup.F ** i, characteristic, caps)
             )
             lhs = all(fiber_lin)
             rhs = all(factor_lin)
@@ -383,8 +391,7 @@ def check_componentwise(
 
 def check_reg_increasing(
     setup: FiberSetup, s_cap: int, characteristic: int | None = None,
-    caps: Caps = DEFAULT_CAPS, threads: int | None = None,
-    claim: str = "cor-8.1",
+    caps: Caps = DEFAULT_CAPS, claim: str = "cor-8.1",
 ) -> Report:
     """reg F^s strictly increases for s = 1..s_cap."""
     _at_least("the power bound s_cap", s_cap, 2)
@@ -393,7 +400,7 @@ def check_reg_increasing(
         power = MonomialIdeal.unit(setup.T)
         for _ in range(s_cap):
             power = power * setup.F
-            regs.append(reg_of(power, characteristic, caps, threads))
+            regs.append(reg_of(power, characteristic, caps))
         increasing = all(a < b for a, b in zip(regs, regs[1:]))
     return make_report(
         claim, {"sCap": s_cap},

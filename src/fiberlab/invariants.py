@@ -40,21 +40,19 @@ def reg_of(
     ideal: MonomialIdeal,
     characteristic: int | None = None,
     caps: Caps = DEFAULT_CAPS,
-    threads: int | None = None,
 ) -> int:
     """Castelnuovo-Mumford regularity of a nonzero monomial ideal."""
-    return betti_table(ideal, characteristic, caps, threads).regularity()
+    return betti_table(ideal, characteristic, caps).regularity()
 
 
 def invariants_of(
     ideal: MonomialIdeal,
     characteristic: int | None = None,
     caps: Caps = DEFAULT_CAPS,
-    threads: int | None = None,
 ) -> Invariants:
     if not ideal.is_proper():
         raise DomainError("invariants are defined here only for proper nonzero ideals")
-    table = betti_table(ideal, characteristic, caps, threads)
+    table = betti_table(ideal, characteristic, caps)
     pdim = table.max_index()
     return Invariants(
         subject=ideal,
@@ -71,21 +69,19 @@ def has_linear_resolution(
     ideal: MonomialIdeal,
     characteristic: int | None = None,
     caps: Caps = DEFAULT_CAPS,
-    threads: int | None = None,
 ) -> bool:
     """Generated in one degree d with regularity exactly d."""
     if ideal.is_zero():
         raise DomainError("linearity of the zero ideal")
     if not ideal.is_equigenerated():
         return False
-    return reg_of(ideal, characteristic, caps, threads) == ideal.t0()
+    return reg_of(ideal, characteristic, caps) == ideal.t0()
 
 
 def is_componentwise_linear(
     ideal: MonomialIdeal,
     characteristic: int | None = None,
     caps: Caps = DEFAULT_CAPS,
-    threads: int | None = None,
 ) -> bool:
     """Every degree-d component ideal has a d-linear resolution.
 
@@ -99,17 +95,17 @@ def is_componentwise_linear(
         raise DomainError("componentwise linearity of the zero ideal")
     if ideal.is_unit():
         return True
-    return _componentwise_linear(ideal, reg_of(ideal, characteristic, caps, threads),
-                                 characteristic, caps, threads)
+    return _componentwise_linear(ideal, reg_of(ideal, characteristic, caps),
+                                 characteristic, caps)
 
 
 def _componentwise_linear(ideal: MonomialIdeal, reg: int, characteristic: int | None,
-                          caps: Caps, threads: int | None) -> bool:
+                          caps: Caps) -> bool:
     """``is_componentwise_linear`` of a proper nonzero ideal of regularity ``reg``."""
     t0 = ideal.t0()
     if reg > t0:
         return False
-    return all(reg_of(component_ideal(ideal, d, caps), characteristic, caps, threads) == d
+    return all(reg_of(component_ideal(ideal, d, caps), characteristic, caps) == d
                for d in sorted({sum(g) for g in ideal.gens} - {t0}))
 
 
@@ -118,7 +114,6 @@ def reg_maxideal_power_formula(
     i: int,
     characteristic: int | None = None,
     caps: Caps = DEFAULT_CAPS,
-    threads: int | None = None,
 ) -> tuple[int, int]:
     """(direct reg(m^i * A), max{reg A, finite_length_reg(A, m^i A) + 1}).
 
@@ -129,8 +124,8 @@ def reg_maxideal_power_formula(
         raise DomainError("power must be at least 1")
     mm = maxideal_power(ideal.ring, None, i)
     shifted = mm * ideal
-    direct = reg_of(shifted, characteristic, caps, threads)
+    direct = reg_of(shifted, characteristic, caps)
     top = finite_length_reg(ideal, shifted)
-    base = reg_of(ideal, characteristic, caps, threads)
+    base = reg_of(ideal, characteristic, caps)
     formula = base if top is None else max(base, top + 1)
     return direct, formula

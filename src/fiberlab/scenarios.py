@@ -128,8 +128,7 @@ def _containment_report(claim: str, params: dict, small: MonomialIdeal,
 # -- scenarios ----------------------------------------------------------------
 
 
-def scenario_lemma_a3(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                      threads: int | None = None) -> list[Report]:
+def scenario_lemma_a3(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS) -> list[Report]:
     char = 0 if characteristic is None else characteristic
     env = appendix_ideals(char)
     R, I, qq, H, K, L = env["ring"], env["I"], env["q"], env["H"], env["K"], env["L"]
@@ -157,8 +156,7 @@ def scenario_lemma_a3(characteristic: int | None = None, caps: Caps = DEFAULT_CA
     return reports
 
 
-def scenario_lemma_a4(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                      threads: int | None = None) -> list[Report]:
+def scenario_lemma_a4(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS) -> list[Report]:
     char = 0 if characteristic is None else characteristic
     env = appendix_ideals(char)
     R, I, qq, H, V1, V2 = env["ring"], env["I"], env["q"], env["H"], env["V1"], env["V2"]
@@ -209,8 +207,7 @@ def scenario_lemma_a4(characteristic: int | None = None, caps: Caps = DEFAULT_CA
     return reports
 
 
-def scenario_lemma_a5(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                      threads: int | None = None) -> list[Report]:
+def scenario_lemma_a5(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS) -> list[Report]:
     char = 0 if characteristic is None else characteristic
     env = appendix_ideals(char)
     H, qq = env["H"], env["q"]
@@ -219,7 +216,7 @@ def scenario_lemma_a5(characteristic: int | None = None, caps: Caps = DEFAULT_CA
         Hs = H ** s
         for i in range(6):
             with Stopwatch() as sw:
-                val = reg_of(Hs * qq ** i, char, caps, threads)
+                val = reg_of(Hs * qq ** i, char, caps)
             reports.append(make_report(
                 "lemma-A5.i", {"s": s, "i": i},
                 {"reg": val}, {"reg": max(2 * s + 3, 2 * s + i)},
@@ -228,8 +225,8 @@ def scenario_lemma_a5(characteristic: int | None = None, caps: Caps = DEFAULT_CA
     return reports
 
 
-def scenario_appendix_a1(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                         threads: int | None = None) -> list[Report]:
+def scenario_appendix_a1(characteristic: int | None = None,
+                         caps: Caps = DEFAULT_CAPS) -> list[Report]:
     """Desk slice of the special ideal: reg I^3 = 9, reg(m^s I^2) = s + 8.
 
     Runs over GF(32003) by default (the fast exact path) with a rational
@@ -240,25 +237,25 @@ def scenario_appendix_a1(characteristic: int | None = None, caps: Caps = DEFAULT
     R, I = env["ring"], env["I"]
     reports = []
     with Stopwatch() as sw:
-        val = reg_of(I ** 3, char, caps, threads)
+        val = reg_of(I ** 3, char, caps)
     reports.append(make_report("thm-A.1-regI3", {"char": char}, {"reg": val}, {"reg": 9},
                                sw.ms, "theorem A.1"))
     I2 = I ** 2
     for s in (0, 1, 2):
         with Stopwatch() as sw:
             shifted = maxideal_power(R, None, s) * I2
-            val = reg_of(shifted, char, caps, threads)
+            val = reg_of(shifted, char, caps)
         reports.append(make_report("thm-A.1-regmsI2", {"s": s, "char": char},
                                    {"reg": val}, {"reg": s + 8}, sw.ms, "theorem A.1"))
     with Stopwatch() as sw:
-        val_q = reg_of(I2, 0, caps, threads)
+        val_q = reg_of(I2, 0, caps)
     reports.append(make_report("thm-A.1-char-agreement", {"s": 0, "char": 0},
                                {"reg": val_q}, {"reg": 8}, sw.ms, "theorem A.1"))
     return reports
 
 
-def scenario_remark_55(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                       threads: int | None = None) -> list[Report]:
+def scenario_remark_55(characteristic: int | None = None,
+                       caps: Caps = DEFAULT_CAPS) -> list[Report]:
     char = 0 if characteristic is None else characteristic
     setup = remark_55_setup(char)
     I = setup.I_left
@@ -266,14 +263,14 @@ def scenario_remark_55(characteristic: int | None = None, caps: Caps = DEFAULT_C
     reports = []
     with Stopwatch() as sw:
         vals = {
-            "regI": reg_of(I, char, caps, threads),
-            "regI2": reg_of(I ** 2, char, caps, threads),
-            "regmI": reg_of(maxideal_power(R, None, 1) * I, char, caps, threads),
+            "regI": reg_of(I, char, caps),
+            "regI2": reg_of(I ** 2, char, caps),
+            "regmI": reg_of(maxideal_power(R, None, 1) * I, char, caps),
         }
     reports.append(make_report("remark-5.5-values", {}, vals,
                                {"regI": 8, "regI2": 8, "regmI": 9}, sw.ms, "remark 5.5"))
     with Stopwatch() as sw:
-        r51 = check_reg_formula(setup, 2, char, caps, threads)
+        r51 = check_reg_formula(setup, 2, char, caps)
     reports.append(make_report(
         "remark-5.5-regF2", {"s": 2},
         {"regF2": r51.computed["regFs"], "thm51": r51.computed["formula"],
@@ -281,7 +278,7 @@ def scenario_remark_55(characteristic: int | None = None, caps: Caps = DEFAULT_C
         {"regF2": 10, "thm51": 10, "thm51Pass": True}, sw.ms, "remark 5.5",
     ))
     with Stopwatch() as sw:
-        r52 = check_reg_formula_equigenerated(setup, 2, char, caps, threads)
+        r52 = check_reg_formula_equigenerated(setup, 2, char, caps)
     reports.append(make_report(
         "remark-5.5-cor52-gap", {"s": 2},
         {"cor52": r52.computed["formula"], "regF2": r52.computed["regFs"],
@@ -292,14 +289,14 @@ def scenario_remark_55(characteristic: int | None = None, caps: Caps = DEFAULT_C
     return reports
 
 
-def scenario_remark_56(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                       threads: int | None = None) -> list[Report]:
+def scenario_remark_56(characteristic: int | None = None,
+                       caps: Caps = DEFAULT_CAPS) -> list[Report]:
     char = 0 if characteristic is None else characteristic
     I = remark_56_ideal(char)
     R = I.ring
     with Stopwatch() as sw:
-        direct = reg_of(maxideal_power(R, None, 2) * I, char, caps, threads)
-        rhs = max(reg_of(I, char, caps, threads), 2 + I.t0())
+        direct = reg_of(maxideal_power(R, None, 2) * I, char, caps)
+        rhs = max(reg_of(I, char, caps), 2 + I.t0())
     return [make_report(
         "remark-5.6", {},
         {"regm2I": direct, "naiveFormula": rhs, "strictlyBelow": direct < rhs},
@@ -309,7 +306,7 @@ def scenario_remark_56(characteristic: int | None = None, caps: Caps = DEFAULT_C
 
 
 def scenario_remark_59(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                       threads: int | None = None, n: int = 2) -> list[Report]:
+                       n: int = 2) -> list[Report]:
     """Power regularity of the two-block family; full suite for small n,
     the non-monotone witness (reg I > reg I^2) for n >= 8."""
     char = 0 if characteristic is None else characteristic
@@ -331,13 +328,13 @@ def scenario_remark_59(characteristic: int | None = None, caps: Caps = DEFAULT_C
             sw.ms, provenance="remark 5.9(1)",
         ))
     with Stopwatch() as sw:
-        val = reg_of(I, char, caps, threads)
+        val = reg_of(I, char, caps)
     reports.append(make_report("remark-5.9-regI", {"n": n}, {"reg": val},
                                {"reg": n + 5}, sw.ms, "remark 5.9(2)"))
     reg_powers = {}
     for s in powers_checked:
         with Stopwatch() as sw:
-            reg_powers[s] = reg_of(I ** s, char, caps, threads)
+            reg_powers[s] = reg_of(I ** s, char, caps)
         reports.append(make_report("remark-5.9-regIs", {"n": n, "s": s},
                                    {"reg": reg_powers[s]}, {"reg": 6 * s},
                                    sw.ms, "remark 5.9(2)"))
@@ -351,7 +348,7 @@ def scenario_remark_59(characteristic: int | None = None, caps: Caps = DEFAULT_C
     if n <= 3:
         for s in (1, 2, 3):
             with Stopwatch() as sw:
-                direct = reg_of(setup.F ** s, char, caps, threads)
+                direct = reg_of(setup.F ** s, char, caps)
             reports.append(make_report(
                 "remark-5.9-regFs", {"n": n, "s": s},
                 {"reg": direct}, {"reg": max(n + 4 + s, 6 * s)},
@@ -360,8 +357,7 @@ def scenario_remark_59(characteristic: int | None = None, caps: Caps = DEFAULT_C
     return reports
 
 
-def scenario_lemma_54(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                      threads: int | None = None) -> list[Report]:
+def scenario_lemma_54(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS) -> list[Report]:
     """Regularity after multiplying by powers of the maximal ideal."""
     char = 0 if characteristic is None else characteristic
     reports = []
@@ -373,10 +369,10 @@ def scenario_lemma_54(characteristic: int | None = None, caps: Caps = DEFAULT_CA
     cases = [("square-powers", H), ("stable-pair", stable), ("mixed-degrees", r55)]
     for label, M in cases:
         ring = M.ring
-        base = reg_of(M, char, caps, threads)
+        base = reg_of(M, char, caps)
         for i in (1, 2):
             with Stopwatch() as sw:
-                direct, general = reg_maxideal_power_formula(M, i, char, caps, threads)
+                direct, general = reg_maxideal_power_formula(M, i, char, caps)
             reports.append(make_report(
                 "lemma-5.4-general", {"ideal": label, "i": i},
                 {"direct": direct, "formula": general},
@@ -393,7 +389,7 @@ def scenario_lemma_54(characteristic: int | None = None, caps: Caps = DEFAULT_CA
             i = max(threshold, 1)
             with Stopwatch() as sw:
                 shifted = maxideal_power(ring, None, i) * M
-                linear = has_linear_resolution(shifted, char, caps, threads)
+                linear = has_linear_resolution(shifted, char, caps)
             reports.append(make_report(
                 "lemma-5.4-linear-threshold", {"ideal": label, "i": i},
                 {"linear": linear}, {"linear": True}, sw.ms, "lemma 5.4(ii)",
@@ -401,8 +397,7 @@ def scenario_lemma_54(characteristic: int | None = None, caps: Caps = DEFAULT_CA
     return reports
 
 
-def scenario_thm_36(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS,
-                    threads: int | None = None) -> list[Report]:
+def scenario_thm_36(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS) -> list[Report]:
     """Theorem 3.6 on three fiber products F = H + J.
 
     Each setup checks H & J = mJ, that F = H + J is a Betti splitting,
@@ -432,20 +427,20 @@ def scenario_thm_36(characteristic: int | None = None, caps: Caps = DEFAULT_CAPS
             {"equal": meet_ok}, {"equal": True}, sw.ms,
             provenance="theorem 3.6 step 1",
         ))
-        rep = verify_betti_splitting(setup.F, setup.H, setup.J, char, caps, threads,
+        rep = verify_betti_splitting(setup.F, setup.H, setup.J, char, caps,
                                      claim="thm-3.6-splitting", params={"setup": label})
         reports.append(rep)
         with Stopwatch() as sw:
-            direct = reg_of(setup.F, char, caps, threads)
+            direct = reg_of(setup.F, char, caps)
             expected = max(
-                reg_of(setup.I_left, char, caps, threads),
-                reg_of(setup.J_right, char, caps, threads),
+                reg_of(setup.I_left, char, caps),
+                reg_of(setup.J_right, char, caps),
             )
         reports.append(make_report(
             "prop-3.4-reg", {"setup": label},
             {"regF": direct}, {"regF": expected}, sw.ms, "proposition 3.4(ii)",
         ))
-        reports.append(check_componentwise(setup, 1, char, caps, threads))
+        reports.append(check_componentwise(setup, 1, char, caps))
     return reports
 
 
@@ -467,8 +462,7 @@ def scenario_names() -> list[str]:
 
 
 def run_scenario(name: str, characteristic: int | None = None,
-                 caps: Caps = DEFAULT_CAPS, threads: int | None = None,
-                 **params) -> list[Report]:
+                 caps: Caps = DEFAULT_CAPS, **params) -> list[Report]:
     """Run a named scenario; ``params`` are its parameters, as n of remark-5.9.
 
     An unknown name, or a parameter the scenario does not take, is a
@@ -479,4 +473,4 @@ def run_scenario(name: str, characteristic: int | None = None,
     unknown = sorted(set(params) - set(inspect.signature(SCENARIOS[name]).parameters))
     if unknown:
         raise DomainError(f"scenario {name!r} takes no parameter {', '.join(unknown)}")
-    return SCENARIOS[name](characteristic=characteristic, caps=caps, threads=threads, **params)
+    return SCENARIOS[name](characteristic=characteristic, caps=caps, **params)

@@ -348,7 +348,7 @@ def componentwise_linear_every_degree(ideal: MonomialIdeal, char: int,
     """Componentwise linearity as ``invariants._componentwise_linear`` checked it
     before it stopped below t0: the component ideal at every d from the initial
     degree to the regularity has regularity d."""
-    for d in range(ideal.indeg(), reg_of(ideal, char, caps, threads=1) + 1):
-        if reg_of(component_ideal(ideal, d, caps), char, caps, threads=1) != d:
+    for d in range(ideal.indeg(), reg_of(ideal, char, caps) + 1):
+        if reg_of(component_ideal(ideal, d, caps), char, caps) != d:
             return False
     return True

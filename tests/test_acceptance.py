@@ -94,7 +94,7 @@ def test_criterion_01_koszul_baseline():
     table = betti_table(maxideal_power(ring, None, 1), 0, threads=1)
     assert table.coarse() == {(0, 1): 3, (1, 2): 3, (2, 3): 1}
     for s in (1, 2, 3, 4):
-        assert reg_of(maxideal_power(ring, None, s), 0, threads=1) == s
+        assert reg_of(maxideal_power(ring, None, s), 0) == s
     _announce(1, "Koszul baseline (3,3,1) at degrees (1,2,3); reg m^s = s for s=1..4")
 
 
@@ -110,7 +110,7 @@ def test_criterion_02_engine_agreement():
 
 
 def test_criterion_03_square_power_regularity():
-    reports = run_scenario("lemma-A5", characteristic=0, threads=1)
+    reports = run_scenario("lemma-A5", characteristic=0)
     assert len(reports) == 12
     assert all(r.passed for r in reports), [r.params for r in reports if not r.passed]
     _announce(3, "reg(H^s q^i) = max(2s+3, 2s+i) for s=1,2 and i=0..5")
@@ -125,7 +125,7 @@ def test_criterion_04_colon_and_intersection_identities():
 
 
 def test_criterion_05_appendix_desk_slice():
-    reports = run_scenario("appendix-A1", threads=2)
+    reports = run_scenario("appendix-A1")
     assert all(r.passed for r in reports), [
         (r.claim, r.params, r.computed) for r in reports if not r.passed
     ]
@@ -140,7 +140,7 @@ def test_criterion_05_appendix_desk_slice():
 
 
 def test_criterion_06_mixed_degree_counterexample():
-    reports = run_scenario("remark-5.5", characteristic=0, threads=1)
+    reports = run_scenario("remark-5.5", characteristic=0)
     assert all(r.passed for r in reports)
     by_claim = {r.claim: r for r in reports}
     gap = by_claim["remark-5.5-cor52-gap"]
@@ -149,7 +149,7 @@ def test_criterion_06_mixed_degree_counterexample():
 
 
 def test_criterion_07_two_step_shift_counterexample():
-    reports = run_scenario("remark-5.6", characteristic=0, threads=1)
+    reports = run_scenario("remark-5.6", characteristic=0)
     assert len(reports) == 1 and reports[0].passed
     assert reports[0].computed["regm2I"] == 5
     assert reports[0].computed["naiveFormula"] == 6
@@ -157,11 +157,11 @@ def test_criterion_07_two_step_shift_counterexample():
 
 
 def test_criterion_08_two_block_family():
-    small = run_scenario("remark-5.9", characteristic=0, threads=2, n=2)
+    small = run_scenario("remark-5.9", characteristic=0, n=2)
     assert all(r.passed for r in small), [
         (r.claim, r.params, r.computed) for r in small if not r.passed
     ]
-    witness = run_scenario("remark-5.9", characteristic=0, threads=2, n=8)
+    witness = run_scenario("remark-5.9", characteristic=0, n=8)
     assert all(r.passed for r in witness), [
         (r.claim, r.params, r.computed) for r in witness if not r.passed
     ]
@@ -268,7 +268,7 @@ def test_criterion_13_componentwise_biconditional():
     assert len(pairs) == 10
     for left, right in pairs:
         setup = fiber_product(left, right)
-        report = check_componentwise(setup, 2, 0, threads=1)
+        report = check_componentwise(setup, 2, 0)
         assert report.passed, (str(left), str(right), report.computed)
     _announce(13, "componentwise-linearity biconditional holds on 10 designed pairs, s=1,2")
 
@@ -294,7 +294,7 @@ def test_criterion_14_edge_ideals():
     ]
     for graph in join_graphs:
         setup = join_fiber_setup(graph)
-        report = check_reg_increasing(setup, 3, 0, threads=1, claim="cor-8.2")
+        report = check_reg_increasing(setup, 3, 0, claim="cor-8.2")
         assert report.passed, report.computed
     _announce(14, "join detection matches brute force on 20 graphs; reg I(G)^s strictly increases")
 
@@ -318,20 +318,16 @@ def test_criterion_15_determinism(tmp_path):
         ("verify", "thm-5.1", "--input", str(defs), "--I", "I", "--J", "J", "--s", "2"),
     ]
     for argv in invocations:
-        one = _cli(*argv, "--threads", "1")
-        many = _cli(*argv, "--threads", "4")
-        assert one == many and one, argv
-    # the parallel lattice walk merges identically at any worker count
+        first = _cli(*argv)
+        again = _cli(*argv)
+        assert first == again and first, argv
+    # a table read off the process's homology cache equals the one that filled it
     ring = Ring("R", ("a", "b", "c", "d"))
     ideal = maxideal_power(ring, None, 2) * ideal_of(ring, "a^2", "b^2", "c^2", "d^2")
-    serial = betti_table(ideal, 32003, threads=1)
-    original = betti_mod._PARALLEL_MIN_POINTS
-    betti_mod._PARALLEL_MIN_POINTS = 10
-    try:
-        parallel = betti_table(ideal, 32003, threads=4)
-    finally:
-        betti_mod._PARALLEL_MIN_POINTS = original
-    assert json.dumps(serial.to_json_dict(), sort_keys=True) == json.dumps(
-        parallel.to_json_dict(), sort_keys=True
+    betti_mod._CACHES.clear()
+    cold = betti_table(ideal, 32003)
+    warm = betti_table(ideal, 32003)
+    assert json.dumps(cold.to_json_dict(), sort_keys=True) == json.dumps(
+        warm.to_json_dict(), sort_keys=True
     )
-    _announce(15, "1 vs N threads produce byte-identical JSON")
+    _announce(15, "reruns produce byte-identical JSON")

@@ -19,6 +19,7 @@ from fiberlab import (
 )
 from fiberlab.errors import CapError
 from fiberlab.config import Caps
+from fiberlab.scenarios import appendix_ideals
 
 import fiberlab.linalg as linalg
 
@@ -257,19 +258,6 @@ def test_unit_ideal_table(ring_xy):
     assert table.multigraded() == {(0, (0, 0)): 1}
 
 
-def test_parallel_merge_deterministic():
-    ring = Ring("R", ("a", "b", "c", "d"))
-    ideal = maxideal_power(ring, None, 2) * ideal_of(ring, "a^2", "b^2", "c^2", "d^2")
-    serial = betti_table(ideal, 32003, threads=1)
-    original = betti_mod._PARALLEL_MIN_POINTS
-    betti_mod._PARALLEL_MIN_POINTS = 10
-    try:
-        parallel = betti_table(ideal, 32003, threads=2)
-    finally:
-        betti_mod._PARALLEL_MIN_POINTS = original
-    assert serial.entries == parallel.entries
-
-
 def test_json_shape(ring_xyz):
     table = betti_table(maxideal_power(ring_xyz, None, 1), 0, threads=1)
     payload = table.to_json_dict()
@@ -405,16 +393,6 @@ small_ideals = st.integers(1, 4).flatmap(
 def test_walk_matches_koszul_engine(ideal):
     for char in (0, 32003):
         assert betti_table(ideal, char, threads=1).coarse() == koszul_tor(ideal, char)
-
-
-@settings(max_examples=15, deadline=None)
-@given(small_ideals)
-def test_parallel_walk_matches_koszul_engine(ideal):
-    with pytest.MonkeyPatch.context() as patch:  # every lattice goes to the pool
-        patch.setattr(betti_mod, "_PARALLEL_MIN_POINTS", 1)
-        for char in (0, 32003):
-            table = betti_table(ideal, char, threads=2)
-            assert table.coarse() == koszul_tor(ideal, char)
 
 
 @settings(max_examples=60, deadline=None)
@@ -629,6 +607,28 @@ def test_a_second_ideal_computes_none_of_the_complexes_the_first_cached(ring_xyz
     assert sorted(computed) == sorted(all_of_second - cached)
 
 
+def test_large_tables_fill_the_process_cache(monkeypatch):
+    # I^2 and I^3 of the Appendix A ideal walk thousands of points each; the walk runs
+    # in this process, so a repeated table computes no complex and the next power
+    # computes only the complexes that are not cached yet
+    I = appendix_ideals(32003)["I"]
+    computed = _computed_complexes(monkeypatch)
+    betti_mod._CACHES.clear()
+    want = betti_table(I ** 3, 32003).entries
+    all_of_cube = set(computed)
+    computed.clear()
+    betti_mod._CACHES.clear()
+    square = betti_table(I ** 2, 32003).entries
+    cached = set(computed)
+    assert cached and cached == set(betti_mod._CACHES[32003])
+    computed.clear()
+    assert betti_table(I ** 2, 32003).entries == square
+    assert computed == []
+    assert betti_table(I ** 3, 32003).entries == want
+    assert cached & all_of_cube
+    assert sorted(computed) == sorted(all_of_cube - cached)
+
+
 def test_the_homology_cache_stays_within_its_bound(monkeypatch):
     # a full cache is emptied before a chunk's new complexes go in; a chunk with
     # more new complexes than the bound leaves them out
@@ -663,7 +663,7 @@ def test_principal_ideals_take_no_walk_and_match_it(gen, char):
     walked = betti_mod._points_betti(betti_mod._closure(gens, 10), gens, char, {})
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(betti_mod, "_points_betti", _no_walk)
-        assert betti_mod._multigraded(gens, char, Caps(), 2) == walked == {(0, gen): 1}
+        assert betti_mod._multigraded(gens, char, Caps()) == walked == {(0, gen): 1}
         ring = Ring("R", tuple(f"v{i}" for i in range(len(gen))))
         ideal = MonomialIdeal.from_exponents(ring, [gen])
         assert betti_table(ideal, char, threads=1).multigraded() == walked
@@ -676,7 +676,7 @@ def test_principal_ideals_take_no_walk_and_match_it(gen, char):
             assert tor_vanishing(ideal, big, char) == want
     # a lattice cap below its one point still reaches the closure, which refuses it
     with pytest.raises(CapError, match="lcm lattice reached 1 points, over cap lattice=0"):
-        betti_mod._multigraded(gens, char, Caps(lattice=0), 1)
+        betti_mod._multigraded(gens, char, Caps(lattice=0))
 
 
 def test_a_principal_ideal_past_the_support_limit_answers():

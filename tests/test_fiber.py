@@ -182,8 +182,8 @@ def test_reg_fiber_product_is_max():
         I = random_equigenerated(rng, "A")
         J = random_equigenerated(rng, "B")
         setup = fiber_product(I, J)
-        expected = max(reg_of(I, 0, threads=1), reg_of(J, 0, threads=1))
-        assert reg_of(setup.F, 0, threads=1) == expected
+        expected = max(reg_of(I, 0), reg_of(J, 0))
+        assert reg_of(setup.F, 0) == expected
 
 
 def test_componentwise_biconditional_examples():
@@ -192,9 +192,9 @@ def test_componentwise_biconditional_examples():
     linear_pair = fiber_product(
         maxideal_power(R, None, 2), ideal_of(S, "u^2")
     )
-    assert check_componentwise(linear_pair, 2, 0, threads=1).passed
+    assert check_componentwise(linear_pair, 2, 0).passed
     broken = fiber_product(ideal_of(R, "x^2", "y^2"), ideal_of(S, "u^2"))
-    report = check_componentwise(broken, 1, 0, threads=1)
+    report = check_componentwise(broken, 1, 0)
     assert report.passed  # biconditional holds: both sides are non-linear
     assert not report.computed["perPower"]["i=1"]["fiber"]
 
@@ -209,16 +209,16 @@ def test_one_sided_linearity_transfer():
         J = random_equigenerated(rng, "B")
         setup = fiber_product(I, J)
         for s in (1, 2):
-            if is_componentwise_linear(setup.F ** s, 0, threads=1):
-                assert is_componentwise_linear(I ** s, 0, threads=1)
-                assert is_componentwise_linear(J ** s, 0, threads=1)
+            if is_componentwise_linear(setup.F ** s, 0):
+                assert is_componentwise_linear(I ** s, 0)
+                assert is_componentwise_linear(J ** s, 0)
 
 
 def test_reg_increasing_random():
     rng = random.Random(4)
     for _ in range(5):
         setup = fiber_product(random_equigenerated(rng, "A"), random_equigenerated(rng, "B"))
-        report = check_reg_increasing(setup, 3, 0, threads=1)
+        report = check_reg_increasing(setup, 3, 0)
         assert report.passed, report.computed
 
 

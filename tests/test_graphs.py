@@ -84,9 +84,9 @@ def test_join_setup_requires_join():
 def test_k22_power_regularity():
     k22 = Graph.from_edges(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
     setup = join_fiber_setup(k22)
-    regs = [reg_of(setup.F ** s, 0, threads=1) for s in (1, 2, 3)]
+    regs = [reg_of(setup.F ** s, 0) for s in (1, 2, 3)]
     assert regs == [2, 4, 6]
-    report = check_reg_increasing(setup, 3, 0, threads=1, claim="cor-8.2")
+    report = check_reg_increasing(setup, 3, 0, claim="cor-8.2")
     assert report.passed
     assert report.expected["provenance"] == "corollary 8.2"
-    assert check_reg_increasing(setup, 3, 0, threads=1).expected["provenance"] == "corollary 8.1"
+    assert check_reg_increasing(setup, 3, 0).expected["provenance"] == "corollary 8.1"

@@ -22,7 +22,7 @@ from conftest import componentwise_linear_every_degree, ideal_of, random_ideal
 
 
 def test_maximal_ideal_invariants(ring_xyz):
-    inv = invariants_of(maxideal_power(ring_xyz, None, 1), 0, threads=1)
+    inv = invariants_of(maxideal_power(ring_xyz, None, 1), 0)
     assert (inv.reg, inv.pdim, inv.depth) == (1, 2, 1)
     assert inv.depth_quotient == 0
     assert inv.reg_quotient == 0
@@ -43,7 +43,7 @@ def test_invariants_consistency_random():
         ideal = random_ideal(rng, ring, max_gens=5, max_deg=3)
         if not ideal.is_proper():
             continue
-        inv = invariants_of(ideal, 0, threads=1)
+        inv = invariants_of(ideal, 0)
         assert inv.reg >= inv.t0 >= inv.indeg
         assert inv.depth == ring.nvars - inv.pdim
         assert 1 <= inv.depth <= ring.nvars
@@ -52,42 +52,42 @@ def test_invariants_consistency_random():
 def test_remark_55_values():
     setup = remark_55_setup()
     I = setup.I_left
-    assert reg_of(I, 0, threads=1) == 8
-    assert reg_of(I ** 2, 0, threads=1) == 8
-    assert reg_of(maxideal_power(setup.left, None, 1) * I, 0, threads=1) == 9
+    assert reg_of(I, 0) == 8
+    assert reg_of(I ** 2, 0) == 8
+    assert reg_of(maxideal_power(setup.left, None, 1) * I, 0) == 9
 
 
 def test_linear_resolution_examples(ring_xy):
     for s in (1, 2, 3):
-        assert has_linear_resolution(maxideal_power(ring_xy, None, s), 0, threads=1)
-    assert not has_linear_resolution(ideal_of(ring_xy, "x^2", "y^2"), 0, threads=1)
-    assert reg_of(ideal_of(ring_xy, "x^2", "y^2"), 0, threads=1) == 3
-    assert reg_of(ideal_of(ring_xy, "x^2", "x*y"), 0, threads=1) == 2
+        assert has_linear_resolution(maxideal_power(ring_xy, None, s), 0)
+    assert not has_linear_resolution(ideal_of(ring_xy, "x^2", "y^2"), 0)
+    assert reg_of(ideal_of(ring_xy, "x^2", "y^2"), 0) == 3
+    assert reg_of(ideal_of(ring_xy, "x^2", "x*y"), 0) == 2
 
 
 def test_componentwise_linear_examples(ring_xy):
-    assert is_componentwise_linear(maxideal_power(ring_xy, None, 2), 0, threads=1)
-    assert not is_componentwise_linear(ideal_of(ring_xy, "x^2", "y^2"), 0, threads=1)
-    assert is_componentwise_linear(ideal_of(ring_xy, "x^2", "x*y"), 0, threads=1)
+    assert is_componentwise_linear(maxideal_power(ring_xy, None, 2), 0)
+    assert not is_componentwise_linear(ideal_of(ring_xy, "x^2", "y^2"), 0)
+    assert is_componentwise_linear(ideal_of(ring_xy, "x^2", "x*y"), 0)
 
 
 def test_componentwise_nonequigenerated():
     # componentwise linear with generators in two degrees
     ring = Ring("R", ("x", "y"))
     ideal = ideal_of(ring, "x^2", "x*y", "y^3")
-    assert is_componentwise_linear(ideal, 0, threads=1)
+    assert is_componentwise_linear(ideal, 0)
 
 
 def test_componentwise_linearity_stops_below_t0():
     # the components up to reg = 129 of (x^65, y^65) are past the component_degree
     # cap of 64; reg > t0 answers first, and (x^65) needs no component at all
     ring = Ring("R", ("x", "y"))
-    assert is_componentwise_linear(ideal_of(ring, "x^65"), 0, threads=1)
-    assert not is_componentwise_linear(ideal_of(ring, "x^65", "y^65"), 0, threads=1)
+    assert is_componentwise_linear(ideal_of(ring, "x^65"), 0)
+    assert not is_componentwise_linear(ideal_of(ring, "x^65", "y^65"), 0)
     # reg = t0 = 3, and only the component below t0, (x^2, y^2), is not linear
     ideal = ideal_of(Ring("R", ("x", "y", "z")), "x^2", "y^2", "x*y*z")
-    assert reg_of(ideal, 0, threads=1) == ideal.t0() == 3
-    assert not is_componentwise_linear(ideal, 0, threads=1)
+    assert reg_of(ideal, 0) == ideal.t0() == 3
+    assert not is_componentwise_linear(ideal, 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -97,7 +97,7 @@ def test_componentwise_linearity_stops_below_t0():
     ).map(lambda gens: MonomialIdeal.from_exponents(Ring("R", tuple("xyzw"[:n])), gens))
 ), st.sampled_from([0, 32003]))
 def test_componentwise_linearity_matches_every_degree_check(ideal, char):
-    assert is_componentwise_linear(ideal, char, threads=1) == \
+    assert is_componentwise_linear(ideal, char) == \
         componentwise_linear_every_degree(ideal, char)
 
 
@@ -114,9 +114,9 @@ def test_tensor_additivity_random():
             continue
         a_t = MonomialIdeal.from_exponents(T, [g + (0, 0) for g in a2.gens])
         b_t = MonomialIdeal.from_exponents(T, [(0, 0) + g for g in b2.gens])
-        inv_prod = invariants_of(a_t * b_t, 0, threads=1)
-        inv_a = invariants_of(a2, 0, threads=1)
-        inv_b = invariants_of(b2, 0, threads=1)
+        inv_prod = invariants_of(a_t * b_t, 0)
+        inv_a = invariants_of(a2, 0)
+        inv_b = invariants_of(b2, 0)
         assert inv_prod.reg == inv_a.reg + inv_b.reg
         assert inv_prod.pdim == inv_a.pdim + inv_b.pdim
         assert inv_prod.depth == inv_a.depth + inv_b.depth
@@ -131,24 +131,24 @@ def test_depth_after_maximal_ideal_multiplication():
         ideal = random_ideal(rng, ring, max_gens=4, max_deg=3)
         if not ideal.is_proper():
             continue
-        assert invariants_of(ideal, 0, threads=1).depth >= 1
-        assert invariants_of(mm * ideal, 0, threads=1).depth == 1
+        assert invariants_of(ideal, 0).depth >= 1
+        assert invariants_of(mm * ideal, 0).depth == 1
 
 
 def test_reg_maxideal_power_formula_matches():
     setup = remark_55_setup()
     I = setup.I_left
     for i in (1, 2):
-        direct, formula = reg_maxideal_power_formula(I, i, 0, threads=1)
+        direct, formula = reg_maxideal_power_formula(I, i, 0)
         assert direct == formula
 
 
 def test_maximal_ideal_square_power_regularity(ring_xy):
     square = maxideal_power(ring_xy, None, 2)
-    assert [reg_of(square ** s, 0, threads=1) for s in (1, 2, 3, 4)] == [2, 4, 6, 8]
+    assert [reg_of(square ** s, 0) for s in (1, 2, 3, 4)] == [2, 4, 6, 8]
 
 
 def test_appendix_ideal_power_regularity():
     env = appendix_ideals(32003)
-    regs = [reg_of(env["I"] ** s, 32003, threads=2) for s in (1, 2, 3, 4)]
+    regs = [reg_of(env["I"] ** s, 32003) for s in (1, 2, 3, 4)]
     assert regs == [5, 8, 9, 11]

@@ -186,7 +186,7 @@ def test_cli_invariants_build_one_table_of_the_ideal(monkeypatch):
     table = invariants.betti_table
     monkeypatch.setattr(invariants, "betti_table",
                         lambda a, *rest: subjects.append(a) or table(a, *rest))
-    payload = cli._invariants_payload(ideal, 0, Caps(), 1)
+    payload = cli._invariants_payload(ideal, 0, Caps())
     assert (payload["reg"], payload["componentwiseLinear"]) == (8, False)
     assert sum(a is ideal for a in subjects) == 1
 
@@ -341,12 +341,36 @@ def test_cli_betti_of_a_product_past_the_lattice_cap_is_a_cap_error(tmp_path):
     path = tmp_path / "xy.fl"
     path.write_text(f"ring R = [{', '.join(xs + ys)}];\nX = ideal(R; {', '.join(xs)});\n"
                     f"Y = ideal(R; {', '.join(ys)});\nC = X * Y;\n")
-    out = run_fiberlab("--char", "32003", "--threads", "1", "betti", str(path), "C",
+    out = run_fiberlab("--char", "32003", "betti", str(path), "C",
                        address_space_kib=3_000_000, timeout=60)
     assert out.returncode == 3
     assert out.stdout == ""
     assert "Traceback" not in out.stderr
     assert "a product over disjoint variable blocks has 16769025 Betti points" in out.stderr
+
+
+def test_cli_walk_past_the_dense_limit_stops_at_its_refusal(tmp_path):
+    # the walk of (x1^2, ..., x18^2) meets the support-18 point first, whose boundary
+    # passes the dense limit; nothing else of the lattice is walked after the refusal
+    xs = [f"x{k}" for k in range(1, 19)]
+    path = tmp_path / "squares.fl"
+    path.write_text(f"ring R = [{', '.join(xs)}];\n"
+                    f"Q = ideal(R; {', '.join(x + '^2' for x in xs)});\n")
+    out = run_fiberlab("--char", "32003", "betti", str(path), "Q", timeout=30)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert ("cap exceeded: a dense GF(p) matrix of shape (43758, 48620) reached 2127513960 "
+            "cells, over the fixed limit of 67108864 (not a FIBERLAB_CAPS cap") in out.stderr
+
+
+def test_cli_threads_flag_is_a_usage_error(pair_file):
+    # every walk runs in the calling process, and the flag that sized a worker pool is gone
+    out = run_cli("--threads", "2", "betti", pair_file, "I")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("usage: fiberlab ")
+    assert "Traceback" not in out.stderr
 
 
 def test_cli_pairwise_layout_past_its_fixed_limit_is_a_cap_error(tmp_path):
@@ -492,9 +516,7 @@ def test_cli_reader_closing_stdout_ends_output_only(defs_file, tmp_path, argv, r
     (("betti",), {"FIBERLAB_CAPS": "hilbert_degree=512"}, "hilbert_degree"),
     (("betti",), {"FIBERLAB_CAPS": "lattice=abc"}, "lattice"),
     (("betti",), {"FIBERLAB_CAPS": "lattice=-5"}, "lattice"),
-    (("--threads", "0", "betti"), {}, "--threads"),
-], ids=["caps-unknown-name", "caps-removed-name", "caps-non-integer", "caps-not-positive",
-        "threads-zero"])
+], ids=["caps-unknown-name", "caps-removed-name", "caps-non-integer", "caps-not-positive"])
 def test_cli_malformed_setting_is_usage_error(pair_file, argv, env, named):
     out = run_cli(*argv, pair_file, "I", **env)
     assert out.returncode == 2

@@ -88,9 +88,11 @@ class _Packing:
                 used += w + 1
         self.nwords = word + 1
         self.guard = np.zeros(self.nwords, dtype=np.int64)
+        self.low = np.zeros(self.nwords, dtype=np.int64)  # the value 1 in every field
         by_width: dict[int, np.ndarray] = {}
         for _, word, shift, w in self.fields:
             self.guard[word] |= 1 << (shift + w)
+            self.low[word] |= 1 << shift
             by_width.setdefault(w, np.zeros(self.nwords, dtype=np.int64))[word] |= 1 << (shift + w)
         self.by_width = sorted(by_width.items())
 
@@ -130,6 +132,23 @@ class _Packing:
         """a_v <= b_v in every field, reduced over the last (word) axis."""
         return (self.geq(b, a) == self.guard).all(axis=-1)
 
+    def divisible(self, gens: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """True where some packed row of ``gens`` divides the packed row of ``rows``."""
+        out = np.empty(len(rows), dtype=bool)
+        step = max(1, 1_000_000 // len(gens))  # bounds the (rows x gens x words) intermediate
+        for lo in range(0, len(rows), step):
+            part = rows[lo : lo + step, None, :]
+            out[lo : lo + step] = self.divides(gens[None], part).any(axis=1)
+        return out
+
+    def lowered(self, a: np.ndarray) -> np.ndarray:
+        """a_v - 1 in every field where a_v > 0: a minus the indicator of its support."""
+        ones = self.geq(a, self.low)  # guard bits of the fields where a_v >= 1
+        out = a.copy()
+        for w, guards in self.by_width:
+            out -= (ones & guards) >> w
+        return out
+
 
 def _row_keys(words: np.ndarray) -> np.ndarray:
     """One sortable key per row of packed words."""
@@ -160,13 +179,7 @@ def _divisible(gens: np.ndarray, rows: np.ndarray) -> np.ndarray:
     if len(gens) == 0 or len(rows) == 0:
         return np.zeros(len(rows), dtype=bool)
     packing = _Packing(np.maximum(gens.max(axis=0), rows.max(axis=0)))
-    packed_gens, packed_rows = packing.pack(gens)[None, :, :], packing.pack(rows)
-    out = np.empty(len(rows), dtype=bool)
-    step = max(1, 1_000_000 // len(gens))  # bounds the (rows x gens x words) intermediate
-    for lo in range(0, len(rows), step):
-        part = packed_rows[lo : lo + step, None, :]
-        out[lo : lo + step] = packing.divides(packed_gens, part).any(axis=1)
-    return out
+    return packing.divisible(packing.pack(gens), packing.pack(rows))
 
 
 def _canonical_rows(arr: np.ndarray) -> np.ndarray:

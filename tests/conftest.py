@@ -25,7 +25,8 @@ import pytest
 from fiberlab import (DEFAULT_CAPS, Caps, DomainError, MonomialIdeal, Ring, component_ideal,
                       parse_monomial, reg_of)
 from fiberlab import betti, koszul
-from fiberlab.ideals import _sorted_unique
+from fiberlab.errors import CapError
+from fiberlab.ideals import _Packing, _row_keys, _sorted_unique
 from fiberlab.linalg import rank_exact, rank_inputs, rank_mod_p
 
 
@@ -267,12 +268,39 @@ def tor_vanishing_by_strands(small: MonomialIdeal, big: MonomialIdeal, char: int
     return witness is None, witness
 
 
+def full_closure(gens: np.ndarray, cap: int) -> np.ndarray:
+    """Every point of the lcm lattice, contractible ones included, one generator at a time.
+
+    Adding a generator g to a join-closed set L gives L, g and the joins
+    p v g for p in L; those that give p back are dropped, the rest
+    deduplicated by sorting their packed keys.  The points come sorted by
+    packed key, as ``betti._closure``'s do; more than ``cap`` of them are
+    refused.
+    """
+    packing = _Packing(gens.max(axis=0))
+    closed = np.zeros((0, packing.nwords), dtype=np.int64)
+    for g in packing.pack(gens):
+        joins = packing.join(closed, g)
+        joins = joins[(joins != closed).any(axis=1)]
+        keys = _sorted_unique(_row_keys(np.concatenate([closed, joins, g[None, :]])))
+        closed = keys.view(np.int64).reshape(len(keys), packing.nwords)
+        if len(closed) > cap:
+            raise CapError.over("lattice", f"lcm lattice reached {len(closed)} points", cap)
+    return packing.unpack(closed)
+
+
+def contractible(points: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """``betti._contractible`` on exponent rows: which points carry a full simplex."""
+    packing = _Packing(np.maximum(gens.max(axis=0), points.max(axis=0, initial=0)))
+    return betti._contractible(packing.pack(points), packing, packing.pack(gens))
+
+
 def lcm_lattice(ideal: MonomialIdeal, caps: Caps = DEFAULT_CAPS) -> tuple[tuple[int, ...], ...]:
     """Every point of the lcm lattice, contractible ones included, sorted."""
     if ideal.is_zero():
         raise DomainError("lcm lattice of the zero ideal")
     return tuple(sorted(tuple(int(e) for e in row)
-                        for row in betti._closure(ideal.array(), caps.lattice)))
+                        for row in full_closure(ideal.array(), caps.lattice)))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fiberlab.betti as betti_mod
 from fiberlab import (
@@ -23,9 +23,9 @@ from fiberlab.scenarios import appendix_ideals
 
 import fiberlab.linalg as linalg
 
-from conftest import (exact_rank, ideal_of, koszul_tor, lcm_lattice, minimal_masks,
-                      random_ideal, rank_mod_p_oracle, reduced_homology_dims, upper_koszul,
-                      walk_per_point)
+from conftest import (contractible, exact_rank, full_closure, ideal_of, koszul_tor,
+                      lcm_lattice, minimal_masks, random_ideal, rank_mod_p_oracle,
+                      reduced_homology_dims, upper_koszul, walk_per_point)
 
 
 def test_koszul_baseline(ring_xyz):
@@ -88,9 +88,9 @@ def test_lattice_packed_into_several_words():
         if joins <= expected:
             break
         expected |= joins
-    points = betti_mod._closure(ideal.array(), 10_000)
+    points = full_closure(ideal.array(), 10_000)
     assert sorted(map(tuple, points.tolist())) == sorted(expected)
-    flagged = betti_mod._contractible(points, ideal.array())
+    flagged = contractible(points, ideal.array())
     assert 0 < flagged.sum() < len(points)
     for b, pruned in zip(points.tolist(), flagged):
         lowered = [e - (e > 0) for e in b]
@@ -98,15 +98,49 @@ def test_lattice_packed_into_several_words():
 
 
 def test_lattice_cap(ring_xy):
+    # the cap bounds the distinct points the closure holds at once.  (x, y)^4 has 5
+    # generators, all surviving; round 1 holds their 10 pairwise joins, of which the 4
+    # of adjacent generators survive; round 2 joins those 4 with the generators and holds
+    # the other 6 again.  So 5 + 10 = 9 + 6 = 15 points are held at the peak, and 9 survive
+    ideal = maxideal_power(ring_xy, None, 4)
+    gens = ideal.array()
+    for words in (1, betti_mod._CLOSURE_WORDS):  # 1: a chunk per frontier point
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(betti_mod, "_CLOSURE_WORDS", words)
+            assert len(betti_mod._closure(gens, 15)) == 9
+            with pytest.raises(CapError, match="reached 15 points, over cap lattice=14"):
+                betti_mod._closure(gens, 14)
+    assert betti_table(ideal, 0, Caps(lattice=15)).total(1) == 4
     with pytest.raises(CapError):
-        lcm_lattice(maxideal_power(ring_xy, None, 4), Caps(lattice=3))
-    # the cap bounds the lattice's size exactly
-    size = len(lcm_lattice(maxideal_power(ring_xy, None, 4)))
-    lcm_lattice(maxideal_power(ring_xy, None, 4), Caps(lattice=size))
+        betti_table(ideal, 0, Caps(lattice=14))
     with pytest.raises(CapError):
-        lcm_lattice(maxideal_power(ring_xy, None, 4), Caps(lattice=size - 1))
+        betti_table(ideal, 0, Caps(lattice=3))
+    with pytest.raises(DomainError):
+        betti_table(MonomialIdeal.zero(ring_xy), 0)
     with pytest.raises(DomainError):
         lcm_lattice(MonomialIdeal.zero(ring_xy))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+           st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=7)),
+       # scaled by 2^16, 4 or more variables pack into two words
+       st.sampled_from([1, 1 << 16]),
+       st.sampled_from([1, None]))  # the closure's chunk words: 1 joins a frontier point a chunk
+@example([(0, 0, 0)], 1, None)  # the unit ideal: its one point 0 survives
+@example([(3, 1, 0, 2, 1), (1, 3, 2, 0, 1), (0, 2, 3, 1, 2), (2, 0, 1, 3, 3)], 1 << 16, 1)
+def test_closure_is_the_full_lattice_less_its_contractible_points(gens, scale, words):
+    ring = Ring("R", tuple(f"v{i}" for i in range(len(gens[0]))))
+    ideal = MonomialIdeal.from_exponents(ring, [tuple(e * scale for e in g) for g in gens])
+    array = ideal.array()
+    full = full_closure(array, 100_000)
+    want = full[~contractible(full, array)]
+    with pytest.MonkeyPatch.context() as patch:
+        if words is not None:
+            patch.setattr(betti_mod, "_CLOSURE_WORDS", words)
+        got = betti_mod._closure(array, 100_000)
+    # the same points in the same order, which the walk's chunks follow
+    assert got.tolist() == want.tolist()
 
 
 def test_upper_koszul_examples(ring_xy):
@@ -271,15 +305,15 @@ def test_contractible_points_are_pruned(ring_xy):
     # complex is the full simplex on {x, y}, with no homology
     ideal = ideal_of(ring_xy, "x^2", "x*y", "y^2")
     gens = ideal.array()
-    points = betti_mod._closure(gens, 100)
+    points = full_closure(gens, 100)
     flagged = {tuple(int(e) for e in b)
-               for b in points[betti_mod._contractible(points, gens)]}
+               for b in points[contractible(points, gens)]}
     assert flagged == {(2, 2)}
     assert len(upper_koszul(ideal, (2, 2)).faces) == 4
     assert not any(b == (2, 2) for _, b in betti_table(ideal, 0, threads=1).multigraded())
     # the point 0 of the unit ideal carries beta_0 and is never pruned
     unit = MonomialIdeal.unit(ring_xy).array()
-    assert not betti_mod._contractible(unit, unit).any()
+    assert not contractible(unit, unit).any()
 
 
 def test_masks_with_one_minimal_antichain_share_a_cache_key():
@@ -345,7 +379,7 @@ def test_bulk_walk_matches_the_per_point_walk(drawn):
     ring = Ring("R", tuple(f"v{i}" for i in range(len(gens[0]))))
     ideal = MonomialIdeal.from_exponents(ring, [tuple(e * scale for e in g) for g in gens])
     array = ideal.array()
-    points = betti_mod._closure(array, 10_000)  # contractible points included
+    points = full_closure(array, 10_000)  # contractible points included
     points = points[np.argsort(-(points > 0).sum(axis=1), kind="stable")]
     with pytest.MonkeyPatch.context() as patch:
         if chunk_cells is not None:
@@ -370,8 +404,8 @@ def test_bulk_walk_on_several_packed_words_and_one_point_chunks():
                     "a*d*z", "b*c*z", "c*d*y*z*t") ** 2
     array = base.array() << 16
     assert betti_mod._Packing(array.max(axis=0)).nwords > 1
-    points = betti_mod._closure(array, 100_000)
-    points = points[~betti_mod._contractible(points, array)][:400]
+    points = full_closure(array, 100_000)
+    points = points[~contractible(points, array)][:400]
     want = walk_per_point(points, array, 32003, {})
     assert want
     for chunk_cells in (1, betti_mod._CHUNK_CELLS):
@@ -646,7 +680,7 @@ def test_the_homology_cache_stays_within_its_bound(monkeypatch):
     cache: dict = {}
     gens = (ideal_of(ring, "x^2", "x*y", "y^2", "z^3", "x*z*w") ** 2).array()
     computed = _computed_complexes(monkeypatch)
-    betti_mod._points_betti(betti_mod._closure(gens, 10_000), gens, 0, cache)
+    betti_mod._points_betti(full_closure(gens, 10_000), gens, 0, cache)
     assert len(set(computed)) > 8 >= len(cache)
 
 
@@ -660,7 +694,7 @@ def _no_walk(*_args):
 def test_principal_ideals_take_no_walk_and_match_it(gen, char):
     # beta_0 at the generator, the unit ideal's 0 included, as the walk finds it
     gens = np.array([gen], dtype=np.int64)
-    walked = betti_mod._points_betti(betti_mod._closure(gens, 10), gens, char, {})
+    walked = betti_mod._points_betti(full_closure(gens, 10), gens, char, {})
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(betti_mod, "_points_betti", _no_walk)
         assert betti_mod._multigraded(gens, char, Caps()) == walked == {(0, gen): 1}

@@ -12,13 +12,18 @@ Exponents are at most ``EXPONENT_LIMIT`` = 2^31 - 1, a fixed limit, not a
 ``FIBERLAB_CAPS`` cap: ``from_exponents`` and products raise ``DomainError``
 past it, so int32 rows never wrap and a packed field fits in one word.
 Bulk work, here and in ``betti``, runs on rows packed by ``_Packing`` into
-int64 words: ``_unique_rows`` sorts one key per row, and ``_divisible``
-marks the rows that some generator divides.  ``component_ideal`` refuses,
-with ``CapError``, to enumerate more than ``COMPONENT_LIMIT`` = 2^22
+int64 words, where one subtraction compares every field of a word.
+``_minimal_rows`` packs its rows once and drops repeats by sorting one key
+per row.  Then, in one round per degree that holds a minimal generator,
+the rows of least degree left are minimal, and ``_Packing.divisible``
+drops every row they divide.  An ideal builds the int32 array of its
+generators once, read-only (``array``).  ``component_ideal`` refuses, with
+``CapError``, to enumerate more than ``COMPONENT_LIMIT`` = 2^22
 generators, another fixed limit: it keeps the enumeration inside memory.
 Products and intersections, and so powers and colons by an ideal, lay out
-one row per pair of generators; past ``PAIRWISE_LIMIT`` = 2^28 cells that
-layout is refused with ``CapError`` too.
+one row per pair of generators (an intersection pairs only the generators
+that lie outside the other ideal); past ``PAIRWISE_LIMIT`` = 2^28 cells
+that layout is refused with ``CapError`` too.
 """
 
 from __future__ import annotations
@@ -40,6 +45,12 @@ COMPONENT_LIMIT = 1 << 22
 # benchmark, scenarios and acceptance criteria has 580,720 cells; the last product of
 # maxideal(R)^26 in 8 variables, about 2.2 * 10^8, still answers under a 3 GB address space
 PAIRWISE_LIMIT = 1 << 28
+# cells (row pairs x words) of one chunk of _Packing.divisible: its int64 intermediates stay
+# in cache.  Measured on a 2-core box, each figure the best of repeated interleaved runs:
+# the 1,359 _minimal_rows inputs of one ideal-identities round took 0.32 s at 2^14, 0.29 s
+# at 2^16, 0.32 s at 2^18 and 0.35 s at 2^20 cells; the lattice closure of m*I^2 (Appendix A),
+# whose contractibility test shares the chunk, took 145-162 ms at 2^16 and 162-173 ms at 2^20
+_DIVISIBLE_CELLS = 1 << 16
 
 
 def _check_exponent(top: int) -> None:
@@ -129,13 +140,22 @@ class _Packing:
         return out
 
     def divides(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a_v <= b_v in every field, reduced over the last (word) axis."""
-        return (self.geq(b, a) == self.guard).all(axis=-1)
+        """a_v <= b_v in every field, reduced over the last (word) axis, a word at a time.
+
+        With no guard bits set in a or b, a field where b_v < a_v borrows in
+        b - a, and the lowest such field leaves its guard bit set.
+        """
+        out = None
+        for word, guard in enumerate(self.guard.tolist()):
+            diff = b[..., word] - a[..., word]
+            diff &= guard
+            out = diff == 0 if out is None else out & (diff == 0)
+        return out
 
     def divisible(self, gens: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """True where some packed row of ``gens`` divides the packed row of ``rows``."""
         out = np.empty(len(rows), dtype=bool)
-        step = max(1, 1_000_000 // len(gens))  # bounds the (rows x gens x words) intermediate
+        step = max(1, _DIVISIBLE_CELLS // gens.size)
         for lo in range(0, len(rows), step):
             part = rows[lo : lo + step, None, :]
             out[lo : lo + step] = self.divides(gens[None], part).any(axis=1)
@@ -192,17 +212,29 @@ def _canonical_rows(arr: np.ndarray) -> np.ndarray:
 def _minimal_rows(arr: np.ndarray) -> np.ndarray:
     """The rows no other row divides (is componentwise <=), in canonical order.
 
-    Rows of equal total degree never divide one another unless equal, so
-    after deduplication it is enough to sweep degree layers in increasing
-    order, filtering each layer against everything kept so far.
+    The rows are packed once and deduplicated on their keys.  Then, in
+    rounds, the rows of least total degree that are left are minimal: a
+    proper divisor of one of them has smaller degree, so a row taken in an
+    earlier round divides both and dropped it.  Every row they divide is
+    dropped, on the words already packed, until no row is left.  Only the
+    minimal rows are sorted into canonical order.
     """
-    arr = _canonical_rows(_unique_rows(arr))
-    degrees = arr.sum(axis=1)
-    keep = np.ones(len(arr), dtype=bool)
-    bounds = [0, *(np.flatnonzero(degrees[1:] != degrees[:-1]) + 1).tolist()]
-    for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):  # layers above the lowest, upwards
-        keep[lo:hi] = ~_divisible(arr[hi:][keep[hi:]], arr[lo:hi])
-    return arr[keep]
+    if len(arr) <= 1:
+        return arr
+    packing = _Packing(arr.max(axis=0))
+    keys = _sorted_unique(_row_keys(packing.pack(arr)))
+    words = keys.view(np.int64).reshape(len(keys), packing.nwords)
+    rows = packing.unpack(words)
+    degrees = rows.sum(axis=1)
+    order = np.argsort(degrees, kind="stable")
+    words, rows, degrees = words[order], rows[order], degrees[order]
+    minimal = []
+    while len(rows):
+        top = np.searchsorted(degrees, degrees[0], side="right")  # the least degree left
+        minimal.append(rows[:top])
+        rest = top + np.flatnonzero(~packing.divisible(words[:top], words[top:]))
+        words, rows, degrees = words[rest], rows[rest], degrees[rest]
+    return _canonical_rows(np.concatenate(minimal))
 
 
 def _canonical_tuple(arr: np.ndarray) -> tuple[Exponents, ...]:
@@ -253,7 +285,13 @@ class MonomialIdeal:
         return tuple(Monomial(self.ring, g) for g in self.gens)
 
     def array(self) -> np.ndarray:
-        return _as_array(self.gens, self.ring.nvars)
+        """The generators as a read-only int32 array, built once per ideal."""
+        arr = self.__dict__.get("_array")
+        if arr is None:
+            arr = _as_array(self.gens, self.ring.nvars)
+            arr.flags.writeable = False
+            object.__setattr__(self, "_array", arr)  # not a field: equality and hashing ignore it
+        return arr
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -332,8 +370,12 @@ class MonomialIdeal:
         if self.is_zero() or other.is_zero():
             return MonomialIdeal.zero(self.ring)
         a, b = self.array(), other.array()
-        joins = _pairwise_rows(np.maximum, a, b)
-        return MonomialIdeal(self.ring, _canonical_tuple(_minimal_rows(joins)))
+        # a generator that lies in the other ideal lies in the intersection, and its
+        # joins lie above it: only the generators outside the other ideal are paired
+        a_in, b_in = _divisible(b, a), _divisible(a, b)
+        joins = _pairwise_rows(np.maximum, a[~a_in], b[~b_in])
+        rows = np.concatenate([a[a_in], b[b_in], joins])
+        return MonomialIdeal(self.ring, _canonical_tuple(_minimal_rows(rows)))
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         return self.intersect(other)
@@ -478,7 +520,7 @@ def finite_length_reg(big: MonomialIdeal, small: MonomialIdeal) -> int | None:
     if small.is_zero():
         raise DomainError("quotient by the zero ideal has infinite length")
     for v in range(small.ring.nvars):
-        saturated = small.array()
+        saturated = small.array().copy()
         saturated[:, v] = 0
         if not MonomialIdeal.from_exponents(small.ring, saturated).contains(big):
             raise DomainError("quotient is not of finite length")

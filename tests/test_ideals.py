@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fiberlab.ideals as ideals_mod
+from fiberlab import koszul
 from fiberlab import (
     DomainError,
     Monomial,
@@ -13,11 +14,13 @@ from fiberlab import (
     Ring,
     betti_table,
     component_ideal,
+    finite_length_reg,
     maxideal_power,
     parse_monomial,
     star_derivative,
     tensor_embed,
     tensor_ring,
+    tor_vanishing,
 )
 from fiberlab.errors import CapError, RingMismatchError
 from fiberlab.ideals import EXPONENT_LIMIT
@@ -260,10 +263,116 @@ def test_row_kernel_matches_python_sets(data):
     assert big.contains(small) == all(any(divides(g, r) for g in gens) for r in rows)
 
 
+def _divides(g, r) -> bool:
+    return all(a <= b for a, b in zip(g, r))
+
+
+def _canonical(rows) -> list:
+    return sorted(set(rows), key=lambda row: (sum(row), row), reverse=True)
+
+
+@st.composite
+def layered_rows(draw):
+    """Up to about 60 rows over many degrees: a few base rows, and multiples of them.
+
+    The base rows have degrees spread over the whole range, so minimal rows
+    lie in several degrees and a multiple of one can be divided by another.
+    12 variables with exponents up to 60 mostly pack into two words.
+    """
+    nvars, top = draw(st.sampled_from(((2, 3), (5, 7), (12, 3), (12, 60))))
+    base = draw(st.lists(st.tuples(*[st.integers(0, top)] * nvars), min_size=1, max_size=12))
+    bumps = st.tuples(st.integers(0, len(base) - 1), st.tuples(*[st.integers(0, 3)] * nvars))
+    rows = base + [tuple(a + b for a, b in zip(base[i], bump))
+                   for i, bump in draw(st.lists(bumps, min_size=8, max_size=48))]
+    return nvars, draw(st.permutations(rows))
+
+
+# two packed words, and minimal rows in degrees 1 and 114: two rounds
+_LAYERED = (12, [(20,) * 12, (0,) * 11 + (1,), (19,) * 6 + (0,) * 6, (3,) * 12])
+
+
+@settings(max_examples=120, deadline=None)
+@given(layered_rows(), st.sampled_from([1, None]))  # 1: one row a divisibility chunk
+@example(_LAYERED, 1)
+def test_minimal_rows_match_brute_force(data, cells):
+    nvars, rows = data
+    arr = ideals_mod._as_array(rows, nvars)
+    want = _canonical(r for r in rows if not any(_divides(s, r) for s in set(rows) - {r}))
+    with pytest.MonkeyPatch.context() as patch:
+        if cells is not None:
+            patch.setattr(ideals_mod, "_DIVISIBLE_CELLS", cells)
+        got = ideals_mod._minimal_rows(arr)
+    assert [tuple(r) for r in got.tolist()] == want
+
+
+@st.composite
+def ideal_pairs(draw):
+    """Generators of two ideals, some of each side drawn inside the other on purpose.
+
+    Each side is "none", "some" or "all": how many of its generators are a
+    generator of the other side's own rows times a monomial.  An empty
+    side is the zero ideal; the zero row, the unit ideal, can be drawn.
+    """
+    nvars = draw(st.integers(1, 4))
+    row = st.one_of(st.tuples(*[st.integers(0, 4)] * nvars), st.just((0,) * nvars))
+    own = [draw(st.lists(row, max_size=6)) for _ in range(2)]
+    sides = []
+    for mine, theirs in ((own[0], own[1]), (own[1], own[0])):
+        share = draw(st.sampled_from(("none", "some", "all")))
+        inside = []
+        if theirs and share != "none":
+            picks = st.tuples(st.sampled_from(theirs), st.tuples(*[st.integers(0, 2)] * nvars))
+            inside = [tuple(a + b for a, b in zip(g, bump))
+                      for g, bump in draw(st.lists(picks, min_size=1, max_size=5))]
+        sides.append(inside if share == "all" and inside else mine + inside)
+    return nvars, sides[0], sides[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ideal_pairs())
+@example((2, [], [(1, 0)]))  # the zero ideal
+@example((2, [(0, 0)], [(1, 2), (3, 0)]))  # the unit ideal
+@example((2, [(1, 1), (2, 0)], [(1, 0)]))  # all of A lies in B
+@example((3, [(1, 0, 0), (0, 1, 1)], [(1, 1, 0), (0, 2, 1), (0, 0, 3)]))  # all of B in A
+def test_intersect_matches_brute_force_lcm_pairs(data):
+    nvars, a, b = data
+    ring = Ring("R", tuple(f"v{i}" for i in range(nvars)))
+    A, B = (MonomialIdeal.from_exponents(ring, gens) for gens in (a, b))
+    joins = {tuple(map(max, g, h)) for g in A.gens for h in B.gens}
+    want = _canonical(j for j in joins if not any(_divides(k, j) for k in joins - {j}))
+    assert list((A & B).gens) == want
+    assert list((B & A).gens) == want
+
+
+def test_array_is_built_once_read_only_and_left_as_it_is(ring_xyz):
+    ideal = ideal_of(ring_xyz, "x^2", "x*y", "y*z^2", "z^3")
+    gens, array = ideal.gens, ideal.array()
+    assert ideal.array() is array
+    with pytest.raises(ValueError):
+        array[0, 0] = 7
+    m = maxideal_power(ring_xyz, None, 1)
+    small = m * ideal
+    # every in-library caller of array(): arithmetic, degree data, Betti tables,
+    # Tor maps and the finite-length regularity, which saturates a copy
+    ideal + m, ideal * m, ideal & m, ideal.colon(m), ideal.support(), ideal.contains(small)
+    assert finite_length_reg(ideal, small) == 3
+    betti_table(ideal, 32003, threads=1)
+    tor_vanishing(small, ideal, 32003)
+    koszul.max_lattice_degree(ideal)
+    koszul.tor_map(small, ideal, 32003)
+    for which in (ideal, small):
+        assert which.array().tolist() == [list(g) for g in which.gens]
+    assert ideal.gens == gens and ideal.array() is array
+
+
 def test_row_kernel_example_spans_two_words():
     nvars, gens, rows = _TWO_WORDS
     top = ideals_mod._as_array(gens + rows, nvars).max(axis=0)
     assert ideals_mod._Packing(top).nwords == 2
+    nvars, rows = _LAYERED
+    layered = ideals_mod._as_array(rows, nvars)
+    assert ideals_mod._Packing(layered.max(axis=0)).nwords == 2
+    assert {sum(r) for r in ideals_mod._minimal_rows(layered).tolist()} == {1, 114}
 
 
 def test_exponents_up_to_the_limit(ring_xy):

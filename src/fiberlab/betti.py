@@ -363,19 +363,6 @@ def _pairs_minimal(point: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _within_support_limit(size: int) -> None:
-    """Refuse a lattice point on more than the walk's fixed limit of 24 variables.
-
-    A tight mask packs into the low 24 bits of a (point, mask) key, and a
-    complex on m vertices takes arrays of 2^m entries.
-    """
-    if size > 24:
-        raise CapError(
-            f"a lattice point reached a support of {size} variables, over the "
-            "walk's fixed limit of 24 (not a FIBERLAB_CAPS cap; it cannot be raised)"
-        )
-
-
 def _tight_masks(chunk: np.ndarray, supp: np.ndarray, gens: np.ndarray, packing: _Packing,
                  packed_gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The inclusion-minimal tight masks of every point of ``chunk``, in bulk.
@@ -409,7 +396,11 @@ def _point_masks(points: np.ndarray, sides: tuple[np.ndarray, ...]):
         chunk = points[lo : lo + step]
         supp = chunk > 0
         sizes = supp.sum(axis=1)
-        _within_support_limit(int(sizes.max(initial=0)))
+        # the walk's fixed limit: a tight mask packs into the low 24 bits of a (point,
+        # mask) key, and a complex on m vertices takes arrays of 2^m entries
+        if sizes.max(initial=0) > 24:
+            raise CapError.fixed(f"a lattice point reached a support of {sizes.max()} "
+                                 "variables", 24, whose="the walk's")
         yield chunk, sizes, [_tight_masks(chunk, supp, side, packing, packed_side)
                              for side, packed_side in zip(sides, packed)]
 

@@ -17,8 +17,9 @@ reader that closes standard output early ends the output, not the run:
 the exit code is the one the run earned.
 
 Caps come from the FIBERLAB_CAPS environment variable (``name=value``
-pairs, comma-separated), read once per run; an unknown name or a value
-that is not a positive integer is a usage error.
+pairs, comma-separated), read once per run; ``lattice`` is the one cap.
+An unknown name, a name given twice, or a value that is not a positive
+integer is a usage error.  Every other limit is fixed and cannot be set.
 
 Output is deterministic for fixed inputs and flags; timings are omitted
 from JSON when --stable-json is given, so reruns are byte-identical.
@@ -102,6 +103,8 @@ def _read_caps() -> Caps:
             raise GrammarError(
                 f"FIBERLAB_CAPS: unknown cap {name!r}; known caps: {', '.join(known)}"
             )
+        if name in updates:
+            raise GrammarError(f"FIBERLAB_CAPS: cap {name!r} is given more than once")
         try:
             updates[name] = _positive_int(value)
         except argparse.ArgumentTypeError as exc:
@@ -207,13 +210,13 @@ def _run(args, caps: Caps) -> int:
     char = 0 if args.char is None else args.char
 
     if args.verb == "eval":
-        env = load_file(args.file, char, caps)
+        env = load_file(args.file, char)
         value = eval_expression(env, args.expression)
         _emit(args, str(value))
         return EXIT_OK
 
     if args.verb in ("betti", "invariants", "tor"):
-        env = load_file(args.file, char, caps)
+        env = load_file(args.file, char)
         ideal = env.ideal(args.name)
         if args.verb == "invariants":
             payload = _invariants_payload(ideal, char, caps)
@@ -234,7 +237,7 @@ def _run(args, caps: Caps) -> int:
         return EXIT_OK
 
     if args.verb == "torvanish":
-        env = load_file(args.file, char, caps)
+        env = load_file(args.file, char)
         small = env.ideal(args.small)
         big = env.ideal(args.big)
         ok, witness = tor_vanishing(small, big, char, caps=caps)
@@ -270,7 +273,7 @@ def _run_verify(args, caps, char) -> int:
                                f"{least}, got {value}")
     if not one_ideal and args.right is None:
         raise GrammarError(f"verify {args.claim} needs --J")
-    env = load_file(args.input, char, caps)
+    env = load_file(args.input, char)
     left = env.ideal(args.left)
     if one_ideal:
         return _emit_reports(args, [check(left, value, args.mode or "certificate", char, caps)])

@@ -27,15 +27,21 @@ class DomainError(FiberlabError):
 
 
 class CapError(FiberlabError):
-    """A configured hard resource cap was exceeded.
+    """A hard resource limit was exceeded: the settable cap or a fixed limit.
 
-    Caps abort the computation; they never silently truncate a result.
+    Limits abort the computation; they never silently truncate a result.
     """
 
     @classmethod
     def over(cls, cap: str, reached: str, limit: int) -> "CapError":
         """The error for cap ``cap`` = ``limit``, passed when the run ``reached`` a size."""
         return cls(f"{reached}, over cap {cap}={limit} (set FIBERLAB_CAPS={cap}=<value>)")
+
+    @classmethod
+    def fixed(cls, reached: str, limit: int, whose: str = "the") -> "CapError":
+        """The error for a fixed limit, which no setting raises."""
+        return cls(f"{reached}, over {whose} fixed limit of {limit} "
+                   "(not a FIBERLAB_CAPS cap; it cannot be raised)")
 
 
 class InternalError(FiberlabError):

@@ -19,22 +19,21 @@ the rows of least degree left are minimal, and ``_Packing.divisible``
 drops every row they divide.  An ideal builds the int32 array of its
 generators once, read-only (``array``).  ``component_ideal`` refuses, with
 ``CapError``, to enumerate more than ``COMPONENT_LIMIT`` = 2^22
-generators, another fixed limit: it keeps the enumeration inside memory.
-Products and intersections, and so powers and colons by an ideal, lay out
-one row per pair of generators (an intersection pairs only the generators
-that lie outside the other ideal); past ``PAIRWISE_LIMIT`` = 2^28 cells
-that layout is refused with ``CapError`` too.
+generators, another fixed limit and its only bound, as each monomial takes
+O(n) steps whatever its degree.  Products and intersections, and so powers
+and colons by an ideal, lay out one row per pair of generators (an
+intersection pairs only the generators that lie outside the other ideal);
+past ``PAIRWISE_LIMIT`` = 2^28 cells that layout is refused with
+``CapError`` too.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .config import DEFAULT_CAPS, Caps
 from .core import Exponents, Monomial, Ring, format_monomial
 from .errors import CapError, DomainError, RingMismatchError
 
@@ -63,9 +62,8 @@ def _pairwise_rows(op: np.ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``op`` of every row of ``a`` with every row of ``b``, row-major by ``a``."""
     cells = len(a) * len(b) * a.shape[1]
     if cells > PAIRWISE_LIMIT:
-        raise CapError(f"pairing {len(a)} with {len(b)} generators in {a.shape[1]} variables "
-                       f"would lay out {cells} cells, over the fixed limit of {PAIRWISE_LIMIT} "
-                       "(not a FIBERLAB_CAPS cap; it cannot be raised)")
+        raise CapError.fixed(f"pairing {len(a)} with {len(b)} generators in {a.shape[1]} "
+                             f"variables would lay out {cells} cells", PAIRWISE_LIMIT)
     return op(a[:, None, :], b[None, :, :]).reshape(-1, a.shape[1])
 
 
@@ -429,17 +427,29 @@ class MonomialIdeal:
 
 
 def monomials_of_degree(ring: Ring, d: int, indices: tuple[int, ...] | None = None):
-    """Yield exponent vectors of all degree-``d`` monomials in the given variables."""
-    if indices is None:
-        indices = tuple(range(ring.nvars))
-    if d == 0:
-        yield ring.zero_exponents()
+    """Yield exponent vectors of all degree-``d`` monomials in the given variables.
+
+    They come in descending lex order on ``indices``, the order of
+    ``itertools.combinations_with_replacement(indices, d)``: a step moves a
+    unit from the last nonzero exponent but the final one to the next
+    variable, which takes the final exponent too.
+    """
+    indices = tuple(range(ring.nvars)) if indices is None else indices
+    if not indices:  # no variables: only the degree-0 monomial
+        if d == 0:
+            yield ring.zero_exponents()
         return
-    for combo in itertools.combinations_with_replacement(indices, d):
-        exps = [0] * ring.nvars
-        for i in combo:
-            exps[i] += 1
+    exps, last = [0] * ring.nvars, indices[-1]
+    exps[indices[0]] = d
+    while True:
         yield tuple(exps)
+        tail, exps[last], k = exps[last], 0, len(indices) - 2
+        while k >= 0 and not exps[indices[k]]:
+            k -= 1
+        if k < 0:
+            return
+        exps[indices[k]] -= 1
+        exps[indices[k + 1]] = tail + 1
 
 
 def maxideal_power(ring: Ring, block: str | None = None, s: int = 1) -> MonomialIdeal:
@@ -472,22 +482,18 @@ def star_derivative(ideal: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal.from_exponents(ideal.ring, out)
 
 
-def component_ideal(ideal: MonomialIdeal, d: int, caps: Caps = DEFAULT_CAPS) -> MonomialIdeal:
+def component_ideal(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
     """Ideal generated by every degree-``d`` monomial of ``ideal``."""
     if d < 0:
         raise DomainError("negative component degree")
-    if d > caps.component_degree:
-        raise CapError.over("component_degree", f"component degree {d} was asked for",
-                            caps.component_degree)
     if ideal.is_zero():
         return ideal
     ring, n = ideal.ring, ideal.ring.nvars
     gens = [(g, d - sum(g)) for g in ideal.gens if sum(g) <= d]  # (g, filler degree)
     count = sum(comb(k + n - 1, n - 1) for _, k in gens)
     if count > COMPONENT_LIMIT:
-        raise CapError(f"component degree {d} would enumerate {count} generators, over the "
-                       f"fixed limit of {COMPONENT_LIMIT} (not a FIBERLAB_CAPS cap; "
-                       "it cannot be raised)")
+        raise CapError.fixed(f"component degree {d} would enumerate {count} generators",
+                             COMPONENT_LIMIT)
     if not gens:
         return MonomialIdeal.zero(ring)
     _check_exponent(max(max(g) + k for g, k in gens))  # x_v^k is among the fillers

@@ -105,7 +105,7 @@ def _componentwise_linear(ideal: MonomialIdeal, reg: int, characteristic: int | 
     t0 = ideal.t0()
     if reg > t0:
         return False
-    return all(reg_of(component_ideal(ideal, d, caps), characteristic, caps) == d
+    return all(reg_of(component_ideal(ideal, d), characteristic, caps) == d
                for d in sorted({sum(g) for g in ideal.gens} - {t0}))
 
 

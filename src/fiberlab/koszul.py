@@ -12,7 +12,9 @@ Betti table, the CLI's ``tor`` included, and every Tor-vanishing verdict
 come from the lattice engine (``betti.tor_vanishing``, which this module
 re-exports); the tests keep the strands' Tor table and their
 Tor-vanishing verdicts as its independent cross-checks, and ``tor_map``
-as the oracle the verdicts are tested against.
+as the oracle the verdicts are tested against.  A strand, and the ring's
+monomials of one degree that it enumerates, hold at most ``STRAND_LIMIT``
+elements, a fixed limit: past it ``CapError`` is raised before any is built.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from math import comb
 import numpy as np
 
 from .betti import _inclusion_field, tor_vanishing  # noqa: F401 (re-exported)
-from .config import DEFAULT_CAPS, Caps
 from .core import Exponents
 from .errors import CapError, DomainError, InternalError
 from .ideals import (MonomialIdeal, _canonical_rows, _canonical_tuple, _divisible,
                      monomials_of_degree)
 from .linalg import coordinates_in_span, nullspace, rank_exact, rank_inputs, rank_mod_p, rref
+
+STRAND_LIMIT = 200_000  # basis elements of one strand (i, j), or monomials of one degree
 
 
 def max_lattice_degree(ideal: MonomialIdeal) -> int:
@@ -38,11 +41,11 @@ def max_lattice_degree(ideal: MonomialIdeal) -> int:
     return int(ideal.array().max(axis=0).sum())
 
 
-def _members_by_degree(ideal: MonomialIdeal, d: int, caps: Caps) -> tuple[Exponents, ...]:
+def _members_by_degree(ideal: MonomialIdeal, d: int) -> tuple[Exponents, ...]:
     n = ideal.ring.nvars
-    if comb(d + n - 1, n - 1) > caps.koszul_basis:
-        raise CapError.over("koszul_basis", f"the ring's degree-{d} monomials reached "
-                            f"{comb(d + n - 1, n - 1)}", caps.koszul_basis)
+    if comb(d + n - 1, n - 1) > STRAND_LIMIT:
+        raise CapError.fixed(f"the ring's degree-{d} monomials reached "
+                             f"{comb(d + n - 1, n - 1)}", STRAND_LIMIT)
     mons = np.array(list(monomials_of_degree(ideal.ring, d)), dtype=np.int32)
     return _canonical_tuple(_canonical_rows(mons[_divisible(ideal.array(), mons)]))
 
@@ -50,8 +53,7 @@ def _members_by_degree(ideal: MonomialIdeal, d: int, caps: Caps) -> tuple[Expone
 class _StrandComplex:
     """All Koszul strands of one ideal in one total degree j."""
 
-    def __init__(self, ideal: MonomialIdeal, j: int, caps: Caps,
-                 members: dict[int, tuple[Exponents, ...]]):
+    def __init__(self, ideal: MonomialIdeal, j: int, members: dict[int, tuple[Exponents, ...]]):
         n = ideal.ring.nvars
         self.nvars = n
         self.basis: dict[int, list[tuple[Exponents, tuple[int, ...]]]] = {}
@@ -60,14 +62,14 @@ class _StrandComplex:
         for i in range(0, top_i + 1):
             deg_u = j - i  # >= indeg, as i <= top_i
             if deg_u not in members:
-                members[deg_u] = _members_by_degree(ideal, deg_u, caps)
+                members[deg_u] = _members_by_degree(ideal, deg_u)
             us = members[deg_u]
             if not us:
                 continue
             size = len(us) * comb(n, i)
-            if size > caps.koszul_basis:
-                raise CapError.over("koszul_basis", f"strand ({i},{j}) reached a "
-                                    f"basis of {size} elements", caps.koszul_basis)
+            if size > STRAND_LIMIT:
+                raise CapError.fixed(f"strand ({i},{j}) reached a basis of {size} elements",
+                                     STRAND_LIMIT)
             basis = [
                 (u, S)
                 for u in us
@@ -117,7 +119,7 @@ class _StrandComplex:
         return mat
 
 
-def _strands(small: MonomialIdeal, big: MonomialIdeal, characteristic: int | None, caps: Caps):
+def _strands(small: MonomialIdeal, big: MonomialIdeal, characteristic: int | None):
     """Check an inclusion small -> big of ideals; return its field and its strands.
 
     The strands come as (j, of small, of big) for each degree j up to the
@@ -129,8 +131,7 @@ def _strands(small: MonomialIdeal, big: MonomialIdeal, characteristic: int | Non
 
     def strands():
         for j in range(min(small.indeg(), big.indeg()), top + 1):
-            yield (j, _StrandComplex(small, j, caps, members[0]),
-                   _StrandComplex(big, j, caps, members[1]))
+            yield j, _StrandComplex(small, j, members[0]), _StrandComplex(big, j, members[1])
 
     return char, strands()
 
@@ -155,7 +156,6 @@ def tor_map(
     small: MonomialIdeal,
     big: MonomialIdeal,
     characteristic: int | None = None,
-    caps: Caps = DEFAULT_CAPS,
 ) -> dict[tuple[int, int], list[list]]:
     """Induced maps Tor_i(k, small)_j -> Tor_i(k, big)_j for an inclusion.
 
@@ -163,7 +163,7 @@ def tor_map(
     rows are indexed by the target's representatives, columns by the
     source's.  Entries live in GF(p) (ints) or Q (Fractions).
     """
-    char, strands = _strands(small, big, characteristic, caps)
+    char, strands = _strands(small, big, characteristic)
     out: dict[tuple[int, int], list[list]] = {}
     for j, s_small, s_big in strands:
         for i, _, dim in s_small.homology(char):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_CAPS, Caps
 from .core import Monomial, Ring, Token, TokenStream, parse_monomial, tensor_ring, tokenize
 from .errors import DomainError, GrammarError, RingMismatchError
 from .fiber import fiber_product
@@ -39,13 +38,11 @@ def _tokenize(text: str) -> list[Token]:
 
 @dataclass
 class Environment:
-    """Named rings and ideals built up by a definition file, and the caps
-    that its ``component(A, d)`` calls obey."""
+    """Named rings and ideals built up by a definition file."""
 
     rings: dict[str, Ring] = field(default_factory=dict)
     ideals: dict[str, MonomialIdeal] = field(default_factory=dict)
     characteristic: int = 0
-    caps: Caps = DEFAULT_CAPS
 
     def ring(self, name: str) -> Ring:
         if name not in self.rings:
@@ -200,7 +197,7 @@ class _Parser(TokenStream):
             if deg.kind != "int":
                 raise GrammarError("expected an integer degree", position=deg.pos)
             self.expect(")")
-            return component_ideal(arg, int(deg.text), self.env.caps)
+            return component_ideal(arg, int(deg.text))
         if tok.text in self.env.ideals:
             return self.env.ideals[tok.text]
         # bare variable of a unique ring: a principal ideal
@@ -297,15 +294,14 @@ class _Parser(TokenStream):
         )
 
 
-def load_definitions(text: str, characteristic: int = 0,
-                     caps: Caps = DEFAULT_CAPS) -> Environment:
-    env = Environment(characteristic=characteristic, caps=caps)
+def load_definitions(text: str, characteristic: int = 0) -> Environment:
+    env = Environment(characteristic=characteristic)
     parser = _Parser(_tokenize(text), env)
     parser.statements()
     return env
 
 
-def load_file(path: str, characteristic: int = 0, caps: Caps = DEFAULT_CAPS) -> Environment:
+def load_file(path: str, characteristic: int = 0) -> Environment:
     """The definitions in the file at ``path``; a file that cannot be read as
     UTF-8 text is a GrammarError that names it."""
     try:
@@ -316,7 +312,7 @@ def load_file(path: str, characteristic: int = 0, caps: Caps = DEFAULT_CAPS) -> 
     except UnicodeDecodeError as exc:
         message = f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
         raise GrammarError(message) from None
-    return load_definitions(text, characteristic, caps)
+    return load_definitions(text, characteristic)
 
 
 def eval_expression(env: Environment, text: str) -> MonomialIdeal:

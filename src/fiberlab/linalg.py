@@ -192,11 +192,8 @@ def rank_inputs(owner, row, col, value, nrows, ncols, characteristic: int):
     cells = nrows[have] * ncols[have]
     if len(have) and cells.max() > DENSE_CELL_LIMIT:
         r, c = heights[cells.argmax()], widths[cells.argmax()]
-        raise CapError(
-            f"a dense GF(p) matrix of shape ({r}, {c}) reached {r * c} cells, "
-            f"over the fixed limit of {DENSE_CELL_LIMIT} (not a FIBERLAB_CAPS cap; "
-            "it cannot be raised)"
-        )
+        raise CapError.fixed(f"a dense GF(p) matrix of shape ({r}, {c}) reached {r * c} cells",
+                             DENSE_CELL_LIMIT)
     dtype = np.int8 if np.abs(value).max(initial=0) < 128 else np.int64
     place = np.empty(len(nrows), dtype=np.int64)  # a matrix's place in the sorted order
     place[have] = np.arange(len(have))

@@ -194,8 +194,11 @@ def rank_mod_p_oracle(matrix, p: int) -> int:
 # -- brute-force monomial counting -------------------------------------------
 
 
-def all_monomials(nvars: int, degree: int):
-    for combo in itertools.combinations_with_replacement(range(nvars), degree):
+def all_monomials(nvars: int, degree: int, indices: tuple[int, ...] | None = None):
+    """Every degree-``degree`` monomial in the ``indices`` variables (all by default),
+    one per multiset of variables, in ``combinations_with_replacement`` order."""
+    for combo in itertools.combinations_with_replacement(
+            range(nvars) if indices is None else indices, degree):
         vec = [0] * nvars
         for i in combo:
             vec[i] += 1
@@ -213,8 +216,7 @@ def count_in_ideal_bruteforce(ideal: MonomialIdeal, degree: int) -> int:
 # -- oracles built on engine internals ---------------------------------------
 
 
-def koszul_tor(ideal: MonomialIdeal, char: int,
-               caps: Caps = DEFAULT_CAPS) -> dict[tuple[int, int], int]:
+def koszul_tor(ideal: MonomialIdeal, char: int) -> dict[tuple[int, int], int]:
     """{(i, j): dim Tor_i(k, ideal)_j}, nonzero entries only, from the Koszul strands.
 
     The strands enumerate (monomial, variable subset) pairs where the
@@ -224,7 +226,7 @@ def koszul_tor(ideal: MonomialIdeal, char: int,
     members: dict = {}
     table = {}
     for j in range(ideal.indeg(), koszul.max_lattice_degree(ideal) + 1):
-        for i, _, dim in koszul._StrandComplex(ideal, j, caps, members).homology(char):
+        for i, _, dim in koszul._StrandComplex(ideal, j, members).homology(char):
             if dim:
                 table[(i, j)] = dim
     return table
@@ -240,8 +242,8 @@ def _strand_rank(strand, i: int, char: int, rows: list[int]) -> int:
     return int(rank_exact(matrix) if char == 0 else rank_mod_p(matrix, char)[0])
 
 
-def tor_vanishing_by_strands(small: MonomialIdeal, big: MonomialIdeal, char: int | None = None,
-                             caps: Caps = DEFAULT_CAPS) -> tuple[bool, tuple[int, int] | None]:
+def tor_vanishing_by_strands(small: MonomialIdeal, big: MonomialIdeal,
+                             char: int | None = None) -> tuple[bool, tuple[int, int] | None]:
     """``tor_vanishing`` on the Koszul strands, as the package computed it before the
     lattice engine took it over: the least (i, j) whose strand map is nonzero.
 
@@ -252,7 +254,7 @@ def tor_vanishing_by_strands(small: MonomialIdeal, big: MonomialIdeal, char: int
     deletes the rows of small's basis.  A witness with i = 0 is the least
     there can be: no later strand is built.
     """
-    char, strands = koszul._strands(small, big, char, caps)
+    char, strands = koszul._strands(small, big, char)
     witness = None
     for j, s_small, s_big in strands:
         for i, cycles, dim in s_small.homology(char):
@@ -377,6 +379,6 @@ def componentwise_linear_every_degree(ideal: MonomialIdeal, char: int,
     before it stopped below t0: the component ideal at every d from the initial
     degree to the regularity has regularity d."""
     for d in range(ideal.indeg(), reg_of(ideal, char, caps) + 1):
-        if reg_of(component_ideal(ideal, d, caps), char, caps) != d:
+        if reg_of(component_ideal(ideal, d), char, caps) != d:
             return False
     return True

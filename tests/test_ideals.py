@@ -23,9 +23,9 @@ from fiberlab import (
     tor_vanishing,
 )
 from fiberlab.errors import CapError, RingMismatchError
-from fiberlab.ideals import EXPONENT_LIMIT
+from fiberlab.ideals import EXPONENT_LIMIT, monomials_of_degree
 
-from conftest import ideal_of, random_ideal
+from conftest import all_monomials, ideal_of, random_ideal
 
 
 def test_from_exponents_drops_multiples(ring_xy):
@@ -173,14 +173,46 @@ def test_star_derivative_certificate_case(ring_xy):
     assert big.contains(star_derivative(small))
 
 
-def test_component_ideal_examples(ring_xy):
+def test_component_ideal_examples(ring_xy, monkeypatch):
     a = ideal_of(ring_xy, "x^2", "y^3")
     assert component_ideal(a, 2) == ideal_of(ring_xy, "x^2")
     assert component_ideal(a, 3) == ideal_of(ring_xy, "x^3", "x^2*y", "y^3")
     m2 = maxideal_power(ring_xy, None, 2)
     assert component_ideal(m2, 2) == m2
-    with pytest.raises(CapError):
+    # no degree cap: every degree-100 monomial is a multiple of x^2 or y^3
+    assert component_ideal(a, 100) == maxideal_power(ring_xy, None, 100)
+    # the fixed limit on the generators enumerated, 99 + 98 of them here, is the only bound
+    monkeypatch.setattr(ideals_mod, "COMPONENT_LIMIT", 196)
+    with pytest.raises(CapError, match=r"^component degree 100 would enumerate 197 generators, "
+                                       r"over the fixed limit of 196 \(not a FIBERLAB_CAPS cap; "
+                                       r"it cannot be raised\)$"):
         component_ideal(a, 100)
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_component_ideal_past_degree_64_matches_brute_force(nvars):
+    # the degrees past the degree cap of 64 that component ideals had, against every
+    # monomial of the degree that a generator divides
+    ring = Ring("R", ("x", "y")[:nvars])
+    rng = random.Random(nvars)
+    for d in range(65, 81):
+        ideal = random_ideal(rng, ring, max_gens=4, min_deg=40, max_deg=85)
+        brute = [m for m in all_monomials(nvars, d)
+                 if any(all(g[v] <= m[v] for v in range(nvars)) for g in ideal.gens)]
+        assert component_ideal(ideal, d) == MonomialIdeal.from_exponents(ring, brute), (ideal, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 10),
+    st.none() | st.permutations(range(n)).flatmap(
+        lambda order: st.integers(0, n).map(lambda k: tuple(order[:k]))))))
+def test_monomials_of_degree_match_combinations_with_replacement(case):
+    # the yield order is part of the contract: random draws from it pick the
+    # benchmark's and the acceptance criteria's ideals
+    n, d, indices = case
+    ring = Ring("R", tuple(f"x{v}" for v in range(n)))
+    assert list(monomials_of_degree(ring, d, indices)) == list(all_monomials(n, d, indices))
 
 
 def test_tensor_embed_examples(appendix_ring):

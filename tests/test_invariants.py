@@ -79,8 +79,8 @@ def test_componentwise_nonequigenerated():
 
 
 def test_componentwise_linearity_stops_below_t0():
-    # the components up to reg = 129 of (x^65, y^65) are past the component_degree
-    # cap of 64; reg > t0 answers first, and (x^65) needs no component at all
+    # the components up to reg = 129 of (x^65, y^65) are never built: reg > t0
+    # answers first, and (x^65) needs no component at all
     ring = Ring("R", ("x", "y"))
     assert is_componentwise_linear(ideal_of(ring, "x^65"), 0)
     assert not is_componentwise_linear(ideal_of(ring, "x^65", "y^65"), 0)
@@ -88,6 +88,19 @@ def test_componentwise_linearity_stops_below_t0():
     ideal = ideal_of(Ring("R", ("x", "y", "z")), "x^2", "y^2", "x*y*z")
     assert reg_of(ideal, 0) == ideal.t0() == 3
     assert not is_componentwise_linear(ideal, 0)
+
+
+def test_componentwise_linearity_builds_components_past_degree_64():
+    # reg = t0 = 71 and a generator of degree 70 below t0: its component is built
+    # at d = 70, past the degree cap of 64 that component ideals had, which refused it
+    ring = Ring("R", ("x", "y"))
+    m71 = maxideal_power(ring, None, 71)
+    linear = ideal_of(ring, "x^70") + m71
+    square = ideal_of(ring, "x^70", "y^70") + m71  # its degree-70 component has reg 139
+    for ideal, answer in ((linear, True), (square, False)):
+        assert reg_of(ideal, 0) == ideal.t0() == 71
+        assert is_componentwise_linear(ideal, 0) is answer
+        assert componentwise_linear_every_degree(ideal, 0) is answer
 
 
 @settings(max_examples=150, deadline=None)

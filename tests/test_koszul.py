@@ -143,16 +143,21 @@ def test_escaped_cycle_is_an_internal_error(ring_xy, monkeypatch):
         tor_map(mm ** 2, mm, 0)
 
 
-def test_basis_cap(ring_xy):
+def test_basis_cap(ring_xy, monkeypatch):
+    # the strands' fixed limit: the ring's degree-3 monomials, 4 of them, pass 3 first;
+    # under 5 the monomials fit, and strand (1, 4), 4 cubes times 2 variables, does not
+    # (the strands' verdict stops at its degree-0 witness in j = 3, before that strand)
     m3 = maxideal_power(ring_xy, None, 3)
-    caps = Caps(koszul_basis=3)
-    for call in (lambda: koszul_tor(m3, 0, caps),
-                 lambda: tor_vanishing_by_strands(m3, m3, 0, caps),
-                 lambda: tor_map(m3, m3, 0, caps)):
-        with pytest.raises(CapError) as raised:
-            call()
-        message = str(raised.value)
-        assert "over cap koszul_basis=3 (set FIBERLAB_CAPS=koszul_basis=<value>)" in message
+    calls = [lambda: koszul_tor(m3, 0), lambda: tor_map(m3, m3, 0)]
+    for limit, reached, also in ((3, "the ring's degree-3 monomials reached 4",
+                                  [lambda: tor_vanishing_by_strands(m3, m3, 0)]),
+                                 (5, "strand (1,4) reached a basis of 8 elements", [])):
+        monkeypatch.setattr(koszul, "STRAND_LIMIT", limit)
+        for call in calls + also:
+            with pytest.raises(CapError) as raised:
+                call()
+            assert str(raised.value) == (f"{reached}, over the fixed limit of {limit} "
+                                         "(not a FIBERLAB_CAPS cap; it cannot be raised)")
 
 
 @st.composite
@@ -262,13 +267,11 @@ def test_tor_vanishing_stops_at_the_least_homological_degree(monkeypatch):
 
 
 def test_tor_vanishing_obeys_the_lattice_cap(ring_xy):
-    # the lattice engine walks small's lcm lattice: the lattice cap bounds it, and
-    # koszul_basis no longer does
+    # the lattice engine walks small's lcm lattice: the lattice cap bounds it
     small = ideal_of(ring_xy, "x^2", "x*y", "y^2")
     big = maxideal_power(ring_xy, None, 1)
     with pytest.raises(CapError, match=r"over cap lattice=2 \(set FIBERLAB_CAPS=lattice=<value>\)"):
         tor_vanishing(small, big, 0, Caps(lattice=2))
-    assert tor_vanishing(small, big, 0, Caps(koszul_basis=1)) == (True, None)
 
 
 def _blocks_product(n: int) -> tuple[MonomialIdeal, MonomialIdeal]:

@@ -20,6 +20,7 @@ from fiberlab import (
     betti_table,
     cli,
     component_ideal,
+    ideals,
     invariants,
     koszul,
     lang,
@@ -170,7 +171,7 @@ def test_cli_invariants_json(pair_file):
 
 def test_cli_invariants_past_the_component_cap(tmp_path):
     # componentwise linearity used to build the components up to reg = 65,
-    # one past the component_degree cap, and exit 3
+    # one past the degree cap of 64 that component ideals had then, and exit 3
     path = tmp_path / "x65.fl"
     path.write_text("ring R = [x, y];\nA = ideal(R; x^65);\n")
     out = run_cli("invariants", str(path), "A")
@@ -294,13 +295,34 @@ def test_cli_cap_error_exit_code(pair_file):
 
 
 def test_cli_caps_reach_component_in_definition_files(pair_file):
-    # the run's FIBERLAB_CAPS bound component(A, d), not the default caps
+    # component(A, d) has no settable cap: the removed component_degree is an unknown
+    # cap, and d = 70, past its old default of 64, answers at the defaults
     out = run_cli("eval", pair_file, "component(I, 5)", FIBERLAB_CAPS="component_degree=3")
-    assert out.returncode == 3
-    assert "component degree 5 was asked for, over cap component_degree=3" in out.stderr
-    out = run_cli("eval", pair_file, "component(I, 70)", FIBERLAB_CAPS="component_degree=100")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "unknown cap 'component_degree'; known caps: lattice" in out.stderr
+    out = run_cli("eval", pair_file, "component(I, 70)")
     assert out.returncode == 0
-    assert out.stdout.startswith("x^70, x^69*y, ")
+    # (x^2, x*y) in degree 70: every monomial but y^70, in descending lex order
+    want = ", ".join("*".join(f"{v}^{e}" if e > 1 else v for v, e in (("x", a), ("y", 70 - a)) if e)
+                     for a in range(70, 0, -1))
+    assert out.stdout == want + "\n"
+
+
+def test_cli_component_of_one_variable_answers_at_any_degree(tmp_path):
+    # one variable has one monomial per degree: with no degree cap, d = 2^31 - 2 takes
+    # one step where the enumeration used to build a d-long tuple
+    path = tmp_path / "x.fl"
+    path.write_text("ring R = [x];\nI = ideal(R; x^2);\n")
+    out = run_fiberlab("eval", str(path), "component(I, 2147483646)",
+                       address_space_kib=1_000_000, timeout=60)
+    assert out.returncode == 0
+    assert "Traceback" not in out.stderr
+    assert out.stdout == "x^2147483646\n"
+    out = run_fiberlab("eval", str(path), "component(I, 2147483648)", address_space_kib=1_000_000)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "exponent 2147483648 is over the fixed limit of 2^31 - 1" in out.stderr
 
 
 def test_cli_torvanish_answers_on_the_appendix_ideal(tmp_path):
@@ -446,10 +468,8 @@ def test_cli_component_past_its_fixed_limit_is_a_cap_error(tmp_path):
 
 
 @pytest.mark.parametrize("call, cap", [
-    (lambda env, caps: component_ideal(env.ideal("I"), 3, caps), "component_degree"),
-    (lambda env, caps: koszul.tor_map(env.ideal("I"), env.ideal("I"), 0, caps), "koszul_basis"),
     (lambda env, caps: betti_table(env.ideal("I") ** 2, 0, caps, threads=1), "lattice"),
-], ids=["component", "koszul", "lattice"])
+], ids=["lattice"])
 def test_cap_errors_name_cap_value_and_override(call, cap):
     env = load_definitions(PAIR)
     with pytest.raises(CapError) as raised:
@@ -457,6 +477,23 @@ def test_cap_errors_name_cap_value_and_override(call, cap):
     message = str(raised.value)
     assert f"over cap {cap}=2 (set FIBERLAB_CAPS={cap}=<value>)" in message
     assert re.search(r"\d", message.split(", over cap")[0])  # the value reached
+
+
+@pytest.mark.parametrize("call, module, limit", [
+    (lambda env: component_ideal(env.ideal("I"), 3), ideals, "COMPONENT_LIMIT"),
+    (lambda env: koszul.tor_map(env.ideal("I"), env.ideal("I"), 0), koszul, "STRAND_LIMIT"),
+], ids=["component", "koszul"])
+def test_fixed_limit_errors_name_value_and_limit(monkeypatch, call, module, limit):
+    # the limits that were the component_degree and koszul_basis caps are fixed:
+    # their errors name the value reached and the limit, and say it cannot be raised
+    monkeypatch.setattr(module, limit, 2)
+    with pytest.raises(CapError) as raised:
+        call(load_definitions(PAIR))
+    message = str(raised.value)
+    assert message.endswith(", over the fixed limit of 2 (not a FIBERLAB_CAPS cap; "
+                            "it cannot be raised)")
+    assert "FIBERLAB_CAPS=" not in message
+    assert re.search(r"\d", message.split(", over the fixed")[0])  # the value reached
 
 
 def test_cli_internal_error_exit_code(pair_file, monkeypatch, capsys):
@@ -516,7 +553,14 @@ def test_cli_reader_closing_stdout_ends_output_only(defs_file, tmp_path, argv, r
     (("betti",), {"FIBERLAB_CAPS": "hilbert_degree=512"}, "hilbert_degree"),
     (("betti",), {"FIBERLAB_CAPS": "lattice=abc"}, "lattice"),
     (("betti",), {"FIBERLAB_CAPS": "lattice=-5"}, "lattice"),
-], ids=["caps-unknown-name", "caps-removed-name", "caps-non-integer", "caps-not-positive"])
+    (("betti",), {"FIBERLAB_CAPS": "component_degree=3"}, "known caps: lattice"),
+    (("betti",), {"FIBERLAB_CAPS": "koszul_basis=500000"}, "known caps: lattice"),
+    # the last entry used to win: lattice=1 first answered, lattice=1 last exited 3
+    (("betti",), {"FIBERLAB_CAPS": "lattice=1,lattice=100"}, "cap 'lattice' is given more"),
+    (("betti",), {"FIBERLAB_CAPS": "lattice=100, lattice=1"}, "cap 'lattice' is given more"),
+], ids=["caps-unknown-name", "caps-removed-name", "caps-non-integer", "caps-not-positive",
+        "caps-removed-component-degree", "caps-removed-koszul-basis", "caps-named-twice-low-first",
+        "caps-named-twice-high-first"])
 def test_cli_malformed_setting_is_usage_error(pair_file, argv, env, named):
     out = run_cli(*argv, pair_file, "I", **env)
     assert out.returncode == 2

@@ -11,10 +11,11 @@ Verbs:
     scenario    run a named scenario from the claim registry
 
 Exit codes: 0 success (all checks passed), 1 a verification failed,
-2 parse or usage error, 3 a resource cap was exceeded, 4 an internal
-invariant of the engine failed (a bug, never a verdict on a claim).  A
-reader that closes standard output early ends the output, not the run:
-the exit code is the one the run earned.
+2 parse or usage error, 3 a resource cap was exceeded or the run ran out
+of memory (one line on stderr, no traceback), 4 an internal invariant of
+the engine failed (a bug, never a verdict on a claim).  A reader that
+closes standard output early ends the output, not the run: the exit code
+is the one the run earned.
 
 Caps come from the FIBERLAB_CAPS environment variable (``name=value``
 pairs, comma-separated), read once per run; ``lattice`` is the one cap.
@@ -302,6 +303,10 @@ def main(argv: list[str] | None = None) -> int:
         return _run(args, _read_caps())
     except CapError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("out of memory: the run needs more memory than this process may use",
+              file=sys.stderr)
         return EXIT_CAP
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -6,7 +6,8 @@ nothing with the production paths.  The last section holds the oracles
 built on engine internals that no production path calls: the Koszul
 strands' Tor table and Tor-vanishing verdicts, the full lcm lattice, the
 upper Koszul complex of one point, the lattice walk one point at a time,
-and componentwise linearity checked at every degree up to the regularity.
+the product split by one distinct-row count per column pair, and
+componentwise linearity checked at every degree up to the regularity.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fiberlab import (DEFAULT_CAPS, Caps, DomainError, MonomialIdeal, Ring, comp
                       parse_monomial, reg_of)
 from fiberlab import betti, koszul
 from fiberlab.errors import CapError
-from fiberlab.ideals import _Packing, _row_keys, _sorted_unique
+from fiberlab.ideals import _Packing, _row_keys, _sorted_unique, _unique_rows
 from fiberlab.linalg import rank_exact, rank_inputs, rank_mod_p
 
 
@@ -371,6 +372,45 @@ def walk_per_point(points: np.ndarray, gens: np.ndarray, char: int,
             for i, d in cache[key].items():
                 entries[(i, tuple(int(e) for e in chunk[row]))] = d
     return entries
+
+
+def product_split_pairwise(gens: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """``betti._product_split`` as it was before its one-sort count: the candidate
+    partition joins two columns when ``_unique_rows`` of the pair finds fewer rows
+    than the product of their distinct values, one pair at a time, skipping pairs
+    already joined; the split is kept iff it is the full cartesian product."""
+    k, n = gens.shape
+    if k < 4:
+        return None
+    active = [i for i in range(n) if gens[:, i].any()]
+    if len(active) < 2:
+        return None
+    parent = {i: i for i in active}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    uniq = {i: len(_sorted_unique(gens[:, i])) for i in active}
+    for a_pos in range(len(active)):
+        for b_pos in range(a_pos + 1, len(active)):
+            a, b = active[a_pos], active[b_pos]
+            if find(a) == find(b):
+                continue
+            if len(_unique_rows(gens[:, [a, b]])) != uniq[a] * uniq[b]:
+                parent[find(a)] = find(b)
+    groups: dict[int, list[int]] = {}
+    for i in active:
+        groups.setdefault(find(i), []).append(i)
+    if len(groups) < 2:
+        return None
+    projections = [(np.array(block), _unique_rows(gens[:, block]))
+                   for block in sorted(sorted(g) for g in groups.values())]
+    if np.prod([len(sub) for _, sub in projections]) != k:
+        return None
+    return projections
 
 
 def componentwise_linear_every_degree(ideal: MonomialIdeal, char: int,

@@ -24,8 +24,19 @@ from fiberlab.scenarios import appendix_ideals
 import fiberlab.linalg as linalg
 
 from conftest import (contractible, exact_rank, full_closure, ideal_of, koszul_tor,
-                      lcm_lattice, minimal_masks, random_ideal, rank_mod_p_oracle,
-                      reduced_homology_dims, upper_koszul, walk_per_point)
+                      lcm_lattice, minimal_masks, product_split_pairwise, random_ideal,
+                      rank_mod_p_oracle, reduced_homology_dims, upper_koszul, walk_per_point)
+
+
+# values of _SMALL_CLOSURE_CELLS and _SMALL_WALK_PAIRS that force each branch of
+# _closure and _points_betti: 0 takes the array branch on every input, and 1 << 62 the
+# Python-int branch on every input that packs into one word
+BRANCHES = {"arrays": 0, "ints": 1 << 62}
+
+
+def force_branch(patch, branch: str) -> None:
+    patch.setattr(betti_mod, "_SMALL_CLOSURE_CELLS", BRANCHES[branch])
+    patch.setattr(betti_mod, "_SMALL_WALK_PAIRS", BRANCHES[branch])
 
 
 def test_koszul_baseline(ring_xyz):
@@ -104,17 +115,18 @@ def test_lattice_cap(ring_xy):
     # the other 6 again.  So 5 + 10 = 9 + 6 = 15 points are held at the peak, and 9 survive
     ideal = maxideal_power(ring_xy, None, 4)
     gens = ideal.array()
-    for words in (1, betti_mod._CLOSURE_WORDS):  # 1: a chunk per frontier point
-        with pytest.MonkeyPatch.context() as patch:
+    for branch, words in itertools.product(BRANCHES, (1, betti_mod._CLOSURE_WORDS)):
+        with pytest.MonkeyPatch.context() as patch:  # words 1: a chunk per frontier point
+            force_branch(patch, branch)
             patch.setattr(betti_mod, "_CLOSURE_WORDS", words)
             assert len(betti_mod._closure(gens, 15)) == 9
             with pytest.raises(CapError, match="reached 15 points, over cap lattice=14"):
                 betti_mod._closure(gens, 14)
-    assert betti_table(ideal, 0, Caps(lattice=15)).total(1) == 4
-    with pytest.raises(CapError):
-        betti_table(ideal, 0, Caps(lattice=14))
-    with pytest.raises(CapError):
-        betti_table(ideal, 0, Caps(lattice=3))
+            assert betti_table(ideal, 0, Caps(lattice=15)).total(1) == 4
+            with pytest.raises(CapError):
+                betti_table(ideal, 0, Caps(lattice=14))
+            with pytest.raises(CapError):
+                betti_table(ideal, 0, Caps(lattice=3))
     with pytest.raises(DomainError):
         betti_table(MonomialIdeal.zero(ring_xy), 0)
     with pytest.raises(DomainError):
@@ -135,12 +147,14 @@ def test_closure_is_the_full_lattice_less_its_contractible_points(gens, scale, w
     array = ideal.array()
     full = full_closure(array, 100_000)
     want = full[~contractible(full, array)]
-    with pytest.MonkeyPatch.context() as patch:
-        if words is not None:
-            patch.setattr(betti_mod, "_CLOSURE_WORDS", words)
-        got = betti_mod._closure(array, 100_000)
-    # the same points in the same order, which the walk's chunks follow
-    assert got.tolist() == want.tolist()
+    for branch in BRANCHES:
+        with pytest.MonkeyPatch.context() as patch:
+            force_branch(patch, branch)
+            if words is not None:
+                patch.setattr(betti_mod, "_CLOSURE_WORDS", words)
+            got = betti_mod._closure(array, 100_000)
+        # the same points in the same order, which the walk's chunks follow
+        assert got.tolist() == want.tolist()
 
 
 def test_upper_koszul_examples(ring_xy):
@@ -381,18 +395,20 @@ def test_bulk_walk_matches_the_per_point_walk(drawn):
     array = ideal.array()
     points = full_closure(array, 10_000)  # contractible points included
     points = points[np.argsort(-(points > 0).sum(axis=1), kind="stable")]
-    with pytest.MonkeyPatch.context() as patch:
-        if chunk_cells is not None:
-            patch.setattr(betti_mod, "_CHUNK_CELLS", chunk_cells)
-        if budget is not None:
-            patch.setattr(linalg, "_CELL_BUDGET", budget)
-        bulk_cache, oracle_cache = {}, {}
-        bulk = betti_mod._points_betti(points, array, char, bulk_cache)
-        assert bulk == walk_per_point(points, array, char, oracle_cache)
-        assert bulk_cache == oracle_cache
-        # a second walk over the same cache reads it: no homology is computed
-        patch.setattr(betti_mod, "_homology_from_masks", _raise_on_homology)
-        assert betti_mod._points_betti(points, array, char, bulk_cache) == bulk
+    for branch in BRANCHES:
+        with pytest.MonkeyPatch.context() as patch:
+            force_branch(patch, branch)
+            if chunk_cells is not None:
+                patch.setattr(betti_mod, "_CHUNK_CELLS", chunk_cells)
+            if budget is not None:
+                patch.setattr(linalg, "_CELL_BUDGET", budget)
+            bulk_cache, oracle_cache = {}, {}
+            bulk = betti_mod._points_betti(points, array, char, bulk_cache)
+            assert bulk == walk_per_point(points, array, char, oracle_cache)
+            assert bulk_cache == oracle_cache
+            # a second walk over the same cache reads it: no homology is computed
+            patch.setattr(betti_mod, "_homology_from_masks", _raise_on_homology)
+            assert betti_mod._points_betti(points, array, char, bulk_cache) == bulk
 
 
 def test_bulk_walk_on_several_packed_words_and_one_point_chunks():
@@ -663,25 +679,28 @@ def test_large_tables_fill_the_process_cache(monkeypatch):
     assert sorted(computed) == sorted(all_of_cube - cached)
 
 
-def test_the_homology_cache_stays_within_its_bound(monkeypatch):
+def test_the_homology_cache_stays_within_its_bound():
     # a full cache is emptied before a chunk's new complexes go in; a chunk with
     # more new complexes than the bound leaves them out
     rng = random.Random(23)
     ring = Ring("R", tuple("xyzw"))
     ideals = [random_ideal(rng, ring, max_gens=6, max_deg=4) for _ in range(20)]
     cold = [_cold_table(ideal, 0).entries for ideal in ideals]
-    for bound in (1, 3, 8):
-        monkeypatch.setattr(betti_mod, "_CACHE_ENTRIES", bound)
-        betti_mod._CACHES.clear()
-        for ideal, want in zip(ideals, cold):
-            assert betti_table(ideal, 0, threads=1).entries == want
-            assert len(betti_mod._CACHES.get(0, {})) <= bound
-    # a dict handed to the walk is held to the bound as well
-    cache: dict = {}
     gens = (ideal_of(ring, "x^2", "x*y", "y^2", "z^3", "x*z*w") ** 2).array()
-    computed = _computed_complexes(monkeypatch)
-    betti_mod._points_betti(full_closure(gens, 10_000), gens, 0, cache)
-    assert len(set(computed)) > 8 >= len(cache)
+    for branch in BRANCHES:
+        with pytest.MonkeyPatch.context() as patch:
+            force_branch(patch, branch)
+            for bound in (1, 3, 8):
+                patch.setattr(betti_mod, "_CACHE_ENTRIES", bound)
+                betti_mod._CACHES.clear()
+                for ideal, want in zip(ideals, cold):
+                    assert betti_table(ideal, 0, threads=1).entries == want
+                    assert len(betti_mod._CACHES.get(0, {})) <= bound
+            # a dict handed to the walk is held to the bound as well
+            cache: dict = {}
+            computed = _computed_complexes(patch)
+            betti_mod._points_betti(full_closure(gens, 10_000), gens, 0, cache)
+            assert len(set(computed)) > 8 >= len(cache)
 
 
 def _no_walk(*_args):
@@ -807,6 +826,50 @@ def test_product_split_matches_direct_walk(blocks):
         assert split.entries == direct.entries
 
 
+@st.composite
+def split_inputs(draw):
+    """Generator sets: products over 2-3 disjoint blocks of variables, with factors of
+    1-4 generators (1: a principal factor) and 0-2 variables no factor uses, the
+    columns in any order; or any set of generators, which is rarely a product."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        return draw(st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(any),
+                             min_size=1, max_size=8))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    n = sum(sizes) + draw(st.integers(0, 2))
+    order = draw(st.permutations(range(n)))
+    factors = []
+    for at, size in zip(itertools.accumulate([0] + sizes), sizes):
+        gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * size).filter(any),
+                             min_size=1, max_size=4))
+        factors.append([dict(zip(order[at : at + size], g)) for g in gens])
+    return [tuple(sum(part.get(c, 0) for part in parts) for c in range(n))
+            for parts in itertools.product(*factors)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_inputs())
+@example([(1,) + tuple(int(j == i) for j in range(5)) for i in range(5)])  # x*(y1, ..., y5)
+# (a, b)^2 * (x, y) in [a, b, u, x, y], with u unused
+@example([(2 - i, i, 0, 1 - j, j) for i in range(3) for j in range(2)])
+@example([(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 1)])  # (x^2, xy, y^2, z): no product
+def test_product_split_matches_the_pairwise_oracle(rows):
+    # the one-sort split gives the blocks and projections, or the refusal, that the
+    # pairwise distinct-row counts gave, with its key columns sorted all at once and
+    # one at a time
+    ring = Ring("R", tuple(f"v{i}" for i in range(len(rows[0]))))
+    gens = MonomialIdeal.from_exponents(ring, rows).array()
+    want = product_split_pairwise(gens)
+    for cells in (1, betti_mod._CHUNK_CELLS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(betti_mod, "_CHUNK_CELLS", cells)
+            got = betti_mod._product_split(gens)
+        assert (got is None) == (want is None)
+        for (cols, sub), (want_cols, want_sub) in zip(got or [], want or [], strict=True):
+            assert cols.dtype == want_cols.dtype and cols.tolist() == want_cols.tolist()
+            assert sub.dtype == want_sub.dtype and sub.tolist() == want_sub.tolist()
+
+
 def test_walk_refuses_a_dense_matrix_over_the_limit_before_allocating(monkeypatch):
     # (x1^2, ..., x8^2): the point with support m carries the boundary of the
     # (m-1)-simplex, whose largest boundary matrix has C(m, m//2) * C(m, m//2 - 1)
@@ -835,33 +898,124 @@ def test_walk_refuses_a_dense_matrix_over_the_limit_before_allocating(monkeypatc
     assert table.coarse() == {(i, 2 * i + 2): math.comb(8, i + 1) for i in range(8)}
 
 
-def test_walk_refuses_the_largest_complex_before_ranking_smaller_ones(monkeypatch):
+def test_walk_refuses_the_largest_complex_before_ranking_smaller_ones():
     # the walk of (x1^2, ..., x8^2) meets the points largest support first, and
     # ranks a chunk's complexes largest m first: the m = 8 boundary over the
     # dense limit is refused before the complexes of m = 2, ..., 7 are ranked
     ring = Ring("R", tuple(f"x{i}" for i in range(1, 9)))
     ideal = MonomialIdeal.from_exponents(
         ring, [tuple(2 * (j == i) for j in range(8)) for i in range(8)])
-    ranked, walked = [], []
     rank, walk = betti_mod.rank_mod_p, betti_mod._points_betti
+    for branch in BRANCHES:
+        betti_mod._CACHES.clear()
+        ranked, walked = [], []
 
-    def spy_rank(stack, p):
-        ranked.append(stack.shape)
-        return rank(stack, p)
+        def spy_rank(stack, p):
+            ranked.append(stack.shape)
+            return rank(stack, p)
 
-    def spy_walk(points, *rest):
-        walked.append((points > 0).sum(axis=1))
-        return walk(points, *rest)
+        def spy_walk(points, *rest):
+            walked.append((points > 0).sum(axis=1))
+            return walk(points, *rest)
 
-    monkeypatch.setattr(betti_mod, "rank_mod_p", spy_rank)
-    monkeypatch.setattr(betti_mod, "_points_betti", spy_walk)
-    monkeypatch.setattr(linalg, "DENSE_CELL_LIMIT", 3919)
-    with pytest.raises(CapError, match="reached 3920 cells, over the fixed limit of 3919"):
-        betti_table(ideal, 32003, threads=1)
-    assert ranked == []
-    assert [sizes[0] for sizes in walked] == [8] and (np.diff(walked[0]) <= 0).all()
-    # at the limit the same walk answers, and its first rank is the m = 8 boundary
-    monkeypatch.setattr(linalg, "DENSE_CELL_LIMIT", 3920)
-    table = betti_table(ideal, 32003, threads=1)
-    assert table.coarse() == {(i, 2 * i + 2): math.comb(8, i + 1) for i in range(8)}
-    assert ranked[0][1] * ranked[0][2] == 3920
+        with pytest.MonkeyPatch.context() as patch:
+            force_branch(patch, branch)
+            patch.setattr(betti_mod, "rank_mod_p", spy_rank)
+            patch.setattr(betti_mod, "_points_betti", spy_walk)
+            patch.setattr(linalg, "DENSE_CELL_LIMIT", 3919)
+            with pytest.raises(CapError, match="reached 3920 cells, over the fixed limit of 3919"):
+                betti_table(ideal, 32003, threads=1)
+            assert ranked == []
+            assert [sizes[0] for sizes in walked] == [8] and (np.diff(walked[0]) <= 0).all()
+            # at the limit the same walk answers, and its first rank is the m = 8 boundary
+            patch.setattr(linalg, "DENSE_CELL_LIMIT", 3920)
+            table = betti_table(ideal, 32003, threads=1)
+            assert table.coarse() == {(i, 2 * i + 2): math.comb(8, i + 1) for i in range(8)}
+            assert ranked[0][1] * ranked[0][2] == 3920
+
+
+# -- the Python-int branches of the closure and the walk ---------------------
+
+# generator sets on one packed word: exponents up to 1, 3, 7 or 300 give fields of 1 to
+# 9 bits; with their guard bits, six fields of 300 still fit into one word
+one_word_gens = st.tuples(st.integers(1, 6), st.sampled_from([1, 3, 7, 300])).flatmap(
+    lambda shape: st.lists(st.tuples(*[st.integers(0, shape[1])] * shape[0]).filter(any),
+                           min_size=2, max_size=7))
+
+
+def _one_word_array(gens) -> np.ndarray:
+    ring = Ring("R", tuple(f"v{i}" for i in range(len(gens[0]))))
+    return MonomialIdeal.from_exponents(ring, gens).array()
+
+
+def _in_branch(branch: str, fn, *args, **patches):
+    """``fn(*args)`` with the branch forced and ``betti`` constants patched, or its CapError."""
+    with pytest.MonkeyPatch.context() as patch:
+        force_branch(patch, branch)
+        for name, value in patches.items():
+            patch.setattr(betti_mod, name, value)
+        try:
+            return fn(*args)
+        except CapError as exc:
+            return f"CapError: {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_word_gens)
+@example([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])  # all 15 joins survive
+def test_small_closure_matches_the_array_closure(gens):
+    array = _one_word_array(gens)
+    assert betti_mod._Packing(array.max(axis=0)).nwords == 1
+    for words in (1, betti_mod._CLOSURE_WORDS):
+        # every cap from 1 up to the first that holds the closure: the same refusal
+        # (message and count included) or the same points, in the same order and dtype
+        for cap in itertools.count(1):
+            arrays, ints = (_in_branch(branch, betti_mod._closure, array, cap,
+                                       _CLOSURE_WORDS=words) for branch in BRANCHES)
+            if isinstance(arrays, str):
+                assert ints == arrays
+                continue
+            assert isinstance(ints, np.ndarray)
+            assert ints.dtype == arrays.dtype and ints.shape == arrays.shape
+            assert ints.tolist() == arrays.tolist()
+            break
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_word_gens, st.sampled_from([0, 2, 32003]), st.sampled_from([None, 1]),
+       st.sampled_from([None, 2]))
+def test_small_walk_matches_the_array_walk(gens, char, chunk_cells, cache_entries):
+    # the same entries and the same cache, with a point a chunk and a cache of two
+    # entries, from an empty cache and from the cache the first walk left
+    array = _one_word_array(gens)
+    points = full_closure(array, 100_000)  # contractible points included
+    points = points[np.argsort(-(points > 0).sum(axis=1), kind="stable")]
+    patches = {}
+    if chunk_cells is not None:
+        patches["_CHUNK_CELLS"] = chunk_cells
+    if cache_entries is not None:
+        patches["_CACHE_ENTRIES"] = cache_entries
+    caches = {branch: {} for branch in BRANCHES}
+    for _ in range(2):
+        walks = [_in_branch(branch, betti_mod._points_betti, points, array, char,
+                            caches[branch], **patches) for branch in BRANCHES]
+        assert walks[0] == walks[1]
+        assert caches["arrays"] == caches["ints"]
+
+
+def test_both_walks_refuse_a_support_past_the_limit(ring_xy):
+    # x1...x13 and x13...x25 join at a point on 25 variables, which packs into one
+    # word; each branch refuses it with the same message, before any homology
+    ring = Ring("R", tuple(f"x{i}" for i in range(1, 26)))
+    ideal = MonomialIdeal.from_exponents(
+        ring, [tuple(int(i < 13) for i in range(25)), tuple(int(i >= 12) for i in range(25))])
+    gens = ideal.array()
+    assert betti_mod._Packing(gens.max(axis=0)).nwords == 1
+    points = np.array([[1] * 25] + gens.tolist(), dtype=gens.dtype)
+    want = ("CapError: a lattice point reached a support of 25 variables, over the walk's "
+            "fixed limit of 24 (not a FIBERLAB_CAPS cap; it cannot be raised)")
+    for branch in BRANCHES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(betti_mod, "_homology_from_masks", _raise_on_homology)
+            assert _in_branch(branch, betti_mod._points_betti, points, gens, 0, {}) == want
+            assert _in_branch(branch, betti_table, ideal, 0) == want

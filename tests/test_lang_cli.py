@@ -441,6 +441,20 @@ def test_cli_principal_powers_take_one_step(tmp_path):
     assert "exponent 2147483648 is over the fixed limit of 2^31 - 1" in out.stderr
 
 
+def test_cli_out_of_memory_exits_3_without_a_traceback(tmp_path):
+    # component(x, 4194000) in two variables has 4,194,000 generators, under the fixed
+    # limit of 2^22, and needs more than a 1 GB address space: exit 3, as a cap, not
+    # the exit 1 of a failed verification
+    path = tmp_path / "two.fl"
+    path.write_text("ring R = [x, y];\nI = ideal(R; x);\n")
+    out = run_fiberlab("eval", str(path), "component(I, 4194000)",
+                       address_space_kib=1_000_000, timeout=120)
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert out.stderr == "out of memory: the run needs more memory than this process may use\n"
+    assert out.stdout == ""
+
+
 def test_cli_component_past_its_fixed_limit_is_a_cap_error(tmp_path):
     # component(a^2, 40) in 8 variables has 45,379,620 generators: it is refused
     # before any is built, where enumerating them ran out of memory

@@ -56,7 +56,11 @@ raises.
 Boundary ranks are computed only for complexes that are not cones (a
 vertex in no minimal tight set lies in every facet).  The closure, its
 contractibility tests and the walk's divisibility tests run on the packed
-exponent rows of ``ideals`` (int64 words, deduplicated by sorting).
+exponent rows of ``ideals`` (int64 words, deduplicated by sorting).  A
+table packs its generators once, on one packing (``_PackedGens``): the
+column maxima of the generators bound every lattice point, so the closure
+and the walk share it, and the closure's survivors reach the walk as
+packed words, unpacked once for their exponents and never packed again.
 
 Tiny inputs, which the fiber-product claim checks build by the hundred,
 cost NumPy's fixed per-call overhead more than arithmetic.  So a closure
@@ -88,7 +92,9 @@ tensor product over disjoint variables is the tensor product of minimal
 resolutions).  This keeps products such as powers of maximal ideals of
 two blocks within reach without ever enumerating the product lattice.
 The candidate blocks join the columns whose pairs of values are fewer
-than the product of their counts, all pairs counted by one sort.
+than the product of their counts, all pairs counted by one sort.  Most
+tables are no product, and most of those are turned away before the sort
+by an exact necessary test on value counts (``_no_split``).
 Its Betti points count against the ``lattice`` cap for tables and verdicts
 alike; only ``tor_vanishing`` builds complexes there, under the 24-variable limit.
 """
@@ -147,7 +153,28 @@ _CACHES: dict[int, dict[tuple[int, bytes], dict[int, int]]] = {}
 # -- lcm lattice -------------------------------------------------------------
 
 
-def _closure(gens: np.ndarray, cap: int) -> np.ndarray:
+class _PackedGens:
+    """A table's generators, packed once on the packing that its closure and its walk share.
+
+    The packing of the generators' column maxima holds every point of their
+    lcm lattice too.  ``fields`` and ``keys``, the words as Python ints,
+    serve the Python-int branches, on one word; each is built at first use.
+    """
+
+    def __init__(self, packing: _Packing, gens: np.ndarray):
+        self.packing, self.gens = packing, gens
+        self.words = packing.pack(gens)
+
+    @functools.cached_property
+    def fields(self) -> _WordFields:
+        return _WordFields(self.packing)
+
+    @functools.cached_property
+    def keys(self) -> list[int]:
+        return self.words[:, 0].tolist()
+
+
+def _closure(gens: np.ndarray, cap: int, packed: _PackedGens | None = None) -> np.ndarray:
     """The non-contractible points of the lcm lattice, built rank by rank.
 
     A point's rank is the least number of generators whose join it is.  The
@@ -164,27 +191,31 @@ def _closure(gens: np.ndarray, cap: int) -> np.ndarray:
     ``gens`` are minimal, so none is contractible: they are the first
     frontier.  The ``lattice`` cap bounds the distinct points held at once,
     counted after every chunk: the survivors so far and the round's
-    candidates.  Returns the survivors sorted by packed key.  Generators of
-    at most ``_SMALL_CLOSURE_CELLS`` cells on one packed word are closed on
-    Python ints (``_small_closure``), with the same result.
+    candidates.  Returns the survivors sorted by packed key: their
+    exponents, or, given the table's ``packed`` generators, their packed
+    words, which the walk takes as they are.  Generators of at most
+    ``_SMALL_CLOSURE_CELLS`` cells on one packed word are closed on Python
+    ints (``_small_closure``), with the same result.
     """
-    packing = _Packing(gens.max(axis=0))
-    packed = packing.pack(gens)
+    table = packed if packed is not None else _PackedGens(_Packing(gens.max(axis=0)), gens)
+    packing = table.packing
 
     def rows(keys: np.ndarray) -> np.ndarray:
         return keys.view(np.int64).reshape(len(keys), packing.nwords)
 
-    step = max(1, _CLOSURE_WORDS // packed.size)
+    step = max(1, _CLOSURE_WORDS // table.words.size)
     if packing.nwords == 1 and gens.size <= _SMALL_CLOSURE_CELLS:
-        held = _small_closure(packing, packed[:, 0].tolist(), step, cap)
-        return packing.unpack(np.array(held, dtype=np.int64).reshape(-1, 1))
-    held = _sorted_unique(_row_keys(packed))  # a minimal generator is never contractible
+        held = _small_closure(table.fields, table.keys, step, cap)
+        words = np.array(held, dtype=np.int64).reshape(-1, 1)
+        return words if packed is not None else packing.unpack(words)
+    packed_gens = table.words
+    held = _sorted_unique(_row_keys(packed_gens))  # a minimal generator is never contractible
     frontier = rows(held)
     while len(frontier):
         pending = []
         count = len(held)
         for lo in range(0, len(frontier), step):
-            joins = packing.join(frontier[lo : lo + step, None, :], packed[None])
+            joins = packing.join(frontier[lo : lo + step, None, :], packed_gens[None])
             keys = _sorted_unique(_row_keys(joins.reshape(-1, packing.nwords)))
             at = np.searchsorted(held, keys).clip(max=len(held) - 1)
             keys = keys[held[at] != keys]
@@ -196,10 +227,10 @@ def _closure(gens: np.ndarray, cap: int) -> np.ndarray:
                 if count > cap:
                     raise CapError.over("lattice", f"lcm lattice reached {count} points", cap)
         new = _sorted_unique(np.concatenate(pending))
-        new = new[~_contractible(rows(new), packing, packed)]
+        new = new[~_contractible(rows(new), packing, packed_gens)]
         held = np.sort(np.concatenate([held, new]))
         frontier = rows(new)
-    return packing.unpack(rows(held))
+    return rows(held) if packed is not None else packing.unpack(rows(held))
 
 
 class _WordFields(dict):
@@ -220,7 +251,7 @@ class _WordFields(dict):
         return spread
 
 
-def _small_closure(packing: _Packing, gens: list[int], step: int, cap: int) -> list[int]:
+def _small_closure(fields: _WordFields, gens: list[int], step: int, cap: int) -> list[int]:
     """``_closure`` on Python ints that hold the one-word packed keys of ``gens``.
 
     The same rounds, chunks of ``step`` frontier points and cap counts as the
@@ -230,7 +261,6 @@ def _small_closure(packing: _Packing, gens: list[int], step: int, cap: int) -> l
     In d = (p | guard) - g a field keeps its guard bit iff p_v >= g_v, and
     then holds p_v - g_v, so p v g = g + (d & the value bits of those fields).
     """
-    fields = _WordFields(packing)
     guard, low = fields.guard, fields.low
     held = set(gens)  # a minimal generator is never contractible
     frontier = sorted(held)
@@ -457,16 +487,17 @@ def _pairs_minimal(point: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _tight_masks(chunk: np.ndarray, supp: np.ndarray, gens: np.ndarray, packing: _Packing,
-                 packed_gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tight_masks(chunk: np.ndarray, words: np.ndarray, supp: np.ndarray,
+                 side: _PackedGens) -> tuple[np.ndarray, np.ndarray]:
     """The inclusion-minimal tight masks of every point of ``chunk``, in bulk.
 
-    A generator g dividing b has the tight set {v : g_v = b_v} on supp(b),
-    a bitmask over supp(b)'s variables renumbered as 0..m-1.  Returns the
-    (point, mask) pairs that are minimal, sorted by point, then mask;
-    ``packed_gens`` is ``packing.pack(gens)[None]``.
+    A generator g of ``side`` dividing b has the tight set {v : g_v = b_v}
+    on supp(b), a bitmask over supp(b)'s variables renumbered as 0..m-1.
+    Returns the (point, mask) pairs that are minimal, sorted by point, then
+    mask; ``words`` is the chunk packed on the side's packing.
     """
-    divides = packing.divides(packed_gens, packing.pack(chunk)[:, None, :])
+    gens = side.gens
+    divides = side.packing.divides(side.words[None], words[:, None, :])
     point, gen = np.divmod(np.flatnonzero(divides), len(gens))  # 2-D nonzero is slower
     place = np.where(supp, np.int64(1) << (np.cumsum(supp, axis=1) - supp), 0)
     mask = ((gens[gen] == chunk[point]) * place[point]).sum(axis=1)
@@ -490,21 +521,23 @@ def _walk_packing(points: np.ndarray, sides: tuple[np.ndarray, ...]) -> _Packing
                                      points.max(axis=0)))
 
 
-def _point_masks(points: np.ndarray, sides: tuple[np.ndarray, ...], packing: _Packing):
-    """The walk's chunks of ``points``, with the tight masks of each generator array of ``sides``.
+def _point_masks(points: np.ndarray, words: np.ndarray | None, sides: list[_PackedGens]):
+    """The walk's chunks of ``points``, with the tight masks of each generator set of ``sides``.
 
     Yields (chunk, support sizes, [``_tight_masks`` pairs, one per side]),
-    each chunk held to the support limit before its masks are packed.
+    each chunk held to the support limit before its masks are found.  The
+    sides share one packing; the points' packed ``words`` are used as they
+    are, or without them each chunk is packed in turn.
     """
-    packed = [packing.pack(side)[None] for side in sides]
-    step = max(1, _CHUNK_CELLS // (sum(side.size for side in sides) + 1))
+    packing = sides[0].packing
+    step = max(1, _CHUNK_CELLS // (sum(side.gens.size for side in sides) + 1))
     for lo in range(0, len(points), step):
         chunk = points[lo : lo + step]
         supp = chunk > 0
         sizes = supp.sum(axis=1)
         _within_support_limit(sizes.max(initial=0))
-        yield chunk, sizes, [_tight_masks(chunk, supp, side, packing, packed_side)
-                             for side, packed_side in zip(sides, packed)]
+        packed = packing.pack(chunk) if words is None else words[lo : lo + step]
+        yield chunk, sizes, [_tight_masks(chunk, packed, supp, side) for side in sides]
 
 
 def _chunk_complexes(keys: list[tuple[int, bytes]], pending: dict[int, dict[bytes, np.ndarray]],
@@ -528,7 +561,8 @@ def _chunk_complexes(keys: list[tuple[int, bytes]], pending: dict[int, dict[byte
 
 
 def _points_betti(
-    points: np.ndarray, gens: np.ndarray, char: int, cache: dict
+    points: np.ndarray, gens: np.ndarray, char: int, cache: dict,
+    packed: _PackedGens | None = None, words: np.ndarray | None = None,
 ) -> dict[tuple[int, Exponents], int]:
     """Betti entries {(i, b): dim} at the given lattice points, in chunks.
 
@@ -539,15 +573,19 @@ def _points_betti(
     lookup is made per distinct row; Python visits a point only to record
     its nonzero entries.  ``_chunk_complexes`` reads and fills ``cache``.
     A walk of at most ``_SMALL_WALK_PAIRS`` (point, generator) pairs on one
-    packed word runs on Python ints instead (``_small_walk``).
+    packed word runs on Python ints instead (``_small_walk``).  A table's
+    walk gets the ``packed`` generators and the points' packed ``words``
+    from its closure; without them the walk packs both itself.
     """
     entries: dict[tuple[int, Exponents], int] = {}
     if len(points) == 0:
         return entries
-    packing = _walk_packing(points, (gens,))
-    if packing.nwords == 1 and len(points) * len(gens) <= _SMALL_WALK_PAIRS:
-        return _small_walk(points, gens, packing, char, cache)
-    for chunk, sizes, [(point, mask)] in _point_masks(points, (gens,), packing):
+    if packed is None:
+        packed = _PackedGens(_walk_packing(points, (gens,)), gens)
+    if packed.packing.nwords == 1 and len(points) * len(gens) <= _SMALL_WALK_PAIRS:
+        keyed = (packed.packing.pack(points) if words is None else words)[:, 0].tolist()
+        return _small_walk(points, keyed, packed, char, cache)
+    for chunk, sizes, [(point, mask)] in _point_masks(points, words, [packed]):
         count = np.bincount(point, minlength=len(chunk))
         rows = np.full((len(chunk), count.max() + 1), -1, dtype=np.int64)
         rows[:, 0] = sizes
@@ -570,9 +608,9 @@ def _points_betti(
     return entries
 
 
-def _small_walk(points: np.ndarray, gens: np.ndarray, packing: _Packing, char: int,
+def _small_walk(points: np.ndarray, keyed: list[int], packed: _PackedGens, char: int,
                 cache: dict) -> dict[tuple[int, Exponents], int]:
-    """``_points_betti`` on Python ints that hold the one-word packed keys.
+    """``_points_betti`` on Python ints that hold the one-word packed keys of the points.
 
     The same chunks, support-limit check, keys and cache rule as the array
     branch.  A generator g divides the point p iff (p - g) keeps every guard
@@ -582,12 +620,11 @@ def _small_walk(points: np.ndarray, gens: np.ndarray, packing: _Packing, char: i
     the minimal ones are renumbered onto supp(p), once per (supp(p), tight
     sets) pair the walk meets.
     """
-    fields = _WordFields(packing)
+    fields = packed.fields
     guard, low = fields.guard, fields.low
-    divisors = [(g, g | guard) for g in packing.pack(gens)[:, 0].tolist()]
-    keyed = packing.pack(points)[:, 0].tolist()
+    divisors = [(g, g | guard) for g in packed.keys]
     rows = points.tolist()
-    step = max(1, _CHUNK_CELLS // (gens.size + 1))
+    step = max(1, _CHUNK_CELLS // (packed.gens.size + 1))
     entries: dict[tuple[int, Exponents], int] = {}
     known: dict[tuple[int, frozenset[int]], tuple[int, bytes]] = {}  # (supp, tight sets) -> key
     for lo in range(0, len(rows), step):
@@ -652,10 +689,13 @@ def _multigraded(gens: np.ndarray, char: int, caps: Caps) -> dict[tuple[int, Exp
                 "lattice", f"a product over disjoint variable blocks has {count} Betti points",
                 caps.lattice)
         return _convolve(tables, gens.shape[1])
-    points = _closure(gens, caps.lattice)
+    packed = _PackedGens(_Packing(gens.max(axis=0)), gens)
+    words = _closure(gens, caps.lattice, packed)
+    points = packed.packing.unpack(words)
     # largest support first: the largest complexes meet the dense limit before any rank
-    points = points[np.argsort(-(points > 0).sum(axis=1), kind="stable")]
-    return _points_betti(points, gens, char, _CACHES.setdefault(char, {}))
+    order = np.argsort(-(points > 0).sum(axis=1), kind="stable")
+    points, words = points[order], words[order]  # the unsorted copies are freed before the walk
+    return _points_betti(points, gens, char, _CACHES.setdefault(char, {}), packed, words)
 
 
 # -- exact product factorization --------------------------------------------
@@ -671,9 +711,12 @@ def _product_split(gens: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | No
     keys down the generators.  The partition is then verified exactly: the
     generator set must be the full cartesian product of its block
     projections.  Only a verified split is ever used.
+
+    Most tables are no product, and an exact necessary test, on Python
+    ints, turns most of those away before the sort (``_no_split``).
     """
     k = len(gens)
-    if k < 4:
+    if k < 4 or _no_split(gens):
         return None
     active = np.flatnonzero(gens.any(axis=0))
     if len(active) < 2:
@@ -714,6 +757,27 @@ def _product_split(gens: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | No
     if count != k:
         return None
     return projections
+
+
+def _no_split(gens: np.ndarray) -> bool:
+    """True only if ``gens`` are no product over two or more blocks.
+
+    In a product whose every block has two or more projections, the value
+    of a column in block B comes with each projection of the other blocks,
+    so each value's count is a multiple of k / |B| >= 2.  A block with one
+    projection has only constant columns.  So when no active column is
+    constant, an active column whose value counts have gcd 1 rules a split
+    out.
+    """
+    coprime = False
+    for column in zip(*gens.tolist()):
+        values = set(column)
+        if len(values) == 1:
+            if column[0]:
+                return False  # a constant active column: the test says nothing
+        elif not coprime:
+            coprime = math.gcd(*map(column.count, values)) == 1
+    return coprime
 
 
 @functools.lru_cache(maxsize=None)
@@ -882,8 +946,9 @@ def tor_vanishing(
     # largest support first: a point past the support limit is refused in the first chunk
     points = np.array(sorted({b for _, b in entries}, key=lambda b: b.count(0)), dtype=np.int64)
     pairs = {}  # point -> (key, (small's masks, big's masks))
-    both = (gens, big_gens)
-    for chunk, sizes, sides in _point_masks(points, both, _walk_packing(points, both)):
+    packing = _walk_packing(points, (gens, big_gens))
+    both = [_PackedGens(packing, side) for side in (gens, big_gens)]
+    for chunk, sizes, sides in _point_masks(points, None, both):
         cuts = [np.split(mask, np.searchsorted(point, np.arange(1, len(chunk))))
                 for point, mask in sides]
         for b, m, *pair in zip(chunk.tolist(), sizes.tolist(), *cuts):

@@ -91,17 +91,26 @@ class Filtration:
 
 
 def filtration(setup: FiberSetup, s: int) -> Filtration:
+    """The filtration of F^s and its step identities.
+
+    J^t is one product with J per step, and the powers of m and n are
+    read off ``maxideal_power``, with (mn)^k = m^k n^k.
+    """
     if s < 1:
         raise DomainError("filtration needs s >= 1")
-    mn = setup.mm * setup.nn
+    T, left, right = setup.T, setup.left.name, setup.right.name
     stages = [setup.H ** s]
     added, inters, flags = [], [], []
+    power = MonomialIdeal.unit(T)  # J^t
     for t in range(1, s + 1):
-        piece = (mn ** (s - t)) * (setup.J ** t)
+        power = power * setup.J
+        k = s - t
+        n_k = maxideal_power(T, right, k)
+        piece = maxideal_power(T, left, k) * n_k * power
         added.append(piece)
         meet = stages[-1] & piece
         inters.append(meet)
-        expected = (setup.mm ** (s - t + 1)) * (setup.nn ** (s - t)) * (setup.J ** t)
+        expected = maxideal_power(T, left, k + 1) * n_k * power
         flags.append(meet == expected)
         stages.append(stages[-1] + piece)
     sum_ok = stages[-1] == setup.F ** s

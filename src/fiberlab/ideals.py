@@ -16,21 +16,25 @@ int64 words, where one subtraction compares every field of a word.
 ``_minimal_rows`` packs its rows once and drops repeats by sorting one key
 per row.  Then, in one round per degree that holds a minimal generator,
 the rows of least degree left are minimal, and ``_Packing.divisible``
-drops every row they divide.  An ideal builds the int32 array of its
-generators once, read-only (``array``).  ``component_ideal`` refuses, with
-``CapError``, to enumerate more than ``COMPONENT_LIMIT`` = 2^22
-generators, another fixed limit and its only bound, as each monomial takes
-O(n) steps whatever its degree.  Products and intersections, and so powers
-and colons by an ideal, lay out one row per pair of generators (an
-intersection pairs only the generators that lie outside the other ideal);
-past ``PAIRWISE_LIMIT`` = 2^28 cells that layout is refused with
-``CapError`` too.
+drops every row they divide.  Inputs of at most ``_SMALL_MINIMAL_ROWS`` =
+64 rows, where NumPy's fixed cost per call outweighs the arithmetic, take
+the same steps on Python ints (one guarded key per row, with no word
+limit) and return the same int32 array in the same order.  An ideal
+builds the int32 array of its generators once, read-only (``array``).
+``component_ideal`` refuses, with ``CapError``, to enumerate more than
+``COMPONENT_LIMIT`` = 2^22 generators, another fixed limit and its only
+bound, as each monomial takes O(n) steps whatever its degree.  Products
+and intersections, and so powers and colons by an ideal, lay out one row
+per pair of generators (an intersection pairs only the generators that lie
+outside the other ideal); past ``PAIRWISE_LIMIT`` = 2^28 cells that layout
+is refused with ``CapError`` too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import lshift
 
 import numpy as np
 
@@ -50,6 +54,13 @@ PAIRWISE_LIMIT = 1 << 28
 # at 2^16, 0.32 s at 2^18 and 0.35 s at 2^20 cells; the lattice closure of m*I^2 (Appendix A),
 # whose contractibility test shares the chunk, took 145-162 ms at 2^16 and 162-173 ms at 2^20
 _DIVISIBLE_CELLS = 1 << 16
+# rows up to which _minimal_rows runs on Python ints (_small_minimal_rows), on any number of
+# packed words.  The inputs of two or more rows of one round (seeds 1 and 2, each input timed
+# in both branches, fastest of 7) took, over the array branch's time, with this at 16, 32, 64
+# and 128: claim-loop 0.64-0.66, 0.53-0.54, 0.50-0.51, 0.51-0.52; ideal-identities 0.92,
+# 0.91-0.92, 0.92, 1.00; tor-exact 0.33, 0.27, 0.26, 0.26.  None of them took two words; on
+# random rows of 2 to 6 words the ints took 0.1-0.5 times the arrays' time at 16 to 128 rows
+_SMALL_MINIMAL_ROWS = 64
 
 
 def _check_exponent(top: int) -> None:
@@ -215,10 +226,14 @@ def _minimal_rows(arr: np.ndarray) -> np.ndarray:
     proper divisor of one of them has smaller degree, so a row taken in an
     earlier round divides both and dropped it.  Every row they divide is
     dropped, on the words already packed, until no row is left.  Only the
-    minimal rows are sorted into canonical order.
+    minimal rows are sorted into canonical order.  At most
+    ``_SMALL_MINIMAL_ROWS`` rows take the same steps on Python ints
+    (``_small_minimal_rows``), with the same result.
     """
     if len(arr) <= 1:
         return arr
+    if len(arr) <= _SMALL_MINIMAL_ROWS:
+        return _small_minimal_rows(arr)
     packing = _Packing(arr.max(axis=0))
     keys = _sorted_unique(_row_keys(packing.pack(arr)))
     words = keys.view(np.int64).reshape(len(keys), packing.nwords)
@@ -233,6 +248,39 @@ def _minimal_rows(arr: np.ndarray) -> np.ndarray:
         rest = top + np.flatnonzero(~packing.divisible(words[:top], words[top:]))
         words, rows, degrees = words[rest], rows[rest], degrees[rest]
     return _canonical_rows(np.concatenate(minimal))
+
+
+def _small_minimal_rows(arr: np.ndarray) -> np.ndarray:
+    """``_minimal_rows`` on Python ints: one int per row, with a guard bit above every field.
+
+    Ints have no word limit, so every row packs into one key, whatever its
+    exponents.  The first column takes the highest field and the degree
+    sits above them all, so the keys sort in the reverse of the canonical
+    order, and repeats share a key.  A row is kept iff no kept key
+    m divides its key k: with no guard bit set in k or m, a field where
+    k_v < m_v borrows in k - m and the lowest such field leaves its guard
+    bit set (the degree bits above take any borrow past the top field), so
+    m divides k iff (k - m) & guard == 0.  Taken by ascending degree, the
+    kept rows are the minimal ones, as in the array branch's rounds.
+    """
+    rows = arr.tolist()
+    shifts, guard, used = [0] * arr.shape[1], 0, 0
+    for col, top in reversed(list(enumerate(map(max, zip(*rows))))):
+        shifts[col] = used
+        width = top.bit_length()
+        if width:
+            guard |= 1 << (used + width)
+            used += width + 1
+    by_key = {(sum(row) << used) | sum(map(lshift, row, shifts)): row for row in rows}
+    kept, minimal = [], []
+    for key in sorted(by_key):
+        for m in kept:
+            if (key - m) & guard == 0:
+                break
+        else:
+            kept.append(key)
+            minimal.append(by_key[key])
+    return np.array(minimal[::-1], dtype=_INT).reshape(len(minimal), arr.shape[1])
 
 
 def _canonical_tuple(arr: np.ndarray) -> tuple[Exponents, ...]:

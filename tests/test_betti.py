@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fiberlab.betti as betti_mod
+import fiberlab.ideals as ideals_mod
 from fiberlab import (
     DomainError,
     MonomialIdeal,
@@ -868,6 +869,44 @@ def test_product_split_matches_the_pairwise_oracle(rows):
         for (cols, sub), (want_cols, want_sub) in zip(got or [], want or [], strict=True):
             assert cols.dtype == want_cols.dtype and cols.tolist() == want_cols.tolist()
             assert sub.dtype == want_sub.dtype and sub.tolist() == want_sub.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_inputs())
+@example([(1,) + tuple(int(j == i) for j in range(5)) for i in range(5)])  # x*(y1, ..., y5)
+@example([(2 - i, i, 0, 1 - j, j) for i in range(3) for j in range(2)])  # (a, b)^2 * (x, y)
+def test_the_split_pre_test_never_rejects_a_verified_split(rows):
+    # _no_split may turn a set away only if it is no product: every set the pairwise
+    # oracle verifies as one passes it, the principal factor of x*(y1, ..., y5) included
+    ring = Ring("R", tuple(f"v{i}" for i in range(len(rows[0]))))
+    gens = MonomialIdeal.from_exponents(ring, rows).array()
+    if product_split_pairwise(gens) is not None:
+        assert not betti_mod._no_split(gens)
+        assert len(gens) < 4 or betti_mod._product_split(gens) is not None
+
+
+def test_a_table_builds_one_packing_for_its_closure_and_walk():
+    # a table that is no product packs its generators once, on one packing that its
+    # closure and its walk share, whichever branch each takes
+    ring = Ring("R", ("x", "y", "z"))
+    gens = ideal_of(ring, "x^2", "x*y", "y^3", "x*z^2", "y*z").array()
+    assert betti_mod._product_split(gens) is None
+    want = walk_per_point(full_closure(gens, 10_000), gens, 0, {})
+    built = []
+
+    class Counted(betti_mod._Packing):
+        def __init__(self, maxexp):
+            built.append(maxexp.tolist())
+            super().__init__(maxexp)
+
+    for branch in BRANCHES:
+        built.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            force_branch(patch, branch)
+            patch.setattr(betti_mod, "_Packing", Counted)
+            patch.setattr(ideals_mod, "_Packing", Counted)
+            assert betti_mod._multigraded(gens, 0, Caps()) == want
+        assert built == [[2, 3, 2]], branch
 
 
 def test_walk_refuses_a_dense_matrix_over_the_limit_before_allocating(monkeypatch):

@@ -24,7 +24,10 @@ from fiberlab import (
 from fiberlab.ideals import monomials_of_degree
 from fiberlab.scenarios import remark_55_setup
 
+from fiberlab.fiber import Filtration
+
 from conftest import ideal_of
+from test_acceptance import _sample_equigenerated
 
 
 def _setup_squares():
@@ -89,6 +92,41 @@ def test_filtration_random_pairs():
         for s in (1, 2, 3):
             filt = filtration(setup, s)
             assert filt.sum_ok and all(filt.intersection_ok)
+
+
+def _filtration_by_its_formulas(setup, s: int) -> Filtration:
+    """The filtration as its definition reads, each power a repeated product:
+    (mn)^(s-t) J^t, and m^(s-t+1) n^(s-t) J^t for the intersection identity."""
+    mn = setup.mm * setup.nn
+    stages = [setup.H ** s]
+    added, inters, flags = [], [], []
+    for t in range(1, s + 1):
+        piece = (mn ** (s - t)) * (setup.J ** t)
+        added.append(piece)
+        meet = stages[-1] & piece
+        inters.append(meet)
+        expected = (setup.mm ** (s - t + 1)) * (setup.nn ** (s - t)) * (setup.J ** t)
+        flags.append(meet == expected)
+        stages.append(stages[-1] + piece)
+    return Filtration(setup, s, tuple(stages), tuple(added), tuple(inters), tuple(flags),
+                      stages[-1] == setup.F ** s)
+
+
+def test_filtration_equals_its_formulas_on_criterion_9_pairs():
+    # the 25 pairs of criterion 9 (test_acceptance.run9_sample), a broken setup and a
+    # zero factor: every field as the repeated products give it
+    rng = random.Random(97)
+    pairs = [(_sample_equigenerated(rng, "A"), _sample_equigenerated(rng, "B"))
+             for _ in range(25)]
+    setups = [fiber_product(left, right) for left, right in pairs]
+    setups.append(dataclasses.replace(_setup_squares(), F=_setup_squares().I))
+    setups.append(fiber_product(ideal_of(Ring("A", ("x", "y")), "x^2", "x*y"),
+                                MonomialIdeal.zero(Ring("B", ("u",)))))
+    for setup in setups:
+        for s in (1, 2, 3):
+            got, want = filtration(setup, s), _filtration_by_its_formulas(setup, s)
+            for field in dataclasses.fields(Filtration):
+                assert getattr(got, field.name) == getattr(want, field.name), (setup, s, field)
 
 
 def test_splitting_hand_example(ring_xy):

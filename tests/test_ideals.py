@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -295,6 +296,21 @@ def test_row_kernel_matches_python_sets(data):
     assert big.contains(small) == all(any(divides(g, r) for g in gens) for r in rows)
 
 
+# values of _SMALL_MINIMAL_ROWS that force each branch of _minimal_rows: 0 takes the
+# array branch on every input, and 1 << 62 the Python-int branch on every input
+ROW_BRANCHES = {"arrays": 0, "ints": 1 << 62}
+
+
+def _in_each_branch(fn, *args):
+    """``fn(*args)`` under each branch of ``_minimal_rows``, keyed by branch."""
+    out = {}
+    for branch, rows in ROW_BRANCHES.items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ideals_mod, "_SMALL_MINIMAL_ROWS", rows)
+            out[branch] = fn(*args)
+    return out
+
+
 def _divides(g, r) -> bool:
     return all(a <= b for a, b in zip(g, r))
 
@@ -330,11 +346,14 @@ def test_minimal_rows_match_brute_force(data, cells):
     nvars, rows = data
     arr = ideals_mod._as_array(rows, nvars)
     want = _canonical(r for r in rows if not any(_divides(s, r) for s in set(rows) - {r}))
-    with pytest.MonkeyPatch.context() as patch:
-        if cells is not None:
-            patch.setattr(ideals_mod, "_DIVISIBLE_CELLS", cells)
-        got = ideals_mod._minimal_rows(arr)
-    assert [tuple(r) for r in got.tolist()] == want
+    for rows_cap in ROW_BRANCHES.values():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ideals_mod, "_SMALL_MINIMAL_ROWS", rows_cap)
+            if cells is not None:
+                patch.setattr(ideals_mod, "_DIVISIBLE_CELLS", cells)
+            got = ideals_mod._minimal_rows(arr)
+        assert got.dtype == np.int32
+        assert [tuple(r) for r in got.tolist()] == want
 
 
 @st.composite
@@ -369,11 +388,14 @@ def ideal_pairs(draw):
 def test_intersect_matches_brute_force_lcm_pairs(data):
     nvars, a, b = data
     ring = Ring("R", tuple(f"v{i}" for i in range(nvars)))
-    A, B = (MonomialIdeal.from_exponents(ring, gens) for gens in (a, b))
-    joins = {tuple(map(max, g, h)) for g in A.gens for h in B.gens}
-    want = _canonical(j for j in joins if not any(_divides(k, j) for k in joins - {j}))
-    assert list((A & B).gens) == want
-    assert list((B & A).gens) == want
+    for rows_cap in ROW_BRANCHES.values():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ideals_mod, "_SMALL_MINIMAL_ROWS", rows_cap)
+            A, B = (MonomialIdeal.from_exponents(ring, gens) for gens in (a, b))
+            joins = {tuple(map(max, g, h)) for g in A.gens for h in B.gens}
+            want = _canonical(j for j in joins if not any(_divides(k, j) for k in joins - {j}))
+            assert list((A & B).gens) == want
+            assert list((B & A).gens) == want
 
 
 def test_array_is_built_once_read_only_and_left_as_it_is(ring_xyz):
@@ -404,7 +426,37 @@ def test_row_kernel_example_spans_two_words():
     nvars, rows = _LAYERED
     layered = ideals_mod._as_array(rows, nvars)
     assert ideals_mod._Packing(layered.max(axis=0)).nwords == 2
-    assert {sum(r) for r in ideals_mod._minimal_rows(layered).tolist()} == {1, 114}
+    for got in _in_each_branch(ideals_mod._minimal_rows, layered).values():
+        assert {sum(r) for r in got.tolist()} == {1, 114}
+
+
+@st.composite
+def wide_rows(draw):
+    """Up to 80 rows of 1-6 columns, each column's exponents up to 1, 20, 2^16 or
+    EXPONENT_LIMIT, so the packing takes one word or several; a row is drawn as a
+    multiple of an earlier one, or repeated, now and then."""
+    tops = draw(st.lists(st.sampled_from([1, 20, 1 << 16, EXPONENT_LIMIT]), min_size=1, max_size=6))
+    rows: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(2, 80))):
+        fresh = tuple(draw(st.integers(0, top)) for top in tops)
+        if rows and draw(st.booleans()):
+            base = draw(st.sampled_from(rows))
+            fresh = tuple(min(b + draw(st.integers(0, 2)), top) for b, top in zip(base, tops))
+        rows.append(fresh)
+    return len(tops), rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(wide_rows())
+@example((3, [(EXPONENT_LIMIT, 0, 0), (0, EXPONENT_LIMIT, 0), (0, 0, EXPONENT_LIMIT)] * 2))
+@example((2, [(0, 0), (0, 0), (3, 1)]))  # the unit row, twice
+def test_minimal_rows_branches_give_equal_arrays(data):
+    nvars, rows = data
+    arr = ideals_mod._as_array(rows, nvars)
+    got = _in_each_branch(ideals_mod._minimal_rows, arr)
+    assert got["ints"].dtype == got["arrays"].dtype == np.int32
+    assert got["ints"].shape == got["arrays"].shape
+    assert got["ints"].tolist() == got["arrays"].tolist()
 
 
 def test_exponents_up_to_the_limit(ring_xy):

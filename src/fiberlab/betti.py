@@ -83,7 +83,11 @@ Koszul complex computes Tor naturally in the ideal (Miller-Sturmfels,
 Thm 1.34).  At small's Betti points, which the walk gives, both complexes
 come from tight masks, and ``_ranks`` ranks the boundaries that decide
 the map.  One of them is relative: the boundary of big's faces outside
-small, whose columns drop their entries at small's faces.
+small, whose columns drop their entries at small's faces.  Whether the map
+is nonzero depends only on i, the field and the two complexes' keys, so the
+field's cache holds these map verdicts too, keyed (i, m, small's masks'
+bytes, big's masks' bytes), under the same bound and emptying rule as the
+complexes: each distinct map is ranked once per process and field.
 
 When the generating set is, after exact verification, a product of
 generating sets over disjoint variable blocks, the table is assembled as
@@ -96,7 +100,9 @@ than the product of their counts, all pairs counted by one sort.  Most
 tables are no product, and most of those are turned away before the sort
 by an exact necessary test on value counts (``_no_split``).
 Its Betti points count against the ``lattice`` cap for tables and verdicts
-alike; only ``tor_vanishing`` builds complexes there, under the 24-variable limit.
+alike; only ``tor_vanishing`` builds complexes there, under the 24-variable
+limit, which it applies to the largest support that the factors' tables give
+(``_largest_support``) before anything is convolved.
 """
 
 from __future__ import annotations
@@ -139,15 +145,18 @@ _CERTIFYING_PRIME = 2**31 - 1
 # exact: 4 faces 195 : 118 us, 57 faces 472 : 326 us, 152 faces 788 : 894 us, 276 faces
 # 1.15 : 1.54 ms, 2,290 faces 7.3 : 27.5 ms
 _CERTIFY_MIN_FACES = 200
-# distinct complexes one field's homology cache holds; a chunk of the walk whose new
-# complexes would pass it empties the cache first.  One process fills 5,274 over GF(32003)
+# entries one field's cache holds, complexes and Tor-map verdicts together; a chunk of the
+# walk, or a homological degree of a verdict, whose new entries would pass it empties the
+# cache first.  One process fills 5,274 over GF(32003)
 # and 1,071 over Q in scenario appendix-A1, 4,542 and 1,227 in an appendix-lattice round,
 # and 56 in a claim-loop round.  An entry takes about 200 bytes plus 8 per minimal tight
 # mask of its key (at most 51 masks in those runs), so a full cache takes about
 # 16,384 x (200 + 8k) bytes for keys of k masks: 10.0 MB at k = 51
 _CACHE_ENTRIES = 1 << 14
-# the process's homology caches, one per characteristic: {(m, minimal masks' bytes): dims}
-_CACHES: dict[int, dict[tuple[int, bytes], dict[int, int]]] = {}
+# the process's caches, one per characteristic: {(m, minimal masks' bytes): homology dims}
+# for complexes, and {(i, m, small's masks' bytes, big's masks' bytes): nonzero} for the
+# maps on H-tilde_(i-1) that an inclusion of complexes induces
+_CACHES: dict[int, dict[tuple, dict[int, int] | bool]] = {}
 
 
 # -- lcm lattice -------------------------------------------------------------
@@ -553,11 +562,16 @@ def _chunk_complexes(keys: list[tuple[int, bytes]], pending: dict[int, dict[byte
         new.update(zip([(m, blob) for blob in group],
                        _homology_from_masks(list(group.values()), m, char)))
     found = [new[key] if key in new else cache[key] for key in keys]
+    _remember(cache, new)
+    return found
+
+
+def _remember(cache: dict, new: dict) -> None:
+    """Put ``new`` into ``cache``, emptied first if they would take it past ``_CACHE_ENTRIES``."""
     if len(cache) + len(new) > _CACHE_ENTRIES:
         cache.clear()
     if len(new) <= _CACHE_ENTRIES:
         cache.update(new)
-    return found
 
 
 def _points_betti(
@@ -669,26 +683,44 @@ def _small_walk(points: np.ndarray, keyed: list[int], packed: _PackedGens, char:
 def _multigraded(gens: np.ndarray, char: int, caps: Caps) -> dict[tuple[int, Exponents], int]:
     """Multigraded Betti numbers of the ideal generated by ``gens`` (minimal).
 
-    A product's Betti points, as many as the product of its factors'
+    A verified product over disjoint variable blocks is the convolution of
+    its factors' tables (``_factors``); any other ideal is walked (``_walked``).
+    """
+    factors = _factors(gens, char, caps)
+    return _walked(gens, char, caps) if factors is None else _convolve(factors, gens.shape[1])
+
+
+def _factors(gens: np.ndarray, char: int,
+             caps: Caps) -> list[tuple[np.ndarray, dict[tuple[int, Exponents], int]]] | None:
+    """The factors' tables of a verified product over disjoint blocks, or None for no product.
+
+    The product's Betti points, as many as the product of its factors'
     counts, are held to the ``lattice`` cap (the product's lattice has at
-    least as many points) before the factors' tables are convolved.  A
-    principal ideal is answered without a closure or a walk, unless its one
+    least as many points) before anything is convolved.
+    """
+    factors = _product_split(gens)
+    if factors is None:
+        return None
+    tables = [(cols, _multigraded(sub, char, caps)) for cols, sub in factors]
+    count = math.prod(len({b for _, b in local}) for _, local in tables)
+    if count > caps.lattice:
+        raise CapError.over(
+            "lattice", f"a product over disjoint variable blocks has {count} Betti points",
+            caps.lattice)
+    return tables
+
+
+def _walked(gens: np.ndarray, char: int, caps: Caps) -> dict[tuple[int, Exponents], int]:
+    """The Betti table of ``gens`` from the walk of their lcm lattice's survivors.
+
+    A principal ideal is answered without a closure or a walk, unless its one
     lattice point is over the cap, where ``_closure`` refuses it as it
     refuses any lattice.  The walk runs in the calling process, and reads
-    and fills its homology cache of the field.
+    and fills its cache of the field.
     """
     if len(gens) == 1 and caps.lattice >= 1:
         # a principal ideal is free, on a one-point lattice: beta_0 at the generator
         return {(0, tuple(gens[0].tolist())): 1}
-    factors = _product_split(gens)
-    if factors is not None:
-        tables = [(cols, _multigraded(sub, char, caps)) for cols, sub in factors]
-        count = math.prod(len({b for _, b in local}) for _, local in tables)
-        if count > caps.lattice:
-            raise CapError.over(
-                "lattice", f"a product over disjoint variable blocks has {count} Betti points",
-                caps.lattice)
-        return _convolve(tables, gens.shape[1])
     packed = _PackedGens(_Packing(gens.max(axis=0)), gens)
     words = _closure(gens, caps.lattice, packed)
     points = packed.packing.unpack(words)
@@ -809,6 +841,22 @@ def _convolve(
     return acc
 
 
+def _largest_support(tables: list[tuple[np.ndarray, dict[tuple[int, Exponents], int]]]) -> int:
+    """The largest support of a point of the convolved table in Tor_i with i > 0 (0 if none).
+
+    The blocks are disjoint, so a convolved point's support is the sum of its
+    factors' points' supports, and it lies in Tor_i with i > 0 iff one of
+    them does.
+    """
+    tops = []  # per factor: (largest support, largest support in Tor_i with i > 0)
+    for _, local in tables:
+        sizes = [(i > 0, len(b) - b.count(0)) for i, b in local]
+        above = max((size for higher, size in sizes if higher), default=None)
+        tops.append((max(size for _, size in sizes), above))
+    total = sum(top for top, _ in tops)
+    return max((total - top + above for top, above in tops if above is not None), default=0)
+
+
 # -- public table ------------------------------------------------------------
 
 
@@ -927,10 +975,14 @@ def tor_vanishing(
     at small's Betti points.  In Tor_0 they are small's generators, and
     the map is the identity on those that big shares; the walk finds the
     others, under the ``lattice`` cap and the support limit of 24
-    variables, which a product's convolved points obey too.  They are
-    taken by i, all of one i together, and each map is decided by ranks
-    alone (``_maps_nonzero``), once per i and distinct pair of complexes,
-    keyed as the walk keys one.
+    variables.  A product's convolved points obey that limit too: the
+    largest support among them in Tor_i, i > 0, is read off the factors'
+    tables and refused before the convolution.  The points are taken by i,
+    all of one i together.  Whether a map is nonzero depends only on i,
+    the field and the key (m, small's minimal tight masks, big's), so each
+    verdict is kept in the field's cache with the walk's complexes, under
+    the same bound and emptying rule, and ranks (``_maps_nonzero``) decide
+    only the keys the cache does not hold, once per key.
     """
     char = _inclusion_field(small, big, characteristic)
     # Tor_0 is spanned by the minimal generators, so the map on it is nonzero
@@ -939,12 +991,17 @@ def tor_vanishing(
     if shared:
         return False, (0, min(map(sum, shared)))
     gens = small.array()
-    entries = [key for key in _multigraded(gens, char, caps) if key[0] > 0]
+    factors = _factors(gens, char, caps)
+    if factors is None:
+        table = _walked(gens, char, caps)
+    else:
+        _within_support_limit(_largest_support(factors))
+        table = _convolve(factors, gens.shape[1])
+    entries = [key for key in table if key[0] > 0]
     if not entries:  # small is free, as a principal ideal is: no Tor above Tor_0
         return True, None
     big_gens = big.array()
-    # largest support first: a point past the support limit is refused in the first chunk
-    points = np.array(sorted({b for _, b in entries}, key=lambda b: b.count(0)), dtype=np.int64)
+    points = np.array(sorted({b for _, b in entries}), dtype=np.int64)  # all within the limit
     pairs = {}  # point -> (key, (small's masks, big's masks))
     packing = _walk_packing(points, (gens, big_gens))
     both = [_PackedGens(packing, side) for side in (gens, big_gens)]
@@ -956,15 +1013,19 @@ def tor_vanishing(
     by_degree: dict[int, list[tuple[int, Exponents]]] = {}
     for i, b in entries:
         by_degree.setdefault(i, []).append((sum(b), b))
+    cache = _CACHES.setdefault(char, {})
     for i, level in sorted(by_degree.items()):
-        distinct: dict[int, dict] = {}  # by support size, {key: pair}
-        for _, b in level:
-            key, pair = pairs[b]
-            distinct.setdefault(key[0], {})[key] = pair
-        nonzero = {}
-        for m, group in distinct.items():
-            nonzero.update(zip(group, _maps_nonzero(list(group.values()), m, i, char).tolist()))
-        witnesses = [j for j, b in level if nonzero[pairs[b][0]]]
+        keys = [(i, *pairs[b][0]) for _, b in level]
+        pending: dict[int, dict] = {}  # uncached maps by support size, {key: pair}
+        for key, (_, b) in zip(keys, level):
+            if key not in cache:
+                pending.setdefault(key[1], {})[key] = pairs[b][1]
+        new = {}
+        for m, group in pending.items():
+            new.update(zip(group, _maps_nonzero(list(group.values()), m, i, char).tolist()))
+        witnesses = [j for key, (j, _) in zip(keys, level)
+                     if (new[key] if key in new else cache[key])]
+        _remember(cache, new)
         if witnesses:
             return False, (i, min(witnesses))
     return True, None

@@ -185,11 +185,13 @@ def verify_tor_vanishing_lemma(
 ) -> Report:
     """Tor-vanishing of m^(s-t) I^t -> m^(s-t+1) I^(t-1) for t = 1..s.
 
-    Certificate mode checks the star-derivative containment
-    d*(m^(s-t) I^t) <= m^(s-t+1) I^(t-1), which implies Tor-vanishing for
-    monomial ideals; exact mode decides every induced Tor map with
-    ``tor_vanishing``, on the lattice engine: under the ``lattice`` cap, it
-    walks each step's small ideal m^(s-t) I^t.
+    Step t maps C_t = m^(s-t) I^t into C_(t-1), so the chain C_0, ..., C_s
+    is built once, one product each after the powers of I: 2s + 1 products
+    in all.  Certificate mode checks the star-derivative containment
+    d*(C_t) <= C_(t-1), which implies Tor-vanishing for monomial ideals;
+    exact mode decides every induced Tor map with ``tor_vanishing``, on the
+    lattice engine: under the ``lattice`` cap, it walks each step's small
+    ideal C_t.
     """
     if ideal.is_zero() or ideal.indeg() < 2:
         raise DomainError("lemma requires a nonzero ideal inside the maximal ideal squared")
@@ -199,12 +201,12 @@ def verify_tor_vanishing_lemma(
     ring = ideal.ring
     results = {}
     with Stopwatch() as sw:
-        powers = {0: MonomialIdeal.unit(ring)}
+        powers = [MonomialIdeal.unit(ring)]
         for t in range(1, s + 1):
-            powers[t] = powers[t - 1] * ideal
+            powers.append(powers[t - 1] * ideal)
+        chain = [maxideal_power(ring, None, s - t) * powers[t] for t in range(s + 1)]
         for t in range(1, s + 1):
-            small = maxideal_power(ring, None, s - t) * powers[t]
-            big = maxideal_power(ring, None, s - t + 1) * powers[t - 1]
+            small, big = chain[t], chain[t - 1]
             if mode == "certificate":
                 ok = big.contains(star_derivative(small))
             else:

@@ -19,7 +19,10 @@ the rows of least degree left are minimal, and ``_Packing.divisible``
 drops every row they divide.  Inputs of at most ``_SMALL_MINIMAL_ROWS`` =
 64 rows, where NumPy's fixed cost per call outweighs the arithmetic, take
 the same steps on Python ints (one guarded key per row, with no word
-limit) and return the same int32 array in the same order.  An ideal
+limit) and return the same int32 array in the same order.  Containment
+and intersection test divisibility with ``_divisible``; at most
+``_SMALL_DIVISIBLE_PAIRS`` = 256 row pairs take the same one-key-per-row
+test on Python ints and give the same booleans.  An ideal
 builds the int32 array of its generators once, read-only (``array``).
 ``component_ideal`` refuses, with ``CapError``, to enumerate more than
 ``COMPONENT_LIMIT`` = 2^22 generators, another fixed limit and its only
@@ -61,6 +64,13 @@ _DIVISIBLE_CELLS = 1 << 16
 # 0.91-0.92, 0.92, 1.00; tor-exact 0.33, 0.27, 0.26, 0.26.  None of them took two words; on
 # random rows of 2 to 6 words the ints took 0.1-0.5 times the arrays' time at 16 to 128 rows
 _SMALL_MINIMAL_ROWS = 64
+# row pairs (rows of gens x rows tested) up to which _divisible runs on Python ints
+# (_small_divisible), on any number of packed words.  Every input of one round of each
+# workload (seeds 1 and 2, each input timed in both branches, fastest of 7; two sweeps) took,
+# over the array branch's time, with this at 64, 128, 256, 512 and 1,024: claim-loop
+# 0.53-0.56, 0.51, 0.46-0.50, 0.50 and 0.47; tor-exact 0.24-0.25, 0.22, 0.20, 0.20 and 0.20;
+# ideal-identities 0.98, 0.97, 0.96, 0.99 and 1.10.  appendix-lattice made no call
+_SMALL_DIVISIBLE_PAIRS = 256
 
 
 def _check_exponent(top: int) -> None:
@@ -204,11 +214,45 @@ def _unique_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def _divisible(gens: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """True where some row of ``gens`` divides (is componentwise <=) the row of ``rows``."""
+    """True where some row of ``gens`` divides (is componentwise <=) the row of ``rows``.
+
+    At most ``_SMALL_DIVISIBLE_PAIRS`` row pairs are tested on Python ints
+    (``_small_divisible``), with the same result.
+    """
     if len(gens) == 0 or len(rows) == 0:
         return np.zeros(len(rows), dtype=bool)
+    if len(gens) * len(rows) <= _SMALL_DIVISIBLE_PAIRS:
+        return _small_divisible(gens.tolist(), rows.tolist())
     packing = _Packing(np.maximum(gens.max(axis=0), rows.max(axis=0)))
     return packing.divisible(packing.pack(gens), packing.pack(rows))
+
+
+def _small_divisible(gens: list, rows: list) -> np.ndarray:
+    """``_divisible`` on Python ints: one int per row, with a guard bit above every field.
+
+    Ints have no word limit, so every row packs into one key.  As in
+    ``_small_minimal_rows``, g divides r iff (r - g) & guard == 0: the lowest
+    field where r_v < g_v borrows and leaves its guard bit set (a borrow past
+    the top field only makes the difference negative).
+    """
+    shifts, guard, used = [], 0, 0
+    for top in map(max, zip(*gens, *rows)):
+        shifts.append(used)
+        width = top.bit_length()
+        if width:
+            guard |= 1 << (used + width)
+            used += width + 1
+    keys = [sum(map(lshift, g, shifts)) for g in gens]
+    out = []
+    for row in rows:
+        key = sum(map(lshift, row, shifts))
+        for g in keys:
+            if (key - g) & guard == 0:
+                out.append(True)
+                break
+        else:
+            out.append(False)
+    return np.array(out, dtype=bool)
 
 
 def _canonical_rows(arr: np.ndarray) -> np.ndarray:

@@ -885,6 +885,42 @@ def test_the_split_pre_test_never_rejects_a_verified_split(rows):
         assert len(gens) < 4 or betti_mod._product_split(gens) is not None
 
 
+@st.composite
+def verified_products(draw):
+    """Products over 2-3 disjoint blocks: two factors of 2-4 distinct generators of one
+    degree (so minimal) in 2-3 variables, and maybe a third, any minimal set in 1-2
+    variables, principal (no Tor_i with i > 0) or not."""
+    factors = []
+    for _ in range(2):
+        size, degree = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+        monomials = [g for g in itertools.product(range(degree + 1), repeat=size)
+                     if sum(g) == degree]
+        count = draw(st.integers(2, min(4, len(monomials))))
+        factors.append(draw(st.permutations(monomials))[:count])
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 2))
+        gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * size).filter(any),
+                             min_size=1, max_size=3))
+        factors.append(MonomialIdeal.from_exponents(Ring("B", ("u", "v")[:size]), gens).gens)
+    return [sum(parts, ()) for parts in itertools.product(*factors)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(verified_products())
+@example([(1,) + tuple(int(j == i) for j in range(5)) for i in range(5)])  # x*(y1, ..., y5)
+@example([(2 - i, i, 1 - j, j) for i in range(3) for j in range(2)])  # (a, b)^2 * (x, y)
+def test_largest_support_is_read_off_the_factors(rows):
+    # the support limit that tor_vanishing applies before convolving: the largest
+    # support of a convolved point in Tor_i with i > 0
+    ring = Ring("R", tuple(f"v{i}" for i in range(len(rows[0]))))
+    gens = MonomialIdeal.from_exponents(ring, rows).array()
+    factors = betti_mod._factors(gens, 0, Caps())
+    assert factors is not None
+    table = betti_mod._convolve(factors, gens.shape[1])
+    want = max((len(b) - b.count(0) for i, b in table if i > 0), default=0)
+    assert betti_mod._largest_support(factors) == want
+
+
 def test_a_table_builds_one_packing_for_its_closure_and_walk():
     # a table that is no product packs its generators once, on one packing that its
     # closure and its walk share, whichever branch each takes

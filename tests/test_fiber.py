@@ -18,12 +18,14 @@ from fiberlab import (
     filtration,
     maxideal_power,
     reg_of,
+    star_derivative,
     verify_betti_splitting,
     verify_tor_vanishing_lemma,
 )
 from fiberlab.ideals import monomials_of_degree
 from fiberlab.scenarios import remark_55_setup
 
+from fiberlab import fiber
 from fiberlab.fiber import Filtration
 
 from conftest import ideal_of
@@ -158,6 +160,31 @@ def test_tor_vanishing_lemma_modes(ring_xy):
     assert verify_tor_vanishing_lemma(m2, 2, "exact", 0).passed
     with pytest.raises(DomainError):
         verify_tor_vanishing_lemma(ideal_of(ring_xy, "x"), 2, "certificate")
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_lemma_steps_match_separately_built_ideals(s, monkeypatch):
+    # each step t maps m^(s-t) I^t into m^(s-t+1) I^(t-1), both built here from scratch,
+    # and its verdict is the one those two ideals get
+    ring = Ring("R", ("x", "y", "z"))
+    asked = []
+    vanishing = fiber.tor_vanishing
+    monkeypatch.setattr(fiber, "tor_vanishing",
+                        lambda small, big, *a, **k: asked.append((small, big)) or vanishing(
+                            small, big, *a, **k))
+    for ideal in (ideal_of(ring, "x^2", "x*y"), ideal_of(ring, "x^2", "y*z", "x*z^2")):
+        steps = [(maxideal_power(ring, None, s - t) * ideal ** t,
+                  maxideal_power(ring, None, s - t + 1) * ideal ** (t - 1))
+                 for t in range(1, s + 1)]
+        for mode in ("certificate", "exact"):
+            asked.clear()
+            if mode == "certificate":
+                want = [big.contains(star_derivative(small)) for small, big in steps]
+            else:
+                want = [vanishing(small, big, 0)[0] for small, big in steps]
+            report = verify_tor_vanishing_lemma(ideal, s, mode, 0)
+            assert report.computed["perStep"] == {f"t={t}": ok for t, ok in enumerate(want, 1)}
+            assert asked == (steps if mode == "exact" else [])
 
 
 def test_tor_vanishing_lemma_exact_on_the_appendix_ideal(appendix_ring):

@@ -1,5 +1,6 @@
 """Minimal generating sets and the ideal algebra."""
 
+import itertools
 import random
 
 import numpy as np
@@ -146,8 +147,15 @@ def test_contains_and_member(ring_xy):
     x2 = ideal_of(ring_xy, "x^2")
     assert not x2.member(parse_monomial(ring_xy, "x"))
     assert x2.member(parse_monomial(ring_xy, "x^3"))
-    assert x2.contains(MonomialIdeal.zero(ring_xy))
-    assert not MonomialIdeal.zero(ring_xy).contains(x2)
+    m2 = maxideal_power(ring_xy, None, 2)
+    for pairs in DIVISIBLE_BRANCHES.values():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ideals_mod, "_SMALL_DIVISIBLE_PAIRS", pairs)
+            assert x2.contains(MonomialIdeal.zero(ring_xy))
+            assert not MonomialIdeal.zero(ring_xy).contains(x2)
+            assert m2.contains(x2) and m2.contains(m2) and not x2.contains(m2)
+            assert ideal_of(ring_xy, "x").contains(ideal_of(ring_xy, "x^2", "x*y^5"))
+            assert not ideal_of(ring_xy, "x*y").contains(ideal_of(ring_xy, "x^2*y", "y^3"))
 
 
 def test_maxideal_power_examples(ring_xy):
@@ -299,6 +307,8 @@ def test_row_kernel_matches_python_sets(data):
 # values of _SMALL_MINIMAL_ROWS that force each branch of _minimal_rows: 0 takes the
 # array branch on every input, and 1 << 62 the Python-int branch on every input
 ROW_BRANCHES = {"arrays": 0, "ints": 1 << 62}
+# values of _SMALL_DIVISIBLE_PAIRS that force each branch of _divisible, as above
+DIVISIBLE_BRANCHES = {"arrays": 0, "ints": 1 << 62}
 
 
 def _in_each_branch(fn, *args):
@@ -388,14 +398,49 @@ def ideal_pairs(draw):
 def test_intersect_matches_brute_force_lcm_pairs(data):
     nvars, a, b = data
     ring = Ring("R", tuple(f"v{i}" for i in range(nvars)))
-    for rows_cap in ROW_BRANCHES.values():
+    for rows_cap, pairs in itertools.product(ROW_BRANCHES.values(), DIVISIBLE_BRANCHES.values()):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ideals_mod, "_SMALL_MINIMAL_ROWS", rows_cap)
+            patch.setattr(ideals_mod, "_SMALL_DIVISIBLE_PAIRS", pairs)
             A, B = (MonomialIdeal.from_exponents(ring, gens) for gens in (a, b))
             joins = {tuple(map(max, g, h)) for g in A.gens for h in B.gens}
             want = _canonical(j for j in joins if not any(_divides(k, j) for k in joins - {j}))
             assert list((A & B).gens) == want
             assert list((B & A).gens) == want
+
+
+@st.composite
+def divisibility_inputs(draw):
+    """Two row sets on 1-6 columns for ``_divisible``: either may be empty, and rows of the
+    tested side are drawn equal to generators or as their multiples on purpose.  Exponents
+    up to 1, 20, 2^16 or ``EXPONENT_LIMIT``, so the array branch packs one word or several."""
+    ncols = draw(st.integers(1, 6))
+    top = draw(st.sampled_from((1, 20, 1 << 16, EXPONENT_LIMIT)))
+    row = st.tuples(*[st.integers(0, top)] * ncols)
+    gens = draw(st.lists(row, max_size=8))
+    rows = draw(st.lists(row, max_size=8))
+    if gens:
+        bump = st.tuples(*[st.integers(0, 2)] * ncols)
+        picks = draw(st.lists(st.tuples(st.sampled_from(gens), bump), max_size=6))
+        rows += [tuple(min(g + e, top) for g, e in zip(gen, up)) for gen, up in picks]
+    return ncols, gens, draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(divisibility_inputs())
+@example((3, [], [(1, 2, 3)]))  # no generator
+@example((3, [(1, 2, 3)], []))  # no row
+@example((2, [(EXPONENT_LIMIT, 0), (0, EXPONENT_LIMIT)], [(EXPONENT_LIMIT,) * 2, (5, 5)]))
+def test_divisible_branches_give_equal_answers(data):
+    ncols, gens, rows = data
+    want = [any(_divides(g, r) for g in gens) for r in rows]
+    arrays = [ideals_mod._as_array(side, ncols) for side in (gens, rows)]
+    for pairs in DIVISIBLE_BRANCHES.values():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ideals_mod, "_SMALL_DIVISIBLE_PAIRS", pairs)
+            got = ideals_mod._divisible(*arrays)
+        assert got.dtype == bool and got.shape == (len(rows),)
+        assert got.tolist() == want
 
 
 def test_array_is_built_once_read_only_and_left_as_it_is(ring_xyz):

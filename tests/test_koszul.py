@@ -245,10 +245,13 @@ def test_tor_vanishing_matches_the_strands(inclusion, char, certify):
 
 def test_tor_vanishing_stops_at_the_least_homological_degree(monkeypatch):
     # (x^2, y) into itself is the identity, nonzero already on Tor_0, which the
-    # generators decide: no lattice is walked
+    # generators decide: no lattice is walked.  The cache starts empty, so every
+    # verdict below is decided here, not read from one an earlier test left
+    betti._CACHES.clear()
     walked, decided = [], []
-    multigraded, maps = betti._multigraded, betti._maps_nonzero
-    monkeypatch.setattr(betti, "_multigraded", lambda *a, **k: walked.append(a) or multigraded(*a, **k))
+    walked_table, factors, maps = betti._walked, betti._factors, betti._maps_nonzero
+    monkeypatch.setattr(betti, "_walked", lambda *a, **k: walked.append(a) or walked_table(*a, **k))
+    monkeypatch.setattr(betti, "_factors", lambda *a, **k: walked.append(a) or factors(*a, **k))
     monkeypatch.setattr(betti, "_maps_nonzero",
                         lambda pairs, m, i, char: decided.append(i) or maps(pairs, m, i, char))
     ring = Ring("R", ("x", "y"))
@@ -264,6 +267,70 @@ def test_tor_vanishing_stops_at_the_least_homological_degree(monkeypatch):
                                                           (2, 5): 1}
     assert tor_vanishing(small, big, 0) == tor_vanishing_by_strands(small, big, 0) == (False, (1, 4))
     assert set(decided) == {1}
+
+
+@settings(max_examples=80, deadline=None)
+@given(inclusions(), st.sampled_from([0, 2, 32003]))
+@example(rp2_loop_inclusion(), 2)
+@example((ideal_of(Ring("R", ("x", "y")), "x*y^3", "x^2*y"),  # witness (1, 5)
+          ideal_of(Ring("R", ("x", "y")), "y^3", "x^2")), 0)
+# small has Tor_1 and Tor_2 at a^2*b*c*d^2, with one pair of complexes there: every map
+# on Tor_1 is zero and the one on Tor_2 there is not, so the witness (2, 6) is missed if a
+# verdict is keyed without its i
+@example((ideal_of(Ring("R", ("a", "b", "c", "d")), "a^2*b*d^2", "a*b*c^2", "a*b*c*d", "a^2*c",
+                   "c*d^2"),
+          ideal_of(Ring("R", ("a", "b", "c", "d")), "a*b*c", "b*c*d", "a^2", "d^2")), 0)
+def test_warm_verdicts_equal_cold_ones(inclusion, char):
+    # a verdict read from the cache is the one the ranks decide, and the strands' too
+    small, big = inclusion
+    betti._CACHES.clear()
+    cold = tor_vanishing(small, big, char)
+    warm = tor_vanishing(small, big, char)
+    assert cold == warm == tor_vanishing_by_strands(small, big, char)
+
+
+def test_the_verdict_cache_keeps_the_fields_apart():
+    # the map is zero over Q and nonzero over GF(2): a verdict of one field is never
+    # read in the other, whichever comes first
+    small, big = rp2_loop_inclusion()
+    want = {0: (True, None), 2: (False, (2, 6))}
+    for order in ((0, 2), (2, 0)):
+        betti._CACHES.clear()
+        for char in order:
+            assert tor_vanishing(small, big, char) == want[char]
+        for char in order:
+            assert any(len(key) == 4 for key in betti._CACHES[char])
+
+
+def test_a_repeated_verdict_decides_no_map(monkeypatch):
+    decided = []
+    maps = betti._maps_nonzero
+    monkeypatch.setattr(betti, "_maps_nonzero",
+                        lambda pairs, m, i, char: decided.append(len(pairs)) or maps(pairs, m, i, char))
+    ring = Ring("R", ("a", "b", "c"))
+    small = ideal_of(ring, "a^2*c", "a*b*c", "a*c^2", "b^2")
+    big = ideal_of(ring, "a^2", "c^2", "b")
+    betti._CACHES.clear()
+    first = tor_vanishing(small, big, 0)
+    assert first == (False, (1, 4)) and decided
+    decided.clear()
+    assert tor_vanishing(small, big, 0) == first
+    assert decided == []
+
+
+def test_verdicts_count_toward_the_cache_bound(monkeypatch):
+    # complexes and verdicts share one bound and one emptying rule
+    small, big = rp2_loop_inclusion()
+    betti._CACHES.clear()
+    want = tor_vanishing(small, big, 2)
+    full = set(betti._CACHES[2])
+    assert any(len(key) == 4 for key in full) and any(len(key) == 2 for key in full)
+    for bound in range(1, len(full) + 1):
+        monkeypatch.setattr(betti, "_CACHE_ENTRIES", bound)
+        betti._CACHES.clear()
+        assert tor_vanishing(small, big, 2) == want
+        assert len(betti._CACHES[2]) <= bound
+    assert set(betti._CACHES[2]) == full
 
 
 def test_tor_vanishing_obeys_the_lattice_cap(ring_xy):
@@ -307,9 +374,14 @@ def test_tor_vanishing_holds_a_product_to_the_walks_limits():
               for v in "xy" for part in (range(1, 8), range(8, 14))]
     small = MonomialIdeal.from_exponents(
         ring, [tuple(map(sum, zip(a, b))) for a in halves[:2] for b in halves[2:]])
-    with pytest.raises(CapError, match=r"a lattice point reached a support of 26 variables, over "
-                                       r"the walk's fixed limit of 24 \(not a FIBERLAB_CAPS cap"):
-        tor_vanishing(small, MonomialIdeal.from_exponents(ring, halves[:2]), 0)
+    convolved = []
+    convolve = betti._convolve
+    with pytest.MonkeyPatch.context() as patch:  # refused from the factors' tables alone
+        patch.setattr(betti, "_convolve", lambda *a: convolved.append(a) or convolve(*a))
+        with pytest.raises(CapError, match=r"a lattice point reached a support of 26 variables, "
+                                           r"over the walk's fixed limit of 24 \(not a FIBERLAB_CAPS"):
+            tor_vanishing(small, MonomialIdeal.from_exponents(ring, halves[:2]), 0)
+    assert convolved == []
     # a table builds no complex at the convolved points, so it takes no support limit
     table = betti_table(small, 0, threads=1).multigraded()
     assert len(table) == 9 and table[(2, (1,) * 26)] == 1

@@ -35,14 +35,14 @@ a chunk in bulk: the dividing (point, generator) pairs by packed-word
 tests, their tight masks, the inclusion-minimal masks of every point, and
 one key row per point, whose distinct rows are the chunk's complexes.
 It computes the uncached ones together, grouped by support size m,
-largest m first.  One (complexes x 2^m) boolean array holds a group's
-faces.  A complex's boundary from k- to (k-1)-faces is the full
-simplex's, restricted to the complex's own faces: every column keeps all
-its entries, since a complex holds the facets of its faces.  The walk
-only computes where those entries go: ``linalg.rank_inputs``, which the
-Koszul engine uses too, lays out the boundaries of one k for
-``rank_mod_p`` or ``rank_exact``, largest k first.  A fixed cell budget
-splits the face arrays and the stacks.  Large supports carry the large
+largest m first, under the one cache rule of ``_cached``.  One
+(complexes x 2^m) boolean array holds a group's faces.  A complex's
+boundary from k- to (k-1)-faces is the full simplex's, restricted to the
+complex's own faces: every column keeps all its entries, since a complex
+holds the facets of its faces.  The walk only computes where those
+entries go: ``linalg.rank_inputs``, which the Koszul engine uses too, lays
+out the boundaries of one k for ``rank_mod_p`` or ``rank_exact``, largest
+k first.  A fixed cell budget splits the face arrays and the stacks.  Large supports carry the large
 complexes, so a GF(p) boundary over the dense limit is met, and refused,
 before ranks are spent on the many small ones.
 
@@ -61,20 +61,23 @@ table packs its generators once, on one packing (``_PackedGens``): the
 column maxima of the generators bound every lattice point, so the closure
 and the walk share it, and the closure's survivors reach the walk as
 packed words, unpacked once for their exponents and never packed again.
+The same packing gives the Python-int branches below their layout,
+``ideals._IntLayout``, built at first use.
 
 Tiny inputs, which the fiber-product claim checks build by the hundred,
 cost NumPy's fixed per-call overhead more than arithmetic.  So a closure
 of at most ``_SMALL_CLOSURE_CELLS`` generator cells, and a walk of at most
 ``_SMALL_WALK_PAIRS`` (point, generator) pairs, whose exponents pack into
 one word, run the same algorithm on Python ints that hold the same packed
-words (``_small_closure``, ``_small_walk``).  The branch returns exactly
-what the array branch returns.  With one word the ints' numeric order is
-the packed-key order, so the closure gives the same array in the same
-order, and a cap refuses it after the same chunk with the same count.  The
-walk keeps the chunks, the support-limit check first in each, the cache
-keys (m, int64 bytes of the sorted minimal masks), the homology groups
-largest m first and the cache's emptying rule.  Only the order of one
-group's complexes within their batch may differ, which changes no answer.
+words (``_small_closure``, ``_small_walk``), on the layout that the
+Python-int branches of ``ideals`` use too (``_IntLayout``).  The branch
+returns exactly what the array branch returns.  On one word a layout key
+is the packed word, so the ints' numeric order is the packed-key order:
+the closure gives the same array in the same order, and a cap refuses it
+after the same chunk with the same count.  The walk keeps the chunks, the
+support-limit check first in each, the cache keys (m, int64 bytes of the
+sorted minimal masks) and ``_cached``.  Only the order of one group's
+complexes within their batch may differ, which changes no answer.
 
 The same complexes decide Tor-vanishing (``tor_vanishing``): for an
 inclusion small <= big, the map Tor_i(small)_b -> Tor_i(big)_b is the map
@@ -86,8 +89,8 @@ the map.  One of them is relative: the boundary of big's faces outside
 small, whose columns drop their entries at small's faces.  Whether the map
 is nonzero depends only on i, the field and the two complexes' keys, so the
 field's cache holds these map verdicts too, keyed (i, m, small's masks'
-bytes, big's masks' bytes), under the same bound and emptying rule as the
-complexes: each distinct map is ranked once per process and field.
+bytes, big's masks' bytes), through the same ``_cached`` as the complexes:
+each distinct map is ranked once per process and field.
 
 When the generating set is, after exact verification, a product of
 generating sets over disjoint variable blocks, the table is assembled as
@@ -117,7 +120,7 @@ import numpy as np
 from .config import DEFAULT_CAPS, Caps
 from .core import Exponents, resolve_characteristic
 from .errors import CapError, DomainError
-from .ideals import MonomialIdeal, _Packing, _row_keys, _sorted_unique, _unique_rows
+from .ideals import MonomialIdeal, _IntLayout, _Packing, _row_keys, _sorted_unique, _unique_rows
 from . import linalg
 from .linalg import rank_exact, rank_inputs, rank_mod_p
 
@@ -166,8 +169,9 @@ class _PackedGens:
     """A table's generators, packed once on the packing that its closure and its walk share.
 
     The packing of the generators' column maxima holds every point of their
-    lcm lattice too.  ``fields`` and ``keys``, the words as Python ints,
-    serve the Python-int branches, on one word; each is built at first use.
+    lcm lattice too.  ``fields``, the packing's layout as Python ints
+    (``ideals._IntLayout``), and ``keys``, the words as Python ints, serve
+    the Python-int branches, on one word; each is built at first use.
     """
 
     def __init__(self, packing: _Packing, gens: np.ndarray):
@@ -175,16 +179,16 @@ class _PackedGens:
         self.words = packing.pack(gens)
 
     @functools.cached_property
-    def fields(self) -> _WordFields:
-        return _WordFields(self.packing)
+    def fields(self) -> _IntLayout:
+        return _IntLayout(self.packing.maxexp.tolist())
 
     @functools.cached_property
     def keys(self) -> list[int]:
         return self.words[:, 0].tolist()
 
 
-def _closure(gens: np.ndarray, cap: int, packed: _PackedGens | None = None) -> np.ndarray:
-    """The non-contractible points of the lcm lattice, built rank by rank.
+def _closure(table: _PackedGens, cap: int) -> np.ndarray:
+    """The non-contractible points of the lcm lattice of ``table``'s generators, rank by rank.
 
     A point's rank is the least number of generators whose join it is.  The
     contractible points form an up-set, so below a survivor b of rank r + 1
@@ -197,27 +201,23 @@ def _closure(gens: np.ndarray, cap: int, packed: _PackedGens | None = None) -> n
     generators has r variables where one of them alone is largest, so
     there are at most nvars + 1 rounds.
 
-    ``gens`` are minimal, so none is contractible: they are the first
+    The generators are minimal, so none is contractible: they are the first
     frontier.  The ``lattice`` cap bounds the distinct points held at once,
     counted after every chunk: the survivors so far and the round's
-    candidates.  Returns the survivors sorted by packed key: their
-    exponents, or, given the table's ``packed`` generators, their packed
-    words, which the walk takes as they are.  Generators of at most
+    candidates.  Returns the survivors' packed words, sorted by packed key,
+    which the walk takes as they are.  Generators of at most
     ``_SMALL_CLOSURE_CELLS`` cells on one packed word are closed on Python
     ints (``_small_closure``), with the same result.
     """
-    table = packed if packed is not None else _PackedGens(_Packing(gens.max(axis=0)), gens)
-    packing = table.packing
+    packing, packed_gens = table.packing, table.words
 
     def rows(keys: np.ndarray) -> np.ndarray:
         return keys.view(np.int64).reshape(len(keys), packing.nwords)
 
-    step = max(1, _CLOSURE_WORDS // table.words.size)
-    if packing.nwords == 1 and gens.size <= _SMALL_CLOSURE_CELLS:
+    step = max(1, _CLOSURE_WORDS // packed_gens.size)
+    if packing.nwords == 1 and table.gens.size <= _SMALL_CLOSURE_CELLS:
         held = _small_closure(table.fields, table.keys, step, cap)
-        words = np.array(held, dtype=np.int64).reshape(-1, 1)
-        return words if packed is not None else packing.unpack(words)
-    packed_gens = table.words
+        return np.array(held, dtype=np.int64).reshape(-1, 1)
     held = _sorted_unique(_row_keys(packed_gens))  # a minimal generator is never contractible
     frontier = rows(held)
     while len(frontier):
@@ -239,36 +239,19 @@ def _closure(gens: np.ndarray, cap: int, packed: _PackedGens | None = None) -> n
         new = new[~_contractible(rows(new), packing, packed_gens)]
         held = np.sort(np.concatenate([held, new]))
         frontier = rows(new)
-    return rows(held) if packed is not None else packing.unpack(rows(held))
+    return rows(held)
 
 
-class _WordFields(dict):
-    """A one-word packing's bits as Python ints, with the value bits under each guard-bit set.
-
-    ``self[ge]`` holds the value bits of the fields whose guard bit ``ge``
-    holds: ge less the low bit of each such field, computed once per set
-    that occurs.
-    """
-
-    def __init__(self, packing: _Packing):
-        super().__init__()
-        self.guard, self.low = int(packing.guard[0]), int(packing.low[0])
-        self.widths = [(w, int(guards[0])) for w, guards in packing.by_width]
-
-    def __missing__(self, ge: int) -> int:
-        self[ge] = spread = ge - sum((ge & guards) >> w for w, guards in self.widths)
-        return spread
-
-
-def _small_closure(fields: _WordFields, gens: list[int], step: int, cap: int) -> list[int]:
+def _small_closure(fields: _IntLayout, gens: list[int], step: int, cap: int) -> list[int]:
     """``_closure`` on Python ints that hold the one-word packed keys of ``gens``.
 
     The same rounds, chunks of ``step`` frontier points and cap counts as the
     array branch, with ``_Packing.join`` and ``_contractible`` done a key at
-    a time.  With one word, the numeric order of the keys is the packed-key
-    order, so the survivors come back sorted as the array branch sorts them.
-    In d = (p | guard) - g a field keeps its guard bit iff p_v >= g_v, and
-    then holds p_v - g_v, so p v g = g + (d & the value bits of those fields).
+    a time on the packing's ``_IntLayout``.  On one word a key is the packed
+    word, and the numeric order of the keys is the packed-key order, so the
+    survivors come back sorted as the array branch sorts them.  In
+    d = (p | guard) - g a field keeps its guard bit iff p_v >= g_v, and then
+    holds p_v - g_v, so p v g = g + (d & the value bits of those fields).
     """
     guard, low = fields.guard, fields.low
     held = set(gens)  # a minimal generator is never contractible
@@ -530,90 +513,78 @@ def _walk_packing(points: np.ndarray, sides: tuple[np.ndarray, ...]) -> _Packing
                                      points.max(axis=0)))
 
 
-def _point_masks(points: np.ndarray, words: np.ndarray | None, sides: list[_PackedGens]):
+def _point_masks(points: np.ndarray, words: np.ndarray, sides: list[_PackedGens]):
     """The walk's chunks of ``points``, with the tight masks of each generator set of ``sides``.
 
     Yields (chunk, support sizes, [``_tight_masks`` pairs, one per side]),
     each chunk held to the support limit before its masks are found.  The
-    sides share one packing; the points' packed ``words`` are used as they
-    are, or without them each chunk is packed in turn.
+    sides share one packing, on which ``words`` are the points' packed rows.
     """
-    packing = sides[0].packing
     step = max(1, _CHUNK_CELLS // (sum(side.gens.size for side in sides) + 1))
     for lo in range(0, len(points), step):
         chunk = points[lo : lo + step]
         supp = chunk > 0
         sizes = supp.sum(axis=1)
         _within_support_limit(sizes.max(initial=0))
-        packed = packing.pack(chunk) if words is None else words[lo : lo + step]
-        yield chunk, sizes, [_tight_masks(chunk, packed, supp, side) for side in sides]
+        yield chunk, sizes, [_tight_masks(chunk, words[lo : lo + step], supp, side)
+                             for side in sides]
 
 
-def _chunk_complexes(keys: list[tuple[int, bytes]], pending: dict[int, dict[bytes, np.ndarray]],
-                     char: int, cache: dict) -> list[dict[int, int]]:
-    """The homology of a chunk's complexes, keyed (m, minimal masks' bytes), in key order.
+def _cached(cache: dict, keys: list, pending: dict[int, dict], compute) -> list:
+    """The values of ``keys``, read from ``cache`` or computed, in key order.
 
-    ``pending`` holds the uncached ones' masks by m and bytes; they are
-    computed largest m first.  The chunk's new complexes go into ``cache``,
-    which is emptied first if they would take it past ``_CACHE_ENTRIES``.
+    ``pending`` holds the inputs of the keys that ``cache`` lacks, grouped
+    by support size m, {m: {key: input}}; ``compute(inputs, m)`` gives a
+    group's values in order.  The groups go largest m first, so a GF(p)
+    boundary over the dense limit is met, and refused, before the smaller
+    ranks are spent.  The new values go into ``cache``, which is emptied
+    first if they would take it past ``_CACHE_ENTRIES``; more new values
+    than that are not kept.
     """
     new = {}
     for m, group in sorted(pending.items(), reverse=True):
-        new.update(zip([(m, blob) for blob in group],
-                       _homology_from_masks(list(group.values()), m, char)))
+        new.update(zip(group, compute(list(group.values()), m)))
     found = [new[key] if key in new else cache[key] for key in keys]
-    _remember(cache, new)
-    return found
-
-
-def _remember(cache: dict, new: dict) -> None:
-    """Put ``new`` into ``cache``, emptied first if they would take it past ``_CACHE_ENTRIES``."""
     if len(cache) + len(new) > _CACHE_ENTRIES:
         cache.clear()
     if len(new) <= _CACHE_ENTRIES:
         cache.update(new)
+    return found
 
 
-def _points_betti(
-    points: np.ndarray, gens: np.ndarray, char: int, cache: dict,
-    packed: _PackedGens | None = None, words: np.ndarray | None = None,
-) -> dict[tuple[int, Exponents], int]:
+def _points_betti(points: np.ndarray, words: np.ndarray, table: _PackedGens, char: int,
+                  cache: dict) -> dict[tuple[int, Exponents], int]:
     """Betti entries {(i, b): dim} at the given lattice points, in chunks.
 
-    Each chunk is array work up to its distinct complexes: the dividing
-    (point, generator) pairs by packed-word tests, their tight masks on
-    supp(b), deduplicated by one sort and cut to the inclusion-minimal
-    ones, and one key row per point, [m, masks..., -1 padding].  A cache
-    lookup is made per distinct row; Python visits a point only to record
-    its nonzero entries.  ``_chunk_complexes`` reads and fills ``cache``.
-    A walk of at most ``_SMALL_WALK_PAIRS`` (point, generator) pairs on one
-    packed word runs on Python ints instead (``_small_walk``).  A table's
-    walk gets the ``packed`` generators and the points' packed ``words``
-    from its closure; without them the walk packs both itself.
+    ``words`` are the points packed on ``table``'s packing, as the closure
+    gives them.  Each chunk is array work up to its distinct complexes: the
+    dividing (point, generator) pairs by packed-word tests, their tight
+    masks on supp(b), deduplicated by one sort and cut to the
+    inclusion-minimal ones, and one key row per point, [m, masks..., -1
+    padding].  A cache lookup is made per distinct row; Python visits a
+    point only to record its nonzero entries.  ``_cached`` reads and fills
+    ``cache``.  A walk of at most ``_SMALL_WALK_PAIRS`` (point, generator)
+    pairs on one packed word runs on Python ints instead (``_small_walk``).
     """
+    if table.packing.nwords == 1 and len(points) * len(table.gens) <= _SMALL_WALK_PAIRS:
+        return _small_walk(points, words[:, 0].tolist(), table, char, cache)
     entries: dict[tuple[int, Exponents], int] = {}
-    if len(points) == 0:
-        return entries
-    if packed is None:
-        packed = _PackedGens(_walk_packing(points, (gens,)), gens)
-    if packed.packing.nwords == 1 and len(points) * len(gens) <= _SMALL_WALK_PAIRS:
-        keyed = (packed.packing.pack(points) if words is None else words)[:, 0].tolist()
-        return _small_walk(points, keyed, packed, char, cache)
-    for chunk, sizes, [(point, mask)] in _point_masks(points, words, [packed]):
+    for chunk, sizes, [(point, mask)] in _point_masks(points, words, [table]):
         count = np.bincount(point, minlength=len(chunk))
         rows = np.full((len(chunk), count.max() + 1), -1, dtype=np.int64)
         rows[:, 0] = sizes
         rows[point, 1 + np.arange(len(point)) - np.searchsorted(point, point)] = mask
         _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
         keys = []
-        pending: dict[int, dict[bytes, np.ndarray]] = {}  # uncached complexes by size
+        pending: dict[int, dict] = {}  # uncached complexes by size, {key: masks}
         for row in first.tolist():
             m, masks = int(sizes[row]), rows[row, 1 : 1 + count[row]]
             key = (m, masks.tobytes())
             keys.append(key)
             if key not in cache:
-                pending.setdefault(m, {})[key[1]] = masks
-        found = _chunk_complexes(keys, pending, char, cache)
+                pending.setdefault(m, {})[key] = masks
+        found = _cached(cache, keys, pending,
+                        lambda batch, m: _homology_from_masks(batch, m, char))
         hit = np.flatnonzero(np.array([bool(dims) for dims in found])[inverse])
         for b, u in zip(chunk[hit].tolist(), inverse[hit].tolist()):
             bt = tuple(b)
@@ -622,23 +593,23 @@ def _points_betti(
     return entries
 
 
-def _small_walk(points: np.ndarray, keyed: list[int], packed: _PackedGens, char: int,
+def _small_walk(points: np.ndarray, keyed: list[int], table: _PackedGens, char: int,
                 cache: dict) -> dict[tuple[int, Exponents], int]:
     """``_points_betti`` on Python ints that hold the one-word packed keys of the points.
 
     The same chunks, support-limit check, keys and cache rule as the array
-    branch.  A generator g divides the point p iff (p - g) keeps every guard
-    bit clear, and ((g | guard) - p) keeps the guard bits where g_v >= p_v:
-    on supp(p), for a divisor, its tight set.  Tight sets are compared as
-    guard bits, which keep the order and inclusions of the masks, and only
-    the minimal ones are renumbered onto supp(p), once per (supp(p), tight
-    sets) pair the walk meets.
+    branch, on the packing's ``_IntLayout``.  A generator g divides the
+    point p iff (p - g) keeps every guard bit clear, and ((g | guard) - p)
+    keeps the guard bits where g_v >= p_v: on supp(p), for a divisor, its
+    tight set.  Tight sets are compared as guard bits, which keep the order
+    and inclusions of the masks, and only the minimal ones are renumbered
+    onto supp(p), once per (supp(p), tight sets) pair the walk meets.
     """
-    fields = packed.fields
+    fields = table.fields
     guard, low = fields.guard, fields.low
-    divisors = [(g, g | guard) for g in packed.keys]
+    divisors = [(g, g | guard) for g in table.keys]
     rows = points.tolist()
-    step = max(1, _CHUNK_CELLS // (packed.gens.size + 1))
+    step = max(1, _CHUNK_CELLS // (table.gens.size + 1))
     entries: dict[tuple[int, Exponents], int] = {}
     known: dict[tuple[int, frozenset[int]], tuple[int, bytes]] = {}  # (supp, tight sets) -> key
     for lo in range(0, len(rows), step):
@@ -646,7 +617,7 @@ def _small_walk(points: np.ndarray, keyed: list[int], packed: _PackedGens, char:
         sizes = [len(b) - b.count(0) for b in chunk]
         _within_support_limit(max(sizes))
         keys = []
-        pending: dict[int, dict[bytes, np.ndarray]] = {}  # uncached complexes by size
+        pending: dict[int, dict] = {}  # uncached complexes by size, {key: masks}
         for p, m in zip(keyed[lo : lo + step], sizes):
             supp = ((p | guard) - low) & guard
             tight = frozenset([(lifted - p) & supp for g, lifted in divisors
@@ -671,8 +642,10 @@ def _small_walk(points: np.ndarray, keyed: list[int], packed: _PackedGens, char:
                 key = known[supp, tight] = (m, array("q", masks).tobytes())
             keys.append(key)
             if key not in cache:
-                pending.setdefault(m, {})[key[1]] = np.frombuffer(key[1], dtype=np.int64)
-        for b, dims in zip(chunk, _chunk_complexes(keys, pending, char, cache)):
+                pending.setdefault(m, {})[key] = np.frombuffer(key[1], dtype=np.int64)
+        found = _cached(cache, keys, pending,
+                        lambda batch, m: _homology_from_masks(batch, m, char))
+        for b, dims in zip(chunk, found):
             if dims:
                 bt = tuple(b)
                 for i, d in dims.items():
@@ -721,13 +694,13 @@ def _walked(gens: np.ndarray, char: int, caps: Caps) -> dict[tuple[int, Exponent
     if len(gens) == 1 and caps.lattice >= 1:
         # a principal ideal is free, on a one-point lattice: beta_0 at the generator
         return {(0, tuple(gens[0].tolist())): 1}
-    packed = _PackedGens(_Packing(gens.max(axis=0)), gens)
-    words = _closure(gens, caps.lattice, packed)
-    points = packed.packing.unpack(words)
+    table = _PackedGens(_Packing(gens.max(axis=0)), gens)
+    words = _closure(table, caps.lattice)
+    points = table.packing.unpack(words)
     # largest support first: the largest complexes meet the dense limit before any rank
     order = np.argsort(-(points > 0).sum(axis=1), kind="stable")
     points, words = points[order], words[order]  # the unsorted copies are freed before the walk
-    return _points_betti(points, gens, char, _CACHES.setdefault(char, {}), packed, words)
+    return _points_betti(points, words, table, char, _CACHES.setdefault(char, {}))
 
 
 # -- exact product factorization --------------------------------------------
@@ -980,9 +953,9 @@ def tor_vanishing(
     tables and refused before the convolution.  The points are taken by i,
     all of one i together.  Whether a map is nonzero depends only on i,
     the field and the key (m, small's minimal tight masks, big's), so each
-    verdict is kept in the field's cache with the walk's complexes, under
-    the same bound and emptying rule, and ranks (``_maps_nonzero``) decide
-    only the keys the cache does not hold, once per key.
+    verdict is kept in the field's cache with the walk's complexes, through
+    the same ``_cached``, and ranks (``_maps_nonzero``) decide only the
+    keys the cache does not hold, once per key, largest m first.
     """
     char = _inclusion_field(small, big, characteristic)
     # Tor_0 is spanned by the minimal generators, so the map on it is nonzero
@@ -1005,7 +978,7 @@ def tor_vanishing(
     pairs = {}  # point -> (key, (small's masks, big's masks))
     packing = _walk_packing(points, (gens, big_gens))
     both = [_PackedGens(packing, side) for side in (gens, big_gens)]
-    for chunk, sizes, sides in _point_masks(points, None, both):
+    for chunk, sizes, sides in _point_masks(points, packing.pack(points), both):
         cuts = [np.split(mask, np.searchsorted(point, np.arange(1, len(chunk))))
                 for point, mask in sides]
         for b, m, *pair in zip(chunk.tolist(), sizes.tolist(), *cuts):
@@ -1020,12 +993,9 @@ def tor_vanishing(
         for key, (_, b) in zip(keys, level):
             if key not in cache:
                 pending.setdefault(key[1], {})[key] = pairs[b][1]
-        new = {}
-        for m, group in pending.items():
-            new.update(zip(group, _maps_nonzero(list(group.values()), m, i, char).tolist()))
-        witnesses = [j for key, (j, _) in zip(keys, level)
-                     if (new[key] if key in new else cache[key])]
-        _remember(cache, new)
+        found = _cached(cache, keys, pending,
+                        lambda batch, m: _maps_nonzero(batch, m, i, char).tolist())
+        witnesses = [j for (j, _), nonzero in zip(level, found) if nonzero]
         if witnesses:
             return False, (i, min(witnesses))
     return True, None

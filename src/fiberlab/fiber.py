@@ -275,6 +275,14 @@ def reg_power_formula_terms(
     }
 
 
+def _reg_and_formula_terms(setup: FiberSetup, s: int, characteristic: int | None,
+                           caps: Caps) -> tuple[int, dict]:
+    """reg(F^s) and ``reg_power_formula_terms``: what Theorem 5.1 and Corollary 5.2 compare."""
+    _at_least("s", s, 1)
+    return (reg_of(setup.F ** s, characteristic, caps),
+            reg_power_formula_terms(setup, s, characteristic, caps))
+
+
 def check_reg_formula(
     setup: FiberSetup, s: int, characteristic: int | None = None,
     caps: Caps = DEFAULT_CAPS, threads: int | None = None,
@@ -283,10 +291,8 @@ def check_reg_formula(
 
     ``threads`` is accepted and ignored: every walk runs in the calling process.
     """
-    _at_least("s", s, 1)
     with Stopwatch() as sw:
-        direct = reg_of(setup.F ** s, characteristic, caps)
-        rhs = reg_power_formula_terms(setup, s, characteristic, caps)
+        direct, rhs = _reg_and_formula_terms(setup, s, characteristic, caps)
         computed = {"regFs": direct, "formula": rhs["general"]}
         expected = {"regFs": rhs["general"]}
         if rhs["bothEquigenerated"]:
@@ -308,10 +314,8 @@ def check_reg_formula_equigenerated(
     the verdict reports whether it held.  ``threads`` is accepted and ignored:
     every walk runs in the calling process.
     """
-    _at_least("s", s, 1)
     with Stopwatch() as sw:
-        direct = reg_of(setup.F ** s, characteristic, caps)
-        rhs = reg_power_formula_terms(setup, s, characteristic, caps)
+        direct, rhs = _reg_and_formula_terms(setup, s, characteristic, caps)
     return make_report(
         "cor-5.2", {"s": s},
         computed={"regFs": direct, "formula": rhs["equigenerated"]},

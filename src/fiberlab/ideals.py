@@ -18,11 +18,12 @@ per row.  Then, in one round per degree that holds a minimal generator,
 the rows of least degree left are minimal, and ``_Packing.divisible``
 drops every row they divide.  Inputs of at most ``_SMALL_MINIMAL_ROWS`` =
 64 rows, where NumPy's fixed cost per call outweighs the arithmetic, take
-the same steps on Python ints (one guarded key per row, with no word
-limit) and return the same int32 array in the same order.  Containment
-and intersection test divisibility with ``_divisible``; at most
-``_SMALL_DIVISIBLE_PAIRS`` = 256 row pairs take the same one-key-per-row
-test on Python ints and give the same booleans.  An ideal
+the same steps on Python ints and return the same int32 array in the
+same order.  Containment and intersection test divisibility with
+``_divisible``; at most ``_SMALL_DIVISIBLE_PAIRS`` = 256 row pairs take
+the same test on Python ints and give the same booleans.  These branches,
+and those of ``betti``, key each row on ``_IntLayout``: ``_Packing``'s
+fields on one int, with no word limit.  An ideal
 builds the int32 array of its generators once, read-only (``array``).
 ``component_ideal`` refuses, with ``CapError``, to enumerate more than
 ``COMPONENT_LIMIT`` = 2^22 generators, another fixed limit and its only
@@ -106,7 +107,7 @@ class _Packing:
     """
 
     def __init__(self, maxexp: np.ndarray):
-        self.ncols = len(maxexp)
+        self.maxexp, self.ncols = maxexp, len(maxexp)
         self.fields = []  # (column, word, shift, width) of every column that is not 0
         word = used = 0
         for col, e in enumerate(maxexp):
@@ -189,6 +190,44 @@ class _Packing:
         return out
 
 
+class _IntLayout(dict):
+    """``_Packing``'s field layout on one Python int, which has no word limit.
+
+    Column v's field starts at bit ``shifts[v]``, as wide as its maximum, with
+    a guard bit above it (a column whose maximum is 0 has no field); ``bits``
+    is the width of them all.  A row's key, ``sum(map(lshift, row, shifts))``,
+    is written out in each caller's loop.  When the fields fit into one int64
+    word the layout is ``_Packing``'s: the same ``guard`` and ``low`` bits and
+    keys equal to the packed words, so the keys' numeric order is the
+    packed-key order.  With no guard bit set in a or b, b divides a iff
+    ``(a - b) & guard == 0``: the lowest field where a_v < b_v borrows and
+    leaves its guard bit set (a borrow past the top field makes a - b < 0).
+    ``self[ge]`` holds the value bits of the fields whose guard bits ``ge``
+    holds, the spread of ``_Packing.join``, computed once per set that occurs.
+    """
+
+    def __init__(self, maxima):
+        shifts, guard, used = [], 0, 0
+        for top in maxima:
+            shifts.append(used)
+            width = top.bit_length()
+            if width:
+                guard |= 1 << (used + width)
+                used += width + 1
+        self.shifts, self.guard, self.bits = shifts, guard, used
+        # the fields follow each other from bit 0: each but the first starts above a guard
+        self.low = (guard << 1 | 1) ^ (1 << used)
+
+    def __missing__(self, ge: int) -> int:
+        spread, rest = 0, ge
+        while rest:  # guard bit g of a field whose lowest value bit is the top low bit below g
+            g = rest & -rest
+            spread |= g - (1 << ((self.low & (g - 1)).bit_length() - 1))
+            rest ^= g
+        self[ge] = spread
+        return spread
+
+
 def _row_keys(words: np.ndarray) -> np.ndarray:
     """One sortable key per row of packed words."""
     if words.shape[1] == 1:
@@ -228,20 +267,10 @@ def _divisible(gens: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _small_divisible(gens: list, rows: list) -> np.ndarray:
-    """``_divisible`` on Python ints: one int per row, with a guard bit above every field.
-
-    Ints have no word limit, so every row packs into one key.  As in
-    ``_small_minimal_rows``, g divides r iff (r - g) & guard == 0: the lowest
-    field where r_v < g_v borrows and leaves its guard bit set (a borrow past
-    the top field only makes the difference negative).
-    """
-    shifts, guard, used = [], 0, 0
-    for top in map(max, zip(*gens, *rows)):
-        shifts.append(used)
-        width = top.bit_length()
-        if width:
-            guard |= 1 << (used + width)
-            used += width + 1
+    """``_divisible`` on Python ints: g divides r iff (r - g) & guard == 0 on their
+    ``_IntLayout`` keys."""
+    layout = _IntLayout(map(max, zip(*gens, *rows)))
+    shifts, guard = layout.shifts, layout.guard
     keys = [sum(map(lshift, g, shifts)) for g in gens]
     out = []
     for row in rows:
@@ -295,27 +324,21 @@ def _minimal_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def _small_minimal_rows(arr: np.ndarray) -> np.ndarray:
-    """``_minimal_rows`` on Python ints: one int per row, with a guard bit above every field.
+    """``_minimal_rows`` on Python ints: one ``_IntLayout`` key per row.
 
     Ints have no word limit, so every row packs into one key, whatever its
-    exponents.  The first column takes the highest field and the degree
-    sits above them all, so the keys sort in the reverse of the canonical
-    order, and repeats share a key.  A row is kept iff no kept key
-    m divides its key k: with no guard bit set in k or m, a field where
-    k_v < m_v borrows in k - m and the lowest such field leaves its guard
-    bit set (the degree bits above take any borrow past the top field), so
-    m divides k iff (k - m) & guard == 0.  Taken by ascending degree, the
-    kept rows are the minimal ones, as in the array branch's rounds.
+    exponents.  The layout is built on the reversed columns, so the first
+    column takes the highest field, and the degree sits above them all: the
+    keys sort in the reverse of the canonical order, and repeats share a
+    key.  A row is kept iff no kept key m divides its key k, i.e.
+    (k - m) & guard == 0 (the degree bits above take any borrow past the
+    top field).  Taken by ascending degree, the kept rows are the minimal
+    ones, as in the array branch's rounds.
     """
     rows = arr.tolist()
-    shifts, guard, used = [0] * arr.shape[1], 0, 0
-    for col, top in reversed(list(enumerate(map(max, zip(*rows))))):
-        shifts[col] = used
-        width = top.bit_length()
-        if width:
-            guard |= 1 << (used + width)
-            used += width + 1
-    by_key = {(sum(row) << used) | sum(map(lshift, row, shifts)): row for row in rows}
+    layout = _IntLayout(list(map(max, zip(*rows)))[::-1])
+    shifts, guard, bits = layout.shifts[::-1], layout.guard, layout.bits
+    by_key = {(sum(row) << bits) | sum(map(lshift, row, shifts)): row for row in rows}
     kept, minimal = [], []
     for key in sorted(by_key):
         for m in kept:

@@ -5,9 +5,10 @@ enumeration) so that engine results are checked against code that shares
 nothing with the production paths.  The last section holds the oracles
 built on engine internals that no production path calls: the Koszul
 strands' Tor table and Tor-vanishing verdicts, the full lcm lattice, the
-upper Koszul complex of one point, the lattice walk one point at a time,
-the product split by one distinct-row count per column pair, and
-componentwise linearity checked at every degree up to the regularity.
+closure and the walk on exponent rows, the upper Koszul complex of one
+point, the lattice walk one point at a time, the product split by one
+distinct-row count per column pair, and componentwise linearity checked
+at every degree up to the regularity.
 """
 
 from __future__ import annotations
@@ -290,6 +291,21 @@ def full_closure(gens: np.ndarray, cap: int) -> np.ndarray:
         if len(closed) > cap:
             raise CapError.over("lattice", f"lcm lattice reached {len(closed)} points", cap)
     return packing.unpack(closed)
+
+
+def closure(gens: np.ndarray, cap: int) -> np.ndarray:
+    """``betti._closure`` on exponent rows: the survivors' exponents, in the closure's order,
+    from the table's packing of ``gens``."""
+    table = betti._PackedGens(_Packing(gens.max(axis=0)), gens)
+    return table.packing.unpack(betti._closure(table, cap))
+
+
+def walk(points: np.ndarray, gens: np.ndarray, char: int,
+         cache: dict) -> dict[tuple[int, tuple[int, ...]], int]:
+    """``betti._points_betti`` on exponent rows, packed on the packing of ``points`` and
+    ``gens`` together."""
+    table = betti._PackedGens(betti._walk_packing(points, (gens,)), gens)
+    return betti._points_betti(points, table.packing.pack(points), table, char, cache)
 
 
 def contractible(points: np.ndarray, gens: np.ndarray) -> np.ndarray:

@@ -24,9 +24,10 @@ from fiberlab.scenarios import appendix_ideals
 
 import fiberlab.linalg as linalg
 
-from conftest import (contractible, exact_rank, full_closure, ideal_of, koszul_tor,
+from conftest import (closure, contractible, exact_rank, full_closure, ideal_of, koszul_tor,
                       lcm_lattice, minimal_masks, product_split_pairwise, random_ideal,
-                      rank_mod_p_oracle, reduced_homology_dims, upper_koszul, walk_per_point)
+                      rank_mod_p_oracle, reduced_homology_dims, upper_koszul, walk,
+                      walk_per_point)
 
 
 # values of _SMALL_CLOSURE_CELLS and _SMALL_WALK_PAIRS that force each branch of
@@ -120,9 +121,9 @@ def test_lattice_cap(ring_xy):
         with pytest.MonkeyPatch.context() as patch:  # words 1: a chunk per frontier point
             force_branch(patch, branch)
             patch.setattr(betti_mod, "_CLOSURE_WORDS", words)
-            assert len(betti_mod._closure(gens, 15)) == 9
+            assert len(closure(gens, 15)) == 9
             with pytest.raises(CapError, match="reached 15 points, over cap lattice=14"):
-                betti_mod._closure(gens, 14)
+                closure(gens, 14)
             assert betti_table(ideal, 0, Caps(lattice=15)).total(1) == 4
             with pytest.raises(CapError):
                 betti_table(ideal, 0, Caps(lattice=14))
@@ -153,7 +154,7 @@ def test_closure_is_the_full_lattice_less_its_contractible_points(gens, scale, w
             force_branch(patch, branch)
             if words is not None:
                 patch.setattr(betti_mod, "_CLOSURE_WORDS", words)
-            got = betti_mod._closure(array, 100_000)
+            got = closure(array, 100_000)
         # the same points in the same order, which the walk's chunks follow
         assert got.tolist() == want.tolist()
 
@@ -340,7 +341,7 @@ def test_masks_with_one_minimal_antichain_share_a_cache_key():
     assert minimal_masks(raw_a).tobytes() == minimal_masks(raw_b).tobytes()
     cache: dict = {}
     points = np.array([(2, 1, 2), (2, 1, 1)], dtype=np.int32)
-    betti_mod._points_betti(points, gens, 0, cache)
+    walk(points, gens, 0, cache)
     assert list(cache) == [(3, minimal_masks(raw_a).tobytes())]
 
 
@@ -404,12 +405,12 @@ def test_bulk_walk_matches_the_per_point_walk(drawn):
             if budget is not None:
                 patch.setattr(linalg, "_CELL_BUDGET", budget)
             bulk_cache, oracle_cache = {}, {}
-            bulk = betti_mod._points_betti(points, array, char, bulk_cache)
+            bulk = walk(points, array, char, bulk_cache)
             assert bulk == walk_per_point(points, array, char, oracle_cache)
             assert bulk_cache == oracle_cache
             # a second walk over the same cache reads it: no homology is computed
             patch.setattr(betti_mod, "_homology_from_masks", _raise_on_homology)
-            assert betti_mod._points_betti(points, array, char, bulk_cache) == bulk
+            assert walk(points, array, char, bulk_cache) == bulk
 
 
 def test_bulk_walk_on_several_packed_words_and_one_point_chunks():
@@ -428,7 +429,7 @@ def test_bulk_walk_on_several_packed_words_and_one_point_chunks():
     for chunk_cells in (1, betti_mod._CHUNK_CELLS):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(betti_mod, "_CHUNK_CELLS", chunk_cells)
-            assert betti_mod._points_betti(points, array, 32003, {}) == want
+            assert walk(points, array, 32003, {}) == want
 
 
 small_ideals = st.integers(1, 4).flatmap(
@@ -700,7 +701,7 @@ def test_the_homology_cache_stays_within_its_bound():
             # a dict handed to the walk is held to the bound as well
             cache: dict = {}
             computed = _computed_complexes(patch)
-            betti_mod._points_betti(full_closure(gens, 10_000), gens, 0, cache)
+            walk(full_closure(gens, 10_000), gens, 0, cache)
             assert len(set(computed)) > 8 >= len(cache)
 
 
@@ -714,7 +715,7 @@ def _no_walk(*_args):
 def test_principal_ideals_take_no_walk_and_match_it(gen, char):
     # beta_0 at the generator, the unit ideal's 0 included, as the walk finds it
     gens = np.array([gen], dtype=np.int64)
-    walked = betti_mod._points_betti(full_closure(gens, 10), gens, char, {})
+    walked = walk(full_closure(gens, 10), gens, char, {})
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(betti_mod, "_points_betti", _no_walk)
         assert betti_mod._multigraded(gens, char, Caps()) == walked == {(0, gen): 1}
@@ -1045,7 +1046,7 @@ def test_small_closure_matches_the_array_closure(gens):
         # every cap from 1 up to the first that holds the closure: the same refusal
         # (message and count included) or the same points, in the same order and dtype
         for cap in itertools.count(1):
-            arrays, ints = (_in_branch(branch, betti_mod._closure, array, cap,
+            arrays, ints = (_in_branch(branch, closure, array, cap,
                                        _CLOSURE_WORDS=words) for branch in BRANCHES)
             if isinstance(arrays, str):
                 assert ints == arrays
@@ -1072,7 +1073,7 @@ def test_small_walk_matches_the_array_walk(gens, char, chunk_cells, cache_entrie
         patches["_CACHE_ENTRIES"] = cache_entries
     caches = {branch: {} for branch in BRANCHES}
     for _ in range(2):
-        walks = [_in_branch(branch, betti_mod._points_betti, points, array, char,
+        walks = [_in_branch(branch, walk, points, array, char,
                             caches[branch], **patches) for branch in BRANCHES]
         assert walks[0] == walks[1]
         assert caches["arrays"] == caches["ints"]
@@ -1092,5 +1093,5 @@ def test_both_walks_refuse_a_support_past_the_limit(ring_xy):
     for branch in BRANCHES:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(betti_mod, "_homology_from_masks", _raise_on_homology)
-            assert _in_branch(branch, betti_mod._points_betti, points, gens, 0, {}) == want
+            assert _in_branch(branch, walk, points, gens, 0, {}) == want
             assert _in_branch(branch, betti_table, ideal, 0) == want

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from operator import lshift
 
 import numpy as np
 import pytest
@@ -441,6 +442,47 @@ def test_divisible_branches_give_equal_answers(data):
             got = ideals_mod._divisible(*arrays)
         assert got.dtype == bool and got.shape == (len(rows),)
         assert got.tolist() == want
+
+
+@st.composite
+def one_word_layouts(draw):
+    """Column maxima whose fields of 0-31 bits, guards included, fit into one int64 word,
+    and 2-8 rows under them.  A maximum of 0 is a column with no field."""
+    maxima, used = [], 0
+    for width in draw(st.lists(st.integers(0, 31), min_size=1, max_size=10)):
+        if width and used + width + 1 > 63:
+            break
+        maxima.append(draw(st.integers(1 << width >> 1, (1 << width) - 1)))
+        used += width + 1 if width else 0
+    row = st.tuples(*[st.integers(0, top) for top in maxima])
+    return maxima, draw(st.lists(row, min_size=2, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_word_layouts())
+@example(([0, EXPONENT_LIMIT, 0, 1, (1 << 28) - 1],  # 32 + 2 + 29 bits: the whole word
+          [(0, EXPONENT_LIMIT, 0, 1, 0), (0, 5, 0, 0, (1 << 28) - 1), (0, 0, 0, 0, 0)]))
+def test_int_layout_is_the_one_word_packing(data):
+    # the small closure and the small walk take their keys' order, and their joins and
+    # divisibility tests, from this equality
+    maxima, rows = data
+    layout, packing = ideals_mod._IntLayout(maxima), ideals_mod._Packing(np.array(maxima))
+    assert packing.nwords == 1
+    assert (layout.guard, layout.low) == (int(packing.guard[0]), int(packing.low[0]))
+    words = packing.pack(np.array(rows, dtype=np.int64))
+    keys = [sum(map(lshift, row, layout.shifts)) for row in rows]
+    assert keys == words[:, 0].tolist()
+    guard = layout.guard
+    for (a, ka, wa), (b, kb, wb) in itertools.product(zip(rows, keys, words), repeat=2):
+        assert ((ka - kb) & guard == 0) == _divides(b, a)
+        ge = ((ka | guard) - kb) & guard
+        spread = 0  # as _Packing.join spreads the guard bits ge
+        for width, guards in packing.by_width:
+            bits = ge & int(guards[0])
+            spread |= bits - (bits >> width)
+        assert layout[ge] == spread
+        assert kb + (((ka | guard) - kb) & layout[ge]) == int(packing.join(wa, wb)[0])
+        assert packing.unpack(packing.join(wa, wb)[None]).tolist() == [list(map(max, a, b))]
 
 
 def test_array_is_built_once_read_only_and_left_as_it_is(ring_xyz):

@@ -318,19 +318,46 @@ def test_a_repeated_verdict_decides_no_map(monkeypatch):
     assert decided == []
 
 
+def two_supports_inclusion() -> tuple[MonomialIdeal, MonomialIdeal]:
+    """(a*d^2, c^2*d, c*d^2) inside (a, c): the walk's one chunk and the Tor_1 verdicts
+    each hold complexes on 3 vertices and on 2."""
+    ring = Ring("R", ("a", "c", "d"))
+    return ideal_of(ring, "a*d^2", "c^2*d", "c*d^2"), ideal_of(ring, "a", "c")
+
+
 def test_verdicts_count_toward_the_cache_bound(monkeypatch):
-    # complexes and verdicts share one bound and one emptying rule
-    small, big = rp2_loop_inclusion()
-    betti._CACHES.clear()
-    want = tor_vanishing(small, big, 2)
-    full = set(betti._CACHES[2])
-    assert any(len(key) == 4 for key in full) and any(len(key) == 2 for key in full)
-    for bound in range(1, len(full) + 1):
-        monkeypatch.setattr(betti, "_CACHE_ENTRIES", bound)
+    # complexes and verdicts share one bound and one emptying rule, in _cached, which
+    # computes the groups of a walk's chunk and of a verdict's degree largest m first
+    groups = []  # per _cached call: (its keys' length, the m of each group it computed)
+    cached, entries = betti._cached, betti._CACHE_ENTRIES
+
+    def spy(cache, keys, pending, compute):
+        sizes: list[int] = []
+        groups.append((len(keys[0]), sizes))
+        return cached(cache, keys, pending, lambda inputs, m: sizes.append(m) or compute(inputs, m))
+
+    monkeypatch.setattr(betti, "_cached", spy)
+    for inclusion, char, several in [
+        (rp2_loop_inclusion, 2, []),
+        # (keys' length, the m computed): the walk's one chunk, then Tor_1's verdicts
+        (two_supports_inclusion, 0, [(2, [3, 2]), (4, [3, 2])]),
+    ]:
+        small, big = inclusion()
+        monkeypatch.setattr(betti, "_CACHE_ENTRIES", entries)
         betti._CACHES.clear()
-        assert tor_vanishing(small, big, 2) == want
-        assert len(betti._CACHES[2]) <= bound
-    assert set(betti._CACHES[2]) == full
+        groups.clear()
+        want = tor_vanishing(small, big, char)
+        assert want == tor_vanishing_by_strands(small, big, char)
+        assert all(entry in groups for entry in several)
+        full = set(betti._CACHES[char])
+        assert any(len(key) == 4 for key in full) and any(len(key) == 2 for key in full)
+        for bound in range(1, len(full) + 1):
+            monkeypatch.setattr(betti, "_CACHE_ENTRIES", bound)
+            betti._CACHES.clear()
+            assert tor_vanishing(small, big, char) == want
+            assert len(betti._CACHES[char]) <= bound
+        assert set(betti._CACHES[char]) == full
+        assert all(sizes == sorted(set(sizes), reverse=True) for _, sizes in groups)
 
 
 def test_tor_vanishing_obeys_the_lattice_cap(ring_xy):

@@ -16,8 +16,14 @@ Two consequences keep most points away from per-point work:
   which has no homology.  These contractible points are most of a large
   lattice, and they form an up-set, so the closure never builds on them:
   it joins survivors with generators, rank by rank, and drops each round's
-  contractible candidates with one vectorised divisibility test.  The walk
-  sees only the survivors.
+  contractible candidates with one vectorised divisibility test.  Where the
+  box below the generators' column maxima fits in the ``lattice`` cap and
+  is small next to the generator pairs (``_DENSE_CELLS_PER_PAIR``), it
+  counts the generators below every point of the box instead, which
+  decides both lattice membership and contractibility with no join.  Every
+  point the rounds hold lies in that box, so they could not have been
+  refused there; a box past the cap keeps the rounds and their refusal,
+  message and count included.  The walk sees only the survivors.
 * Antichain key.  A face that avoids a tight set also avoids every subset
   of it, so each surviving point keeps only its inclusion-minimal tight
   sets.  They determine the complex up to relabelling of supp(b) by
@@ -135,6 +141,15 @@ _CLOSURE_WORDS = 1 << 17
 # and 17, each input timed in both branches, fastest of 7) took 0.85, 0.71, 0.63-0.64,
 # 0.68 and 1.11 times the array branch's time with this at 8, 16, 32, 64 and 128
 _SMALL_CLOSURE_CELLS = 32
+# box cells per generator pair up to which a closure that is not on Python ints counts
+# divisors over its box (``_dense_closure``): a box of at most this times k^2 cells, for k
+# generators, and within the lattice cap.  The 260 such closures of one round of
+# appendix-lattice, claim-loop and tor-exact (seed 7) have box / k^2 up to 12.5; each timed
+# in both paths, fastest of 5, they took 275 ms rank by rank and 57 ms dense.  Of 40
+# synthetic ones (powers of maximal ideals, random ideals in 3-6 variables), the dense path
+# won on all 21 up to a ratio of 32 and lost on all 19 from 39 on; they took 87.5, 14.5,
+# 14.1, 13.9, 14.1 and 38.8 ms with this at 0, 4, 16, 32, 64 and 1,024
+_DENSE_CELLS_PER_PAIR = 32
 # (point, generator) pairs up to which a walk on one packed word runs on Python ints
 # (``_small_walk``).  The round's 755 walks, timed the same way, took 0.76, 0.73,
 # 0.72-0.73, 0.75-0.76 and 0.79-0.81 times with this at 100, 300, 750, 2,000 and 4,000
@@ -188,7 +203,7 @@ class _PackedGens:
 
 
 def _closure(table: _PackedGens, cap: int) -> np.ndarray:
-    """The non-contractible points of the lcm lattice of ``table``'s generators, rank by rank.
+    """The non-contractible points of the lcm lattice of ``table``'s generators.
 
     A point's rank is the least number of generators whose join it is.  The
     contractible points form an up-set, so below a survivor b of rank r + 1
@@ -208,6 +223,14 @@ def _closure(table: _PackedGens, cap: int) -> np.ndarray:
     which the walk takes as they are.  Generators of at most
     ``_SMALL_CLOSURE_CELLS`` cells on one packed word are closed on Python
     ints (``_small_closure``), with the same result.
+
+    Every point the rounds hold lies in the box of the points below the
+    generators' column maxima.  So when the box has at most ``cap`` cells,
+    the rounds could never be refused, and when it also has at most
+    ``_DENSE_CELLS_PER_PAIR`` cells per generator pair, the survivors are
+    read off a count of divisors over the box instead (``_dense_closure``),
+    packed and sorted: the same array, with no join and no sort of
+    candidates.  A box past the cap keeps the rounds, and their refusal.
     """
     packing, packed_gens = table.packing, table.words
 
@@ -218,6 +241,9 @@ def _closure(table: _PackedGens, cap: int) -> np.ndarray:
     if packing.nwords == 1 and table.gens.size <= _SMALL_CLOSURE_CELLS:
         held = _small_closure(table.fields, table.keys, step, cap)
         return np.array(held, dtype=np.int64).reshape(-1, 1)
+    box = math.prod(e + 1 for e in packing.maxexp.tolist())
+    if box <= cap and box <= _DENSE_CELLS_PER_PAIR * len(table.gens) ** 2:
+        return rows(np.sort(_row_keys(packing.pack(_dense_closure(table.gens, packing.maxexp)))))
     held = _sorted_unique(_row_keys(packed_gens))  # a minimal generator is never contractible
     frontier = rows(held)
     while len(frontier):
@@ -240,6 +266,35 @@ def _closure(table: _PackedGens, cap: int) -> np.ndarray:
         held = np.sort(np.concatenate([held, new]))
         frontier = rows(new)
     return rows(held)
+
+
+def _dense_closure(gens: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """The exponents of ``_closure``'s survivors, found by counting divisors over a box.
+
+    Over the box of the points b <= ``top`` (the generators' column maxima),
+    cnt(b) = #{generators g <= b}: a 1 at each generator, summed along
+    every axis.  b is the join of the generators below it iff each v with
+    b_v > 0 has one of them with g_v = b_v, i.e. iff cnt(b) > 0 and
+    cnt(b) > cnt(b - e_v) for every such v; and b != 0 is contractible iff
+    cnt(b - 1_supp(b)) > 0.  Returns the rest of the lattice, in the box's
+    order.
+    """
+    shape = tuple(e + 1 for e in top.tolist())
+    cnt = np.zeros(shape, dtype=np.min_scalar_type(len(gens)))
+    cnt[tuple(gens.T)] = 1
+    axes = [axis for axis, size in enumerate(shape) if size > 1]
+    for axis in axes:
+        np.cumsum(cnt, axis=axis, dtype=cnt.dtype, out=cnt)
+    kept = cnt > 0
+    below = kept.copy()  # becomes cnt(b - 1_supp(b)) > 0
+    for axis in axes:
+        upper = (slice(None),) * axis + (slice(1, None),)
+        lower = (slice(None),) * axis + (slice(None, -1),)
+        kept[upper] &= cnt[upper] > cnt[lower]
+        below[upper] = below[lower]
+    below.flat[0] = False  # the point 0 is no full simplex
+    kept &= ~below
+    return np.stack(np.unravel_index(np.flatnonzero(kept), shape), axis=1)
 
 
 def _small_closure(fields: _IntLayout, gens: list[int], step: int, cap: int) -> list[int]:

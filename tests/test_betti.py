@@ -30,15 +30,34 @@ from conftest import (closure, contractible, exact_rank, full_closure, ideal_of,
                       walk_per_point)
 
 
-# values of _SMALL_CLOSURE_CELLS and _SMALL_WALK_PAIRS that force each branch of
-# _closure and _points_betti: 0 takes the array branch on every input, and 1 << 62 the
-# Python-int branch on every input that packs into one word
-BRANCHES = {"arrays": 0, "ints": 1 << 62}
+# values of betti's constants that force each branch of _closure and _points_betti:
+# "rank" closes rank by rank and walks on arrays on every input; "dense" closes by counting
+# over the box wherever the box fits in the cap, and walks on arrays; "ints" takes the
+# Python-int branch of both on every input that packs into one word
+BRANCHES = {
+    "rank": {"_SMALL_CLOSURE_CELLS": 0, "_SMALL_WALK_PAIRS": 0, "_DENSE_CELLS_PER_PAIR": 0},
+    "dense": {"_SMALL_CLOSURE_CELLS": 0, "_SMALL_WALK_PAIRS": 0,
+              "_DENSE_CELLS_PER_PAIR": 1 << 62},
+    "ints": {"_SMALL_CLOSURE_CELLS": 1 << 62, "_SMALL_WALK_PAIRS": 1 << 62,
+             "_DENSE_CELLS_PER_PAIR": 0},
+}
 
 
 def force_branch(patch, branch: str) -> None:
-    patch.setattr(betti_mod, "_SMALL_CLOSURE_CELLS", BRANCHES[branch])
-    patch.setattr(betti_mod, "_SMALL_WALK_PAIRS", BRANCHES[branch])
+    for name, value in BRANCHES[branch].items():
+        patch.setattr(betti_mod, name, value)
+
+
+def spy_dense(patch) -> list:
+    """Record the generators of every ``betti._dense_closure`` call from now on."""
+    calls, dense = [], betti_mod._dense_closure
+
+    def spy(gens, top):
+        calls.append(gens.tolist())
+        return dense(gens, top)
+
+    patch.setattr(betti_mod, "_dense_closure", spy)
+    return calls
 
 
 def test_koszul_baseline(ring_xyz):
@@ -114,13 +133,17 @@ def test_lattice_cap(ring_xy):
     # the cap bounds the distinct points the closure holds at once.  (x, y)^4 has 5
     # generators, all surviving; round 1 holds their 10 pairwise joins, of which the 4
     # of adjacent generators survive; round 2 joins those 4 with the generators and holds
-    # the other 6 again.  So 5 + 10 = 9 + 6 = 15 points are held at the peak, and 9 survive
+    # the other 6 again.  So 5 + 10 = 9 + 6 = 15 points are held at the peak, and 9 survive.
+    # Its box has 25 cells, past every cap here, so no branch counts over it; nor does the
+    # box of 6 cells of (x^2, xy), whose closure holds 3 points, under lattice=2
     ideal = maxideal_power(ring_xy, None, 4)
     gens = ideal.array()
+    pair = ideal_of(ring_xy, "x^2", "x*y")
     for branch, words in itertools.product(BRANCHES, (1, betti_mod._CLOSURE_WORDS)):
         with pytest.MonkeyPatch.context() as patch:  # words 1: a chunk per frontier point
             force_branch(patch, branch)
             patch.setattr(betti_mod, "_CLOSURE_WORDS", words)
+            dense = spy_dense(patch)
             assert len(closure(gens, 15)) == 9
             with pytest.raises(CapError, match="reached 15 points, over cap lattice=14"):
                 closure(gens, 14)
@@ -129,6 +152,11 @@ def test_lattice_cap(ring_xy):
                 betti_table(ideal, 0, Caps(lattice=14))
             with pytest.raises(CapError):
                 betti_table(ideal, 0, Caps(lattice=3))
+            with pytest.raises(CapError) as refused:
+                betti_table(pair, 0, Caps(lattice=2))
+            assert str(refused.value) == ("lcm lattice reached 3 points, over cap lattice=2 "
+                                          "(set FIBERLAB_CAPS=lattice=<value>)")
+            assert dense == []
     with pytest.raises(DomainError):
         betti_table(MonomialIdeal.zero(ring_xy), 0)
     with pytest.raises(DomainError):
@@ -1036,6 +1064,12 @@ def _in_branch(branch: str, fn, *args, **patches):
             return f"CapError: {exc}"
 
 
+def _assert_same_array(got, want: np.ndarray) -> None:
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tolist() == want.tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(one_word_gens)
 @example([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])  # all 15 joins survive
@@ -1046,14 +1080,13 @@ def test_small_closure_matches_the_array_closure(gens):
         # every cap from 1 up to the first that holds the closure: the same refusal
         # (message and count included) or the same points, in the same order and dtype
         for cap in itertools.count(1):
-            arrays, ints = (_in_branch(branch, closure, array, cap,
-                                       _CLOSURE_WORDS=words) for branch in BRANCHES)
-            if isinstance(arrays, str):
-                assert ints == arrays
+            rank, *others = (_in_branch(branch, closure, array, cap,
+                                        _CLOSURE_WORDS=words) for branch in BRANCHES)
+            if isinstance(rank, str):
+                assert others == [rank] * len(others)
                 continue
-            assert isinstance(ints, np.ndarray)
-            assert ints.dtype == arrays.dtype and ints.shape == arrays.shape
-            assert ints.tolist() == arrays.tolist()
+            for got in others:
+                _assert_same_array(got, rank)
             break
 
 
@@ -1075,8 +1108,8 @@ def test_small_walk_matches_the_array_walk(gens, char, chunk_cells, cache_entrie
     for _ in range(2):
         walks = [_in_branch(branch, walk, points, array, char,
                             caches[branch], **patches) for branch in BRANCHES]
-        assert walks[0] == walks[1]
-        assert caches["arrays"] == caches["ints"]
+        assert walks == [walks[0]] * len(walks)
+        assert all(cache == caches["rank"] for cache in caches.values())
 
 
 def test_both_walks_refuse_a_support_past_the_limit(ring_xy):
@@ -1095,3 +1128,55 @@ def test_both_walks_refuse_a_support_past_the_limit(ring_xy):
             patch.setattr(betti_mod, "_homology_from_masks", _raise_on_homology)
             assert _in_branch(branch, walk, points, gens, 0, {}) == want
             assert _in_branch(branch, betti_table, ideal, 0) == want
+
+
+# -- the dense closure ----------------------------------------------------------
+
+# generator sets with exponents up to 4 in 1 to 4 variables, then 0 to 2 unused columns;
+# at most 5^4 = 625 box cells
+dense_gens = st.tuples(st.integers(1, 4), st.integers(0, 2)).flatmap(
+    lambda shape: st.lists(st.tuples(*[st.integers(0, 4)] * shape[0]), min_size=1, max_size=8)
+    .map(lambda gens: [g + (0,) * shape[1] for g in gens]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_gens)
+@example([(0, 0)])  # the unit ideal: its one point 0, on one cell
+@example([(4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 4), (4, 4, 0, 4)])  # generators at box corners
+@example([(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 2)])  # the corners and the centre
+@example([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])  # three unused columns
+def test_dense_closure_matches_the_rank_by_rank_closure(gens):
+    # at caps of box - 1, box and box + 1: the same refusal, or the same points in the
+    # same order and dtype; at a cap of the box or more, the dense branch counts over it
+    array = _one_word_array(gens)
+    box = math.prod(e + 1 for e in array.max(axis=0).tolist())
+    for cap in (box - 1, box, box + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            dense = spy_dense(patch)
+            rank, got = (_in_branch(branch, closure, array, cap) for branch in ("rank", "dense"))
+        assert len(dense) == (cap >= box)
+        if isinstance(rank, str):
+            assert got == rank
+        else:
+            _assert_same_array(got, rank)
+
+
+def test_sparse_high_powers_keep_the_rank_by_rank_closure():
+    # (x^150, y^150, z^150) has a box of 151^3 = 3,442,951 cells and 4 pure 40th powers one
+    # of 41^4 = 2,825,761, against 7 and 15 lattice points: past _DENSE_CELLS_PER_PAIR * k^2
+    # for k = 3 and 4, so neither counts over its box, at the default cap or at one past the
+    # box, even off the Python-int branch.  Their tables stay the Koszul complexes'
+    for n, e in ((3, 150), (4, 40)):
+        ring = Ring("R", tuple(f"x{i}" for i in range(n)))
+        ideal = MonomialIdeal.from_exponents(
+            ring, [tuple(e * (j == i) for j in range(n)) for i in range(n)])
+        koszul = {(len(s) - 1, tuple(e * (j in s) for j in range(n))): 1
+                  for size in range(1, n + 1) for s in itertools.combinations(range(n), size)}
+        assert (e + 1) ** n > betti_mod._DENSE_CELLS_PER_PAIR * n ** 2
+        for caps in (Caps(), Caps(lattice=(e + 1) ** n)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(betti_mod, "_SMALL_CLOSURE_CELLS", 0)
+                dense = spy_dense(patch)
+                assert betti_table(ideal, 0, caps).multigraded() == koszul
+                assert betti_table(ideal, 32003, caps).multigraded() == koszul
+            assert dense == []

@@ -37,11 +37,20 @@ Two consequences keep most points away from per-point work:
   walk.
 
 The walk meets the points largest support first, in chunks, and works on
-a chunk in bulk: the dividing (point, generator) pairs by packed-word
-tests, their tight masks, the inclusion-minimal masks of every point, and
-one key row per point, whose distinct rows are the chunk's complexes.
-It computes the uncached ones together, grouped by support size m,
-largest m first, under the one cache rule of ``_cached``.  One
+a chunk in bulk up to its complexes: the inclusion-minimal tight masks of
+every point, and one key row per point, whose distinct rows are the
+chunk's complexes.  The masks come from the dividing (point, generator)
+pairs, by packed-word tests.  But a closure that counted over its box
+leaves the box's indicator of the ideal with the table, and there a point
+b of support size m reads its complex off the box: its faces tau by 2^m
+lookups of x^(b - tau), its facets by m shifted comparisons, and its
+minimal tight sets as the facets' complements.  A point takes the box
+where its 2^m lookups undercut the k divisor tests
+(``_BOX_LOOKUPS_PER_GEN``).  Python steps once per distinct complex of a
+chunk, for its cache key, and once per Betti entry, which leaves the walk
+sorted by (i, b).  It computes the uncached complexes together, grouped
+by support size m, largest m first, under the one cache rule of
+``_cached``.  One
 (complexes x 2^m) boolean array holds a group's faces.  A complex's
 boundary from k- to (k-1)-faces is the full simplex's, restricted to the
 complex's own faces: every column keeps all its entries, since a complex
@@ -130,7 +139,8 @@ from .ideals import MonomialIdeal, _IntLayout, _Packing, _row_keys, _sorted_uniq
 from . import linalg
 from .linalg import rank_exact, rank_inputs, rank_mod_p
 
-# points x generators x variables of one chunk of the walk: bounds its pair and key arrays
+# points x generators x variables of one chunk of the walk, and points x 2^m of one slice of
+# its box lookups at support size m: bounds its pair, lookup and key arrays
 _CHUNK_CELLS = 4_000_000
 # packed words of the joins one chunk of the closure makes.  The Betti tables of I^2, I^3
 # and m*I^2 of the Appendix A ideal peak at 51 MB of RSS with 2^17 words a chunk, and at
@@ -154,6 +164,16 @@ _DENSE_CELLS_PER_PAIR = 32
 # (``_small_walk``).  The round's 755 walks, timed the same way, took 0.76, 0.73,
 # 0.72-0.73, 0.75-0.76 and 0.79-0.81 times with this at 100, 300, 750, 2,000 and 4,000
 _SMALL_WALK_PAIRS = 750
+# box lookups per generator up to which a point of the walk, of support size m, reads its
+# tight masks off its closure's box: 2^m <= this times k, for k generators.  Every
+# _tight_masks call of a table with a box in one round of appendix-lattice, claim-loop and
+# tor-exact (seeds 27 and 31), each timed whole, fastest of 5, took in all, with this at 0,
+# 1, 2, 4, 8, 16, 64 and 2^40: appendix-lattice 96-106, 19-20, 16, 14-15, 11.5-12.5,
+# 11.4-12.3, 11.6-11.9 and 11.5-12.7 ms; claim-loop 29-30, 20-21, then 18-19 ms at each.
+# Random ideals and their powers with a box (7 tables a seed, 9-21 generators in 5-12
+# variables) took 1.9-2.1, 2.4-2.5, 2.3-2.6, 2.2-2.7, 2.2-2.7, 2.2-2.5, 2.4-2.9 and
+# 2.5-3.0 ms
+_BOX_LOOKUPS_PER_GEN = 8
 # the field in which the walk ranks a complex over Q first (2^31 - 1, a prime whose
 # residues multiply inside int64); not 32003, so the Q and GF(32003) tables stay two
 # different computations
@@ -187,11 +207,15 @@ class _PackedGens:
     lcm lattice too.  ``fields``, the packing's layout as Python ints
     (``ideals._IntLayout``), and ``keys``, the words as Python ints, serve
     the Python-int branches, on one word; each is built at first use.
+    ``box`` marks the points b of the box below those maxima with x^b in
+    the ideal, when the closure counted over that box; the walk reads its
+    complexes off it (``_tight_masks``).  Otherwise it is None.
     """
 
     def __init__(self, packing: _Packing, gens: np.ndarray):
         self.packing, self.gens = packing, gens
         self.words = packing.pack(gens)
+        self.box: np.ndarray | None = None  # set by ``_closure``
 
     @functools.cached_property
     def fields(self) -> _IntLayout:
@@ -230,7 +254,8 @@ def _closure(table: _PackedGens, cap: int) -> np.ndarray:
     ``_DENSE_CELLS_PER_PAIR`` cells per generator pair, the survivors are
     read off a count of divisors over the box instead (``_dense_closure``),
     packed and sorted: the same array, with no join and no sort of
-    candidates.  A box past the cap keeps the rounds, and their refusal.
+    candidates.  The count's indicator of the ideal stays on ``table.box``
+    for the walk.  A box past the cap keeps the rounds, and their refusal.
     """
     packing, packed_gens = table.packing, table.words
 
@@ -243,7 +268,8 @@ def _closure(table: _PackedGens, cap: int) -> np.ndarray:
         return np.array(held, dtype=np.int64).reshape(-1, 1)
     box = math.prod(e + 1 for e in packing.maxexp.tolist())
     if box <= cap and box <= _DENSE_CELLS_PER_PAIR * len(table.gens) ** 2:
-        return rows(np.sort(_row_keys(packing.pack(_dense_closure(table.gens, packing.maxexp)))))
+        survivors, table.box = _dense_closure(table.gens, packing.maxexp)
+        return rows(np.sort(_row_keys(packing.pack(survivors))))
     held = _sorted_unique(_row_keys(packed_gens))  # a minimal generator is never contractible
     frontier = rows(held)
     while len(frontier):
@@ -268,7 +294,7 @@ def _closure(table: _PackedGens, cap: int) -> np.ndarray:
     return rows(held)
 
 
-def _dense_closure(gens: np.ndarray, top: np.ndarray) -> np.ndarray:
+def _dense_closure(gens: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The exponents of ``_closure``'s survivors, found by counting divisors over a box.
 
     Over the box of the points b <= ``top`` (the generators' column maxima),
@@ -277,7 +303,7 @@ def _dense_closure(gens: np.ndarray, top: np.ndarray) -> np.ndarray:
     b_v > 0 has one of them with g_v = b_v, i.e. iff cnt(b) > 0 and
     cnt(b) > cnt(b - e_v) for every such v; and b != 0 is contractible iff
     cnt(b - 1_supp(b)) > 0.  Returns the rest of the lattice, in the box's
-    order.
+    order, and the indicator cnt > 0 over the box: x^b lies in the ideal.
     """
     shape = tuple(e + 1 for e in top.tolist())
     cnt = np.zeros(shape, dtype=np.min_scalar_type(len(gens)))
@@ -294,7 +320,7 @@ def _dense_closure(gens: np.ndarray, top: np.ndarray) -> np.ndarray:
         below[upper] = below[lower]
     below.flat[0] = False  # the point 0 is no full simplex
     kept &= ~below
-    return np.stack(np.unravel_index(np.flatnonzero(kept), shape), axis=1)
+    return np.stack(np.unravel_index(np.flatnonzero(kept), shape), axis=1), cnt > 0
 
 
 def _small_closure(fields: _IntLayout, gens: list[int], step: int, cap: int) -> list[int]:
@@ -534,15 +560,46 @@ def _pairs_minimal(point: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _tight_masks(chunk: np.ndarray, words: np.ndarray, supp: np.ndarray,
+def _tight_masks(chunk: np.ndarray, words: np.ndarray, supp: np.ndarray, sizes: np.ndarray,
                  side: _PackedGens) -> tuple[np.ndarray, np.ndarray]:
     """The inclusion-minimal tight masks of every point of ``chunk``, in bulk.
 
     A generator g of ``side`` dividing b has the tight set {v : g_v = b_v}
     on supp(b), a bitmask over supp(b)'s variables renumbered as 0..m-1.
     Returns the (point, mask) pairs that are minimal, sorted by point, then
-    mask; ``words`` is the chunk packed on the side's packing.
+    mask; ``words`` is the chunk packed on the side's packing, and ``sizes``
+    its support sizes.  The pairs come from the dividing (point, generator)
+    pairs, by packed-word tests (``_pair_masks``).  But where the side holds
+    its closure's box, a point whose 2^m box lookups undercut its k divisor
+    tests (2^m <= ``_BOX_LOOKUPS_PER_GEN`` * k) reads its masks off the box
+    instead (``_box_masks``), the same pairs.  Each run of consecutive points
+    that take the pairs, or the box at one m, is done in one piece, or on
+    the box in slices of at most ``_CHUNK_CELLS`` lookups, in chunk order;
+    the walk's chunks, largest support first, hold one run of pairs and
+    then one run per m.
     """
+    if side.box is None:
+        return _pair_masks(chunk, words, supp, side)
+    path = np.where((1 << sizes) <= _BOX_LOOKUPS_PER_GEN * len(side.gens), sizes, -1)
+    cuts = [0, *(np.flatnonzero(path[1:] != path[:-1]) + 1).tolist(), len(chunk)]
+    points, masks = [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        m = int(path[lo])
+        step = hi - lo if m < 0 else max(1, _CHUNK_CELLS >> m)  # a slice's lookups stay in budget
+        for at in range(lo, hi, step):
+            upto = min(at + step, hi)
+            if m < 0:
+                point, mask = _pair_masks(chunk[at:upto], words[at:upto], supp[at:upto], side)
+            else:
+                point, mask = _box_masks(chunk[at:upto], supp[at:upto], m, side.box)
+            points.append(point + at)
+            masks.append(mask)
+    return np.concatenate(points), np.concatenate(masks)
+
+
+def _pair_masks(chunk: np.ndarray, words: np.ndarray, supp: np.ndarray,
+                side: _PackedGens) -> tuple[np.ndarray, np.ndarray]:
+    """``_tight_masks`` from the dividing (point, generator) pairs, by packed-word tests."""
     gens = side.gens
     divides = side.packing.divides(side.words[None], words[:, None, :])
     point, gen = np.divmod(np.flatnonzero(divides), len(gens))  # 2-D nonzero is slower
@@ -552,6 +609,34 @@ def _tight_masks(chunk: np.ndarray, words: np.ndarray, supp: np.ndarray,
     point, mask = pair >> 24, pair & ((1 << 24) - 1)
     keep = _pairs_minimal(point, mask)
     return point[keep], mask[keep]
+
+
+def _box_masks(chunk: np.ndarray, supp: np.ndarray, m: int,
+               box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_tight_masks`` of points of support size m, read off ``box``, the ideal's indicator.
+
+    tau on supp(b) is a face of b's complex iff x^(b - tau) lies in the
+    ideal: 2^m lookups in the box, at offsets built one variable at a time.
+    A face is a facet iff no face holds it and one more vertex, m shifted
+    comparisons.  The facets are the complements of the inclusion-minimal
+    tight sets, so the masks are the facets read off the face axis reversed,
+    in ascending order.  The arrays run over tau first, then the points, so
+    that every step works on contiguous blocks.
+    """
+    n = len(chunk)
+    strides = np.array(box.strides, dtype=np.int64)  # a bool per cell: strides in cells
+    step = strides[np.nonzero(supp)[1]].reshape(n, m).T  # supp(b)'s variables, lowest first
+    at = np.empty((1 << m, n), dtype=np.int64)
+    at[0] = chunk @ strides
+    for j in range(m):
+        np.subtract(at[: 1 << j], step[j], out=at[1 << j : 2 << j])
+    faces = box.reshape(-1)[at]
+    facets = faces.copy()
+    for j in range(m):  # [higher bits, bit j, lower bits and the points]
+        upper = faces.reshape(-1, 2, n << j)[:, 1]
+        lower = facets.reshape(-1, 2, n << j)[:, 0]
+        np.greater(lower, upper, out=lower)
+    return np.divmod(np.flatnonzero(facets[::-1].T), 1 << m)
 
 
 def _within_support_limit(largest: int) -> None:
@@ -581,7 +666,7 @@ def _point_masks(points: np.ndarray, words: np.ndarray, sides: list[_PackedGens]
         supp = chunk > 0
         sizes = supp.sum(axis=1)
         _within_support_limit(sizes.max(initial=0))
-        yield chunk, sizes, [_tight_masks(chunk, words[lo : lo + step], supp, side)
+        yield chunk, sizes, [_tight_masks(chunk, words[lo : lo + step], supp, sizes, side)
                              for side in sides]
 
 
@@ -613,17 +698,20 @@ def _points_betti(points: np.ndarray, words: np.ndarray, table: _PackedGens, cha
 
     ``words`` are the points packed on ``table``'s packing, as the closure
     gives them.  Each chunk is array work up to its distinct complexes: the
-    dividing (point, generator) pairs by packed-word tests, their tight
-    masks on supp(b), deduplicated by one sort and cut to the
-    inclusion-minimal ones, and one key row per point, [m, masks..., -1
-    padding].  A cache lookup is made per distinct row; Python visits a
-    point only to record its nonzero entries.  ``_cached`` reads and fills
-    ``cache``.  A walk of at most ``_SMALL_WALK_PAIRS`` (point, generator)
-    pairs on one packed word runs on Python ints instead (``_small_walk``).
+    inclusion-minimal tight masks on supp(b) of every point, from the
+    dividing (point, generator) pairs or from the closure's box
+    (``_tight_masks``), and one key row per point, [m, masks..., -1
+    padding].  Python steps once per distinct row, for its key and cache
+    lookup; ``_cached`` reads and fills ``cache``.  Each point's entries are
+    then gathered in bulk from its complex's, and the walk's entries are
+    returned sorted by (i, b), one Python step each.  A walk of at most
+    ``_SMALL_WALK_PAIRS`` (point, generator) pairs on one packed word runs
+    on Python ints instead (``_small_walk``), which visits every point.
     """
     if table.packing.nwords == 1 and len(points) * len(table.gens) <= _SMALL_WALK_PAIRS:
         return _small_walk(points, words[:, 0].tolist(), table, char, cache)
-    entries: dict[tuple[int, Exponents], int] = {}
+    none = np.zeros(0, dtype=np.int64)
+    degrees, dims, hits = [none], [none], [points[:0]]  # every chunk's entries
     for chunk, sizes, [(point, mask)] in _point_masks(points, words, [table]):
         count = np.bincount(point, minlength=len(chunk))
         rows = np.full((len(chunk), count.max() + 1), -1, dtype=np.int64)
@@ -640,11 +728,26 @@ def _points_betti(points: np.ndarray, words: np.ndarray, table: _PackedGens, cha
                 pending.setdefault(m, {})[key] = masks
         found = _cached(cache, keys, pending,
                         lambda batch, m: _homology_from_masks(batch, m, char))
-        hit = np.flatnonzero(np.array([bool(dims) for dims in found])[inverse])
-        for b, u in zip(chunk[hit].tolist(), inverse[hit].tolist()):
-            bt = tuple(b)
-            for i, d in found[u].items():
-                entries[(i, bt)] = d
+        # each point's entries are its complex's (i, dim) pairs, listed for all the complexes
+        # in one array: entry t of a point is read at its complex's start, plus t's place
+        # among the point's entries
+        per = np.array([len(homology) for homology in found], dtype=np.int64)
+        listed = np.array([entry for homology in found for entry in homology.items()],
+                          dtype=np.int64).reshape(-1, 2)
+        many = per[inverse]
+        owner = np.repeat(np.arange(len(chunk)), many)  # the point of each entry
+        lead = np.cumsum(many) - many  # each point's first entry
+        at = ((np.cumsum(per) - per)[inverse] - lead)[owner] + np.arange(len(owner))
+        degrees.append(listed[at, 0])
+        dims.append(listed[at, 1])
+        hits.append(chunk[owner])
+    degree, dim, b = (np.concatenate(column) for column in (degrees, dims, hits))
+    order = np.lexsort((*b.T[::-1], degree))  # by i, then b
+    entries: dict[tuple[int, Exponents], int] = {}
+    for lo in range(0, len(order), 1 << 12):  # one slice's points as Python lists at a time
+        part = order[lo : lo + (1 << 12)]
+        entries.update(zip(zip(degree[part].tolist(), map(tuple, b[part].tolist())),
+                           dim[part].tolist()))
     return entries
 
 

@@ -23,8 +23,10 @@ same order.  Containment and intersection test divisibility with
 ``_divisible``; at most ``_SMALL_DIVISIBLE_PAIRS`` = 256 row pairs take
 the same test on Python ints and give the same booleans.  These branches,
 and those of ``betti``, key each row on ``_IntLayout``: ``_Packing``'s
-fields on one int, with no word limit.  An ideal
-builds the int32 array of its generators once, read-only (``array``).
+fields on one int, with no word limit.  An ideal's generators are also an
+int32 array, read-only (``array``): an arithmetic result keeps the
+canonical rows it was made from, and any other ideal builds its array
+once, at the first call.
 ``component_ideal`` refuses, with ``CapError``, to enumerate more than
 ``COMPONENT_LIMIT`` = 2^22 generators, another fixed limit and its only
 bound, as each monomial takes O(n) steps whatever its degree.  Products
@@ -354,6 +356,18 @@ def _canonical_tuple(arr: np.ndarray) -> tuple[Exponents, ...]:
     return tuple(map(tuple, arr.tolist()))
 
 
+def _from_rows(ring: Ring, rows: np.ndarray) -> "MonomialIdeal":
+    """The ideal of the canonical minimal int32 ``rows``, which become its ``array()``.
+
+    Every caller passes rows made for this result alone, so no other
+    ideal's array is shared; they are made read-only here.
+    """
+    ideal = MonomialIdeal(ring, _canonical_tuple(rows))
+    rows.flags.writeable = False
+    object.__setattr__(ideal, "_array", rows)  # as ``array`` keeps it
+    return ideal
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal, held as its canonical minimal generating set."""
@@ -378,8 +392,7 @@ class MonomialIdeal:
         if min(exponents, default=0) < 0:
             raise DomainError("negative exponent in generator")
         _check_exponent(max(exponents, default=0))
-        arr = _as_array(vectors, ring.nvars)
-        return MonomialIdeal(ring, _canonical_tuple(_minimal_rows(arr)))
+        return _from_rows(ring, _minimal_rows(_as_array(vectors, ring.nvars)))
 
     @staticmethod
     def from_monomials(monomials) -> "MonomialIdeal":
@@ -398,7 +411,8 @@ class MonomialIdeal:
         return tuple(Monomial(self.ring, g) for g in self.gens)
 
     def array(self) -> np.ndarray:
-        """The generators as a read-only int32 array, built once per ideal."""
+        """The generators as a read-only int32 array: an arithmetic result's own rows
+        (``_from_rows``), or else built once per ideal."""
         arr = self.__dict__.get("_array")
         if arr is None:
             arr = _as_array(self.gens, self.ring.nvars)
@@ -448,7 +462,7 @@ class MonomialIdeal:
         if other.is_zero():
             return self
         stacked = np.concatenate([self.array(), other.array()])
-        return MonomialIdeal(self.ring, _canonical_tuple(_minimal_rows(stacked)))
+        return _from_rows(self.ring, _minimal_rows(stacked))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_ring(other)
@@ -462,7 +476,7 @@ class MonomialIdeal:
             prods = _minimal_rows(prods)
         else:
             prods = _canonical_rows(prods)
-        return MonomialIdeal(self.ring, _canonical_tuple(prods))
+        return _from_rows(self.ring, prods)
 
     def __pow__(self, s: int) -> "MonomialIdeal":
         if s < 0:
@@ -488,7 +502,7 @@ class MonomialIdeal:
         a_in, b_in = _divisible(b, a), _divisible(a, b)
         joins = _pairwise_rows(np.maximum, a[~a_in], b[~b_in])
         rows = np.concatenate([a[a_in], b[b_in], joins])
-        return MonomialIdeal(self.ring, _canonical_tuple(_minimal_rows(rows)))
+        return _from_rows(self.ring, _minimal_rows(rows))
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         return self.intersect(other)
@@ -503,7 +517,7 @@ class MonomialIdeal:
             # self's exponents are within the limit: a larger one of m clears its column alike
             m = np.asarray([min(e, EXPONENT_LIMIT) for e in other.exponents], dtype=_INT)
             quo = np.maximum(self.array() - m[None, :], 0)
-            return MonomialIdeal(self.ring, _canonical_tuple(_minimal_rows(quo)))
+            return _from_rows(self.ring, _minimal_rows(quo))
         self._check_ring(other)
         if other.is_zero():
             raise DomainError("colon by the zero ideal")
@@ -580,7 +594,7 @@ def maxideal_power(ring: Ring, block: str | None = None, s: int = 1) -> Monomial
         blk = ring.block(block)
         indices = tuple(range(blk.start, blk.stop))
     gens = _as_array(monomials_of_degree(ring, s, indices), ring.nvars)
-    return MonomialIdeal(ring, _canonical_tuple(_canonical_rows(gens)))
+    return _from_rows(ring, _canonical_rows(gens))
 
 
 def star_derivative(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -614,7 +628,7 @@ def component_ideal(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
     _check_exponent(max(max(g) + k for g, k in gens))  # x_v^k is among the fillers
     fillers = {k: _as_array(monomials_of_degree(ring, k), n) for k in {k for _, k in gens}}
     rows = np.concatenate([fillers[k] + np.asarray(g, dtype=_INT) for g, k in gens])
-    return MonomialIdeal(ring, _canonical_tuple(_minimal_rows(rows)))
+    return _from_rows(ring, _minimal_rows(rows))
 
 
 def finite_length_reg(big: MonomialIdeal, small: MonomialIdeal) -> int | None:

@@ -300,11 +300,18 @@ def closure(gens: np.ndarray, cap: int) -> np.ndarray:
     return table.packing.unpack(betti._closure(table, cap))
 
 
+# the lattice cap of ``walk``'s closure: it bounds the box a closure may count over
+WALK_BOX_CELLS = 1_000_000
+
+
 def walk(points: np.ndarray, gens: np.ndarray, char: int,
          cache: dict) -> dict[tuple[int, tuple[int, ...]], int]:
     """``betti._points_betti`` on exponent rows, packed on the packing of ``points`` and
-    ``gens`` together."""
+    ``gens`` together, after the table's closure, as a table is walked: a closure that
+    counts over its box (one of at most ``WALK_BOX_CELLS`` cells) leaves that box's
+    indicator of the ideal for the walk to read."""
     table = betti._PackedGens(betti._walk_packing(points, (gens,)), gens)
+    betti._closure(table, WALK_BOX_CELLS)
     return betti._points_betti(points, table.packing.pack(points), table, char, cache)
 
 

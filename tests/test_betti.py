@@ -31,15 +31,17 @@ from conftest import (closure, contractible, exact_rank, full_closure, ideal_of,
 
 
 # values of betti's constants that force each branch of _closure and _points_betti:
-# "rank" closes rank by rank and walks on arrays on every input; "dense" closes by counting
-# over the box wherever the box fits in the cap, and walks on arrays; "ints" takes the
-# Python-int branch of both on every input that packs into one word
+# "rank" closes rank by rank and walks on arrays on every input, with the tight masks of
+# the dividing (point, generator) pairs; "dense" closes by counting over the box wherever
+# the box fits in the cap, and walks on arrays, reading every point's tight masks off that
+# box; "ints" takes the Python-int branch of both on every input that packs into one word
 BRANCHES = {
-    "rank": {"_SMALL_CLOSURE_CELLS": 0, "_SMALL_WALK_PAIRS": 0, "_DENSE_CELLS_PER_PAIR": 0},
+    "rank": {"_SMALL_CLOSURE_CELLS": 0, "_SMALL_WALK_PAIRS": 0, "_DENSE_CELLS_PER_PAIR": 0,
+             "_BOX_LOOKUPS_PER_GEN": 0},
     "dense": {"_SMALL_CLOSURE_CELLS": 0, "_SMALL_WALK_PAIRS": 0,
-              "_DENSE_CELLS_PER_PAIR": 1 << 62},
+              "_DENSE_CELLS_PER_PAIR": 1 << 62, "_BOX_LOOKUPS_PER_GEN": 1 << 40},
     "ints": {"_SMALL_CLOSURE_CELLS": 1 << 62, "_SMALL_WALK_PAIRS": 1 << 62,
-             "_DENSE_CELLS_PER_PAIR": 0},
+             "_DENSE_CELLS_PER_PAIR": 0, "_BOX_LOOKUPS_PER_GEN": 0},
 }
 
 
@@ -57,6 +59,18 @@ def spy_dense(patch) -> list:
         return dense(gens, top)
 
     patch.setattr(betti_mod, "_dense_closure", spy)
+    return calls
+
+
+def spy_box(patch) -> list:
+    """Record the support size of every ``betti._box_masks`` call from now on."""
+    calls, box = [], betti_mod._box_masks
+
+    def spy(chunk, supp, m, indicator):
+        calls.append(m)
+        return box(chunk, supp, m, indicator)
+
+    patch.setattr(betti_mod, "_box_masks", spy)
     return calls
 
 
@@ -435,6 +449,8 @@ def test_bulk_walk_matches_the_per_point_walk(drawn):
             bulk_cache, oracle_cache = {}, {}
             bulk = walk(points, array, char, bulk_cache)
             assert bulk == walk_per_point(points, array, char, oracle_cache)
+            if branch != "ints":  # the array walk's entries leave it sorted by (i, b)
+                assert list(bulk) == sorted(bulk)
             assert bulk_cache == oracle_cache
             # a second walk over the same cache reads it: no homology is computed
             patch.setattr(betti_mod, "_homology_from_masks", _raise_on_homology)
@@ -1180,3 +1196,83 @@ def test_sparse_high_powers_keep_the_rank_by_rank_closure():
                 assert betti_table(ideal, 0, caps).multigraded() == koszul
                 assert betti_table(ideal, 32003, caps).multigraded() == koszul
             assert dense == []
+
+
+# -- the walk's box lookups --------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_gens, st.sampled_from([0, 1, 2, 8, 1 << 40]), st.sampled_from([None, 1]),
+       st.sampled_from([0, 1 << 20]), st.booleans())
+@example([(0, 0)], 1 << 40, None, 0, False)  # the unit ideal: its one point 0, of support 0
+@example([(4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 4), (4, 4, 0, 4)], 8, 1, 1 << 20, False)
+@example([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)], 1 << 40, None, 0, True)  # three unused columns
+@example([(2, 1, 0), (0, 2, 1), (1, 0, 2), (1, 1, 1)], 1, None, 0, False)  # box at m <= 2
+def test_box_lookups_match_the_dividing_pairs(gens, lookups, chunk_cells, wide, shuffled):
+    # over the whole lattice, contractible points included, in the walk's order (largest
+    # support first) or shuffled: the box lookups give the dividing pairs' (point, mask)
+    # arrays, in values, order and dtype, whichever points the admission rule sends to the
+    # box, in slices of one point or of the chunk's cells, with the pairs' side packed on
+    # one word or, with fields widened to 2^20, on several
+    array = _one_word_array(gens)
+    top = array.max(axis=0)
+    points = full_closure(array, 100_000)
+    if shuffled:
+        points = points[np.random.default_rng(len(points)).permutation(len(points))]
+    else:
+        points = points[np.argsort(-(points > 0).sum(axis=1), kind="stable")]
+    side = betti_mod._PackedGens(betti_mod._Packing(np.maximum(top, wide)), array)
+    if wide and len(top) >= 3:
+        assert side.packing.nwords > 1
+    words, supp = side.packing.pack(points), points > 0
+    sizes = supp.sum(axis=1)
+    want = betti_mod._tight_masks(points, words, supp, sizes, side)
+    side.box = betti_mod._dense_closure(array, top)[1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(betti_mod, "_BOX_LOOKUPS_PER_GEN", lookups)
+        if chunk_cells is not None:
+            patch.setattr(betti_mod, "_CHUNK_CELLS", chunk_cells)
+        boxed = spy_box(patch)
+        got = betti_mod._tight_masks(points, words, supp, sizes, side)
+    for have, expected in zip(got, want):
+        _assert_same_array(have, expected)
+    admitted = sizes[(1 << sizes) <= lookups * len(array)]
+    assert set(boxed) == set(admitted.tolist())
+    if chunk_cells == 1:  # a slice holds one point
+        assert len(boxed) == len(admitted)
+
+
+def test_box_lookups_run_only_where_the_closure_counted_over_its_box():
+    # J^2 for J = (x^2, xy, y^2, z^3, xzw) has 14 generators and a box of 525 cells: the
+    # walk reads its complexes off the box only after a closure that counted over it.  Not
+    # under a cap of box - 1, where it closes rank by rank; not on the Python-int walk,
+    # after either closure; and in tor_vanishing only for the small ideal's table, never
+    # for the two-sided masks of the map
+    ring = Ring("R", tuple("xyzw"))
+    J = ideal_of(ring, "x^2", "x*y", "y^2", "z^3", "x*z*w")
+    ideal = J ** 2
+    box = math.prod(e + 1 for e in ideal.array().max(axis=0).tolist())
+    assert box == 525
+    want = _cold_table(ideal, 0).entries
+    for branch, walk_pairs, cap, counted, looked_up in (
+            ("dense", 0, box, True, True),
+            ("dense", 0, box - 1, False, False),
+            ("ints", 1 << 62, box, False, False),
+            ("dense", 1 << 62, box, True, False)):  # a counted closure, then the Python-int walk
+        with pytest.MonkeyPatch.context() as patch:
+            force_branch(patch, branch)
+            patch.setattr(betti_mod, "_SMALL_WALK_PAIRS", walk_pairs)
+            dense, boxed = spy_dense(patch), spy_box(patch)
+            assert betti_table(ideal, 0, Caps(lattice=cap)).entries == want
+            assert (bool(dense), bool(boxed)) == (counted, looked_up), (branch, walk_pairs, cap)
+    with pytest.MonkeyPatch.context() as patch:
+        force_branch(patch, "rank")
+        vanishing = tor_vanishing(ideal, J, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        force_branch(patch, "dense")
+        boxed = spy_box(patch)
+        betti_table(ideal, 0)
+        in_table = list(boxed)
+        boxed.clear()
+        assert tor_vanishing(ideal, J, 0) == vanishing
+        assert boxed == in_table != []

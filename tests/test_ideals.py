@@ -506,6 +506,43 @@ def test_array_is_built_once_read_only_and_left_as_it_is(ring_xyz):
     assert ideal.gens == gens and ideal.array() is array
 
 
+@settings(max_examples=100, deadline=None)
+@given(ideal_pairs(), st.sampled_from(list(ROW_BRANCHES.values())))
+@example((2, [], [(1, 0)]), 0)  # the zero ideal
+@example((2, [(0, 0)], [(1, 2), (3, 0)]), 0)  # the unit ideal
+@example((3, [(2, 0, 0), (1, 1, 0)], [(0, 1, 1), (0, 0, 2)]), 1 << 62)
+def test_arithmetic_results_keep_their_rows_as_their_array(data, rows_cap):
+    # each result's array is the int32 rows it was made from: read-only, its generators'
+    # values in their order, shared with no other ideal's array; equality and hashing
+    # still read gens alone
+    nvars, a, b = data
+    ring = Ring("R", tuple(f"v{i}" for i in range(nvars)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ideals_mod, "_SMALL_MINIMAL_ROWS", rows_cap)
+        A, B = (MonomialIdeal.from_exponents(ring, gens) for gens in (a, b))
+        made = [A, B, A + B, A * B, A & B, maxideal_power(ring, None, 2)]
+        if A.gens:
+            made += [A.colon(Monomial(ring, A.gens[0])), star_derivative(A),
+                     component_ideal(A, max(map(sum, A.gens)) + 1)]
+            if len(A.gens) > 1:
+                made.append(A ** 2)
+            if B.gens:
+                made.append(A.colon(B))
+    for ideal in made:  # before any array() call: a nonzero result holds its rows already
+        assert "_array" in ideal.__dict__ or not ideal.gens
+    for ideal in made:
+        array = ideal.array()
+        assert array.dtype == np.int32 and array.flags.c_contiguous
+        assert not array.flags.writeable
+        assert array.shape == (len(ideal.gens), nvars)
+        assert array.tolist() == [list(g) for g in ideal.gens]
+        assert not any(np.shares_memory(array, other.array())
+                       for other in made if other is not ideal and other.array().size)
+        plain = MonomialIdeal(ring, ideal.gens)
+        assert plain == ideal and hash(plain) == hash(ideal)
+        assert plain.array().tolist() == array.tolist()
+
+
 def test_row_kernel_example_spans_two_words():
     nvars, gens, rows = _TWO_WORDS
     top = ideals_mod._as_array(gens + rows, nvars).max(axis=0)
